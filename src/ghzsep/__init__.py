@@ -8,7 +8,6 @@ and brute-force oracles that re-derive everything from dense matrices.
 """
 
 from .exactmath import (
-    Rat,
     binomial,
     elem_sym,
     lemma1_quantities,
@@ -50,7 +49,6 @@ from .witness import (
     canonical_witness,
     gamma_diagonal,
     ghz_witness_value,
-    m_matrix_L2,
     necessary_threshold,
     sep_max,
     witness_sum,

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import click
 
-from . import lpsolve, oracle, thresholds
+from . import lpsolve, thresholds
 from .exactmath import (
+    CheckRecord,
     random_unit_rationals,
     rat_decimal,
     rat_str,
@@ -102,14 +103,6 @@ def threshold(n, j, k, fmt):
         click.echo(f"{n},{k},{kind},{rat_str(sufficient)},{nec}")
 
 
-def _table_rows(nmax):
-    rows = []
-    for n in range(6, nmax + 1):
-        for k in range(3, n // 2 + 1):
-            rows.append(lpsolve.solve(lpsolve.build_problem(n, k)))
-    return rows
-
-
 @main.command()
 @click.option("--nmax", type=int, default=12, help="Largest qubit count.")
 @click.option("--check", is_flag=True, help="Compare against the golden values.")
@@ -119,7 +112,7 @@ def table1(nmax, check, fmt):
     fmt = fmt or _default_format()
     if nmax < 6:
         raise click.UsageError("--nmax must be at least 6")
-    rows = _table_rows(nmax)
+    rows = lpsolve.table1(range(6, nmax + 1))
     if fmt == "human":
         click.echo("n  k  partitions (tau*weight)            tau        p_s")
         for sol in rows:
@@ -219,30 +212,61 @@ def _parse_limits(text):
     return limits
 
 
+#: Limit keys of each suite: key -> (default, smallest, largest or None).
+_SUITE_LIMITS = {
+    "wident": {"L": (20, 2, None)},
+    "appendix": {"n": (100, 4, None), "l": (100, 2, None)},
+    "lemma1": {"n": (8, 4, None), "samples": (10000, 1, None)},
+    "phase-oracle": {"n": (8, 2, 10)},
+    "witness-max": {"restarts": (64, 1, None), "samples": (10000, 1, None)},
+    "charfn": {"n": (6, 2, 8)},
+}
+
+
+def _resolve_limits(names, limits):
+    """Each named suite's limits: overrides on top of defaults, validated.
+
+    A key no named suite declares, or a value outside a suite's range, is
+    a usage error raised before any suite runs.
+    """
+    known = set().union(*(_SUITE_LIMITS[name] for name in names))
+    unknown = sorted(set(limits) - known)
+    if unknown:
+        raise click.UsageError(
+            f"unknown --limits key(s) {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(known))}"
+        )
+    resolved = {}
+    for name in names:
+        values = {}
+        for key, (default, lo, hi) in _SUITE_LIMITS[name].items():
+            value = limits.get(key, default)
+            if value < lo or (hi is not None and value > hi):
+                span = f"{key} >= {lo}" if hi is None else f"{lo} <= {key} <= {hi}"
+                raise click.UsageError(f"suite {name} needs {span}, got {key}={value}")
+            values[key] = value
+        resolved[name] = values
+    return resolved
+
+
 def _suite_wident(seed, limits):
-    lmax = limits.get("L", 20)
-    for L in range(2, lmax + 1):
-        for rec in verify_w_identities(L):
-            yield {"check": "w-identity:" + rec.identity, "params": rec.params,
-                   "pass": rec.passed, "detail": f"lhs={rec.lhs}, rhs={rec.rhs}"}
+    for L in range(2, limits["L"] + 1):
+        yield from verify_w_identities(L)
 
 
 def _suite_appendix(seed, limits):
-    n_max = limits.get("n", 100)
-    l_max = limits.get("l", 100)
+    n_max, l_max = limits["n"], limits["l"]
     report = verify_appendix_inequality(n_max, l_max)
-    for rec in report.violations:
-        yield {"check": "padding-binomial-bound", "params": rec.params,
-               "pass": False, "detail": f"lhs={rec.lhs}, rhs={rec.rhs}"}
-    yield {"check": "padding-binomial-bound", "params": {"n_max": n_max, "l_max": l_max},
-           "pass": report.passed, "detail": f"checked={report.checked}, violations={len(report.violations)}"}
+    yield from report.violations
+    yield CheckRecord("padding-binomial-bound", {"n_max": n_max, "l_max": l_max},
+                      report.passed,
+                      f"checked={report.checked}, violations={len(report.violations)}")
 
 
 def _suite_lemma1(seed, limits):
-    n_max = limits.get("n", 8)
-    samples = limits.get("samples", 10000)
+    samples = limits["samples"]
     rng = random.Random(seed)
-    for n in range(4, n_max + 1):
+    for n in range(4, limits["n"] + 1):
         ok = True
         ties = 0
         for _ in range(samples):
@@ -251,42 +275,41 @@ def _suite_lemma1(seed, limits):
             ok = ok and res.passed
             ties += res.tight
         zero = verify_lemma1_inequality((Fraction(0),) * (n - 2), n)
-        yield {"check": "block-eigenvalue-bound", "params": {"n": n, "samples": samples},
-               "pass": ok and zero.passed and zero.tight,
-               "detail": f"tight_cases={ties}, zero_input_tight={zero.tight}"}
+        yield CheckRecord("block-eigenvalue-bound", {"n": n, "samples": samples},
+                          ok and zero.passed and zero.tight,
+                          f"tight_cases={ties}, zero_input_tight={zero.tight}")
 
 
 def _suite_phase_oracle(seed, limits):
-    n_max = limits.get("n", 8)
-    for n in range(2, n_max + 1):
+    from . import oracle
+
+    for n in range(2, limits["n"] + 1):
         for k in range(2, n + 1):
             for part in enumerate_partitions(n, k):
                 same = oracle.phase_average_oracle(part) == partition_average_state(part)
-                yield {"check": "phase-average-equality",
-                       "params": {"n": n, "partition": format_partition(part)},
-                       "pass": same, "detail": ""}
+                yield CheckRecord("phase-average-equality",
+                                  {"n": n, "partition": format_partition(part)}, same)
 
 
 def _suite_witness_max(seed, limits):
-    restarts = limits.get("restarts", 64)
-    samples = limits.get("samples", 10000)
+    from . import oracle
+
+    restarts, samples = limits["restarts"], limits["samples"]
     for n, L in WITNESS_MAX_CASES:
         bound = float(sep_max(n, L))
         reached = oracle.maximize_over_product_states(n, L, restarts=restarts, seed=seed)
         sampled = oracle.max_sampled_product_value(n, L, samples=samples, seed=seed)
         ok = abs(reached - bound) <= 1e-6 and reached <= bound + 1e-9 and sampled <= bound + 1e-9
-        yield {"check": "witness-product-max", "params": {"n": n, "L": L},
-               "pass": ok,
-               "detail": f"bound={bound}, reached={reached:.12f}, sampled_max={sampled:.12f}"}
+        yield CheckRecord("witness-product-max", {"n": n, "L": L}, ok,
+                          f"bound={bound}, reached={reached:.12f}, sampled_max={sampled:.12f}")
 
 
 def _suite_charfn(seed, limits):
-    n_max = limits.get("n", 6)
-    for n in range(2, n_max + 1):
+    from . import oracle
+
+    for n in range(2, limits["n"] + 1):
         for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            report = oracle.characteristic_check(n, p)
-            for rec in report.records:
-                yield rec.as_dict()
+            yield from oracle.characteristic_check(n, p).records
 
 
 _SUITES = {
@@ -305,13 +328,13 @@ _SUITES = {
 @click.option("--limits", default="", help="Comma-separated key=value limit overrides.")
 def verify(suite, seed, limits):
     """Run a verification suite; stream JSON-line reports, exit 0 iff all pass."""
-    limits = _parse_limits(limits)
     names = sorted(_SUITES) if suite == "all" else [suite]
+    limits = _resolve_limits(names, _parse_limits(limits))
     all_ok = True
     for name in names:
-        for record in _SUITES[name](seed, limits):
-            all_ok = all_ok and record["pass"]
-            click.echo(json.dumps(record, sort_keys=True))
+        for record in _SUITES[name](seed, limits[name]):
+            all_ok = all_ok and record.passed
+            click.echo(json.dumps(record.as_dict(), sort_keys=True))
     sys.exit(0 if all_ok else 1)
 
 

@@ -16,14 +16,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-#: Exact rational scalar.  ``fractions.Fraction`` already guarantees the
-#: invariants we need: lowest terms, positive denominator, arbitrary
-#: precision integer arithmetic that never rounds.
-Rat = Fraction
-
-#: Elementary symmetric polynomial values (S_0, ..., S_m) with S_0 = 1.
-SymPolyVector = tuple
-
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n.
@@ -38,7 +30,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def elem_sym(z: Sequence) -> SymPolyVector:
+def elem_sym(z: Sequence) -> tuple:
     """Elementary symmetric polynomials (S_0, ..., S_m) of the inputs.
 
     S_i is the sum over all i-element subsets of the product of the chosen
@@ -73,21 +65,19 @@ def w_coeff(L: int, n: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verified identity instance; failures are data, not exceptions."""
+    """One check outcome; failures are data, not exceptions."""
 
-    identity: str
+    check: str
     params: dict
     passed: bool
-    lhs: object
-    rhs: object
+    detail: str = ""
 
     def as_dict(self) -> dict:
         return {
-            "identity": self.identity,
+            "check": self.check,
             "params": dict(self.params),
             "pass": self.passed,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "detail": self.detail,
         }
 
 
@@ -134,7 +124,12 @@ def verify_w_identities(L: int) -> list:
         ]
         for name, lhs, rhs in checks:
             records.append(
-                CheckRecord(name, {"L": L, "l": l}, Fraction(lhs) == rhs, lhs, rhs)
+                CheckRecord(
+                    "w-identity:" + name,
+                    {"L": L, "l": l},
+                    Fraction(lhs) == rhs,
+                    f"lhs={lhs}, rhs={rhs}",
+                )
             )
     return records
 
@@ -159,13 +154,14 @@ def verify_appendix_inequality(n_max: int, l_max: int) -> SweepReport:
                 lhs_num = (n + l) * (math.comb(n, i) + math.comb(n, i - l))
                 rhs_num = n * math.comb(n + l, i)
                 if lhs_num > rhs_num:
+                    lhs = Fraction(math.comb(n, i) + math.comb(n, i - l), n)
+                    rhs = Fraction(math.comb(n + l, i), n + l)
                     violations.append(
                         CheckRecord(
                             "padding-binomial-bound",
                             {"n": n, "l": l, "i": i},
                             False,
-                            Fraction(math.comb(n, i) + math.comb(n, i - l), n),
-                            Fraction(math.comb(n + l, i), n + l),
+                            f"lhs={lhs}, rhs={rhs}",
                         )
                     )
     return SweepReport(checked, tuple(violations))

@@ -10,8 +10,8 @@ Phase averages are exact.  Every matrix entry of the pre-average state is
 a Fourier polynomial of degree between -2 and 2 in each free phase, and a
 four-point average over the fourth roots of unity annihilates every
 nonzero degree of magnitude at most 3, so averaging each phase over
-{1, i, -1, -i} reproduces the continuous average exactly.  The arithmetic
-runs over the Gaussian rationals so nothing is ever rounded.
+{1, i, -1, -i} reproduces the continuous average exactly.  The sums of
+the roots are integers, so nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -23,78 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exactmath import CheckRecord
 from .partitions import PartitionType
 from .symstate import SymState, noisy_ghz, to_dense
 from .witness import canonical_witness, ghz_witness_value
-
-
-@dataclass(frozen=True)
-class GaussRat:
-    """Exact Gaussian rational re + im*i."""
-
-    re: Fraction
-    im: Fraction
-
-    @classmethod
-    def of(cls, re, im=0) -> "GaussRat":
-        return cls(Fraction(re), Fraction(im))
-
-    @classmethod
-    def unit(cls, power: int) -> "GaussRat":
-        """i raised to the given integer power."""
-        return _UNITS[power % 4]
-
-    def __add__(self, other):
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussRat):
-            return GaussRat(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return GaussRat(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-
-_UNITS = (
-    GaussRat(Fraction(1), Fraction(0)),
-    GaussRat(Fraction(0), Fraction(1)),
-    GaussRat(Fraction(-1), Fraction(0)),
-    GaussRat(Fraction(0), Fraction(-1)),
-)
-
-
-@dataclass(frozen=True)
-class OracleRecord:
-    """One oracle check outcome."""
-
-    check: str
-    params: dict
-    passed: bool
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "pass": self.passed,
-            "detail": self.detail,
-        }
 
 
 def _phase_average_support(part: PartitionType):
@@ -102,19 +34,13 @@ def _phase_average_support(part: PartitionType):
 
     Returns (diag_val, off_entries) over block configurations: the value
     attached to configuration pair (cx, cy) is 2^k 4^(k-1) times the
-    averaged matrix entry.  Each free phase is averaged literally over the
-    four fourth roots of unity in Gaussian-rational arithmetic.
+    averaged matrix entry.  Each free phase is averaged over the four
+    fourth roots of unity.
     """
     k = part.k
     cfg_count = 1 << k
-    four_point = {}
-    for deg in range(-2, 3):
-        total = GaussRat.of(0)
-        for t in range(4):
-            total = total + GaussRat.unit(t * deg)
-        if not total.is_real or total.re.denominator != 1:
-            raise ArithmeticError("root-of-unity average must be a plain integer")
-        four_point[deg] = int(total.re)
+    # sum of i^(t*deg) over t = 0..3: 4 when 4 divides deg, else 0
+    four_point = {deg: 4 if deg % 4 == 0 else 0 for deg in range(-2, 3)}
     diag_val = [0] * cfg_count
     off_entries = []
     for cx in range(cfg_count):
@@ -303,13 +229,13 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
 
     expected_count = 2**n if p != 0 else 1
     records = (
-        OracleRecord(
+        CheckRecord(
             "correlation-pattern",
             {"n": n, "p": str(p)},
             mismatch is None,
             "" if mismatch is None else f"first mismatch at {mismatch[0]}: {mismatch[1]}",
         ),
-        OracleRecord(
+        CheckRecord(
             "nonzero-count",
             {"n": n, "p": str(p)},
             nonzero == expected_count,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import lpsolve
 from .exactmath import rat_decimal, rat_str
 
 
@@ -76,12 +77,10 @@ def _iff_bound(n: int, k: int):
     return candidates[0]
 
 
-def classify(n: int, k: int, p, lp_handle=None) -> SeparabilityVerdict:
+def classify(n: int, k: int, p) -> SeparabilityVerdict:
     """Classify p against the strongest known bounds for (n, k).
 
-    ``lp_handle`` is an optional callable (n, k) -> LpSolution used when no
-    closed form applies; by default the exact linear program is solved
-    directly.
+    When no closed form applies the exact linear program is solved.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
@@ -94,12 +93,7 @@ def classify(n: int, k: int, p, lp_handle=None) -> SeparabilityVerdict:
         sufficient, necessary = bound, bound
         suff_rule = nec_rule = rule
     else:
-        if lp_handle is None:
-            from . import lpsolve
-
-            lp_handle = lambda nn, kk: lpsolve.solve(lpsolve.build_problem(nn, kk))
-        sol = lp_handle(n, k)
-        sufficient = sol.p_s
+        sufficient = lpsolve.solve(lpsolve.build_problem(n, k)).p_s
         necessary = None
         suff_rule = "mixed-partition linear program"
         nec_rule = None

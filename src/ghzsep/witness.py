@@ -16,11 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .exactmath import binomial, elem_sym, w_coeff
-
-_UNIT_TOL = 1e-9
+from .exactmath import binomial, elem_sym, rat_str, w_coeff
 
 
 @dataclass(frozen=True)
@@ -73,50 +69,18 @@ def necessary_threshold(n: int, L: int) -> Fraction:
 class MMatrixParams:
     """Parameters of the witness quadratic form on the distinguished block.
 
-    For a two-qubit block the full operator is
-    a0*II + a1*ZZ + b*(IZ + ZI) + c*(XX - YY) - d*(XY + YX), and the
-    eigenvalues are a0 + a1 +- 2 sqrt(b^2 + c^2 + d^2) and a0 - a1 (twice).
-    For a general block only the longitudinal data is captured: the
-    diagonal gamma_0..gamma_L by sector weight, the corner parameters
-    (corner_a, corner_b), and the largest squared corner magnitude
-    compatible with the given z components.
+    Only the longitudinal data is captured: the diagonal gamma_0..gamma_L
+    by sector weight, the corner parameters (corner_a, corner_b), and the
+    largest squared corner magnitude compatible with the given z
+    components.
     """
 
     n: int
     L: int
-    a0: object = None
-    a1: object = None
-    b: object = None
-    c: float = None
-    d: float = None
-    gamma: tuple = None
-    corner_a: Fraction = None
-    corner_b: Fraction = None
-    corner_abs2_max: Fraction = None
-
-    def closed_form_eigenvalues(self) -> tuple:
-        if self.a0 is None:
-            raise ValueError("closed-form eigenvalues need the two-qubit data")
-        a0, a1, b = float(self.a0), float(self.a1), float(self.b)
-        r = math.sqrt(b * b + self.c * self.c + self.d * self.d)
-        return (a0 + a1 + 2 * r, a0 + a1 - 2 * r, a0 - a1, a0 - a1)
-
-    def dense(self) -> np.ndarray:
-        """Explicit 4x4 matrix of the two-qubit quadratic form."""
-        if self.a0 is None:
-            raise ValueError("dense form needs the two-qubit data")
-        I2 = np.eye(2, dtype=complex)
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        kron = np.kron
-        return (
-            float(self.a0) * kron(I2, I2)
-            + float(self.a1) * kron(Z, Z)
-            + float(self.b) * (kron(I2, Z) + kron(Z, I2))
-            + self.c * (kron(X, X) - kron(Y, Y))
-            - self.d * (kron(X, Y) + kron(Y, X))
-        )
+    gamma: tuple
+    corner_a: Fraction
+    corner_b: Fraction
+    corner_abs2_max: Fraction
 
     def max_eig_at_most(self, bound) -> bool:
         """Exact check that no block eigenvalue can exceed ``bound``.
@@ -126,8 +90,6 @@ class MMatrixParams:
         (bound - gamma_0)(bound - gamma_L) >= |corner|^2 at the largest
         corner magnitude allowed by the z components.
         """
-        if self.gamma is None:
-            raise ValueError("sector diagonal not available")
         bound = Fraction(bound)
         if any(g > bound for g in self.gamma):
             return False
@@ -146,79 +108,14 @@ class MMatrixParams:
         )
 
     def as_dict(self) -> dict:
-        from .exactmath import rat_str
-
-        def render(v):
-            if v is None:
-                return None
-            if isinstance(v, float):
-                return v
-            return rat_str(v) if isinstance(v, (int, Fraction)) else float(v)
-
         return {
             "n": self.n,
             "L": self.L,
-            "a0": render(self.a0),
-            "a1": render(self.a1),
-            "b": render(self.b),
-            "c": self.c,
-            "d": self.d,
-            "gamma": None if self.gamma is None else [render(g) for g in self.gamma],
-            "corner_a": render(self.corner_a),
-            "corner_b": render(self.corner_b),
-            "corner_abs2_max": render(self.corner_abs2_max),
+            "gamma": [rat_str(g) for g in self.gamma],
+            "corner_a": rat_str(self.corner_a),
+            "corner_b": rat_str(self.corner_b),
+            "corner_abs2_max": rat_str(self.corner_abs2_max),
         }
-
-
-def _check_unit(triple):
-    x, y, z = triple
-    if all(isinstance(v, (int, Fraction)) for v in triple):
-        if Fraction(x) ** 2 + Fraction(y) ** 2 + Fraction(z) ** 2 != 1:
-            raise ValueError(f"Bloch triple {triple!r} is not unit norm")
-    else:
-        norm = float(x) ** 2 + float(y) ** 2 + float(z) ** 2
-        if abs(norm - 1.0) > _UNIT_TOL:
-            raise ValueError(f"Bloch triple {triple!r} is not unit norm")
-
-
-def m_matrix_L2(n: int, bloch) -> MMatrixParams:
-    """Witness quadratic form on a two-qubit block, given the Bloch
-    vectors of the n - 2 single qubits.
-
-    a0, a1, b come out of the M-weighted symmetric sums over the
-    longitudinal components; c + i d is the product of the transverse
-    components x_i + i y_i.  Exact in the z data when the input is
-    rational; c and d are floats.
-    """
-    bloch = list(bloch)
-    if len(bloch) != n - 2:
-        raise ValueError(f"need {n - 2} Bloch triples, got {len(bloch)}")
-    for triple in bloch:
-        _check_unit(triple)
-    spec = canonical_witness(n, 2)
-
-    def m_at(i):
-        return Fraction(0) if i == 0 else spec.m[i - 1]
-
-    z1 = bloch[0][2]
-    rest = [t[2] for t in bloch[1:]]
-    e = elem_sym(rest)
-    a0 = sum(e[m] * z1 ** (m % 2) * m_at((m + 1) // 2) for m in range(len(e)))
-    a1 = sum(e[m] * z1 ** (m % 2) * m_at((m + 1) // 2 + 1) for m in range(len(e)))
-    b = sum(e[m] * z1 ** (1 - m % 2) * m_at((m + 2) // 2) for m in range(len(e)))
-    trans = complex(1, 0)
-    for x, y, _ in bloch:
-        trans *= complex(float(x), float(y))
-    return MMatrixParams(
-        n=n,
-        L=2,
-        a0=a0,
-        a1=a1,
-        b=b,
-        c=trans.real,
-        d=trans.imag,
-        gamma=(a0 + a1 + 2 * b, a0 - a1, a0 + a1 - 2 * b),
-    )
 
 
 def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:

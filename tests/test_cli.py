@@ -148,8 +148,37 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", "wident", "--limits", "L"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "suite, limits",
+        [
+            ("appendix", "n=3"),
+            ("witness-max", "restarts=0"),
+            ("lemma1", "n=3"),
+            ("wident", "L=1"),
+            ("phase-oracle", "n=1"),
+            ("wident", "foo=1,L=2"),
+            ("charfn", "n=9"),
+        ],
+    )
+    def test_limits_validated_before_suite_runs(self, runner, suite, limits):
+        result = runner.invoke(main, ["verify", "--suite", suite, "--limits", limits])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+
 
 class TestModuleEntryPoint:
+    def test_import_does_not_load_numpy(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import ghzsep, ghzsep.cli, sys; assert 'numpy' not in sys.modules"],
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+
     def test_python_dash_m(self):
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -135,21 +135,21 @@ class TestWCoeff:
 class TestWIdentities:
     def test_two_qubit_block_edge_sector(self):
         records = verify_w_identities(2)
-        by_name = {r.identity: r for r in records}
-        assert by_name["even-coefficient-sum"].lhs == 0
-        assert by_name["even-coefficient-sum"].passed
+        by_name = {r.check: r for r in records}
+        rec = by_name["w-identity:even-coefficient-sum"]
+        assert rec.passed and rec.detail == "lhs=0, rhs=0"
         # edge sectors coincide at L = 2, so the moment doubles
-        assert by_name["even-first-moment"].rhs == -1
+        assert by_name["w-identity:even-first-moment"].detail == "lhs=-1, rhs=-1"
 
     def test_interior_moment_vanishes(self):
-        records = {(r.params["l"], r.identity): r for r in verify_w_identities(4)}
-        rec = records[(2, "even-first-moment")]
-        assert rec.passed and rec.lhs == 0
+        records = {(r.params["l"], r.check): r for r in verify_w_identities(4)}
+        rec = records[(2, "w-identity:even-first-moment")]
+        assert rec.passed and rec.detail == "lhs=0, rhs=0"
 
     def test_edge_moment_value(self):
-        records = {(r.params["l"], r.identity): r for r in verify_w_identities(4)}
-        rec = records[(1, "even-first-moment")]
-        assert rec.passed and rec.lhs == -2
+        records = {(r.params["l"], r.check): r for r in verify_w_identities(4)}
+        rec = records[(1, "w-identity:even-first-moment")]
+        assert rec.passed and rec.detail == "lhs=-2, rhs=-2"
 
     def test_all_pass_up_to_twenty(self):
         for L in range(2, 21):
@@ -158,7 +158,7 @@ class TestWIdentities:
     def test_record_serialization(self):
         rec = verify_w_identities(3)[0]
         d = rec.as_dict()
-        assert set(d) == {"identity", "params", "pass", "lhs", "rhs"}
+        assert set(d) == {"check", "params", "pass", "detail"}
 
 
 class TestAppendixInequality:

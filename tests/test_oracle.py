@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ghzsep.oracle import (
-    GaussRat,
     characteristic_check,
     dense_witness,
     max_sampled_product_value,
@@ -15,28 +14,6 @@ from ghzsep.oracle import (
 from ghzsep.partitions import PartitionType, enumerate_partitions, parse_partition
 from ghzsep.symstate import noisy_ghz, partition_average_state, to_dense
 from ghzsep.witness import canonical_witness, ghz_witness_value, sep_max
-
-
-class TestGaussRat:
-    def test_unit_powers_cycle(self):
-        units = [GaussRat.unit(t) for t in range(4)]
-        assert units[0] == GaussRat.of(1)
-        assert units[1] == GaussRat.of(0, 1)
-        assert units[2] == GaussRat.of(-1)
-        assert units[3] == GaussRat.of(0, -1)
-        assert GaussRat.unit(-1) == units[3]
-
-    def test_field_ops(self):
-        a = GaussRat.of(Fraction(1, 2), Fraction(1, 3))
-        b = GaussRat.of(2, -1)
-        assert a + b == GaussRat.of(Fraction(5, 2), Fraction(-2, 3))
-        assert a * b == GaussRat.of(Fraction(4, 3), Fraction(1, 6))
-        assert (a - a).is_real
-        assert a.conjugate().im == -a.im
-
-    def test_i_squared(self):
-        i = GaussRat.unit(1)
-        assert i * i == GaussRat.of(-1)
 
 
 class TestPhaseAverage:

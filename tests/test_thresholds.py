@@ -94,18 +94,6 @@ class TestClassify:
             just_above = classify(6, k, bound + Fraction(1, 10**6))
             assert just_above.status != "separable"
 
-    def test_lp_handle_is_used(self):
-        calls = []
-
-        def handle(n, k):
-            calls.append((n, k))
-            from ghzsep.lpsolve import build_problem, solve
-
-            return solve(build_problem(n, k))
-
-        classify(8, 3, Fraction(1, 10), lp_handle=handle)
-        assert calls == [(8, 3)]
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             classify(4, 1, Fraction(1, 2))

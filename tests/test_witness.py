@@ -5,26 +5,44 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghzsep.exactmath import random_unit_rationals
+from ghzsep.exactmath import elem_sym, random_unit_rationals
 from ghzsep.oracle import dense_witness
 from ghzsep.witness import (
     canonical_witness,
     gamma_diagonal,
     ghz_witness_value,
-    m_matrix_L2,
     necessary_threshold,
     sep_max,
     witness_sum,
 )
 
 
-def random_bloch(rng, count):
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        out.append(tuple(v))
-    return out
+def random_bloch_rational_z(rng, count):
+    """Unit Bloch vectors whose z components are exact multiples of 1/8."""
+    z = [Fraction(int(rng.integers(-8, 9)), 8) for _ in range(count)]
+    bloch = []
+    for zz in z:
+        phi = float(rng.uniform(0, 2 * np.pi))
+        r = math.sqrt(1 - float(zz) ** 2)
+        bloch.append((r * math.cos(phi), r * math.sin(phi), float(zz)))
+    return z, bloch
+
+
+def two_qubit_form(n, z):
+    """Coefficients (a0, a1, b) of the two-qubit block form, summed directly
+    over the elementary symmetric polynomials of the last n - 3 components
+    with the first component split off."""
+    spec = canonical_witness(n, 2)
+
+    def m_at(i):
+        return Fraction(0) if i == 0 else spec.m[i - 1]
+
+    z1 = Fraction(z[0])
+    e = elem_sym(z[1:])
+    a0 = sum(e[m] * z1 ** (m % 2) * m_at((m + 1) // 2) for m in range(len(e)))
+    a1 = sum(e[m] * z1 ** (m % 2) * m_at((m + 1) // 2 + 1) for m in range(len(e)))
+    b = sum(e[m] * z1 ** (1 - m % 2) * m_at((m + 2) // 2) for m in range(len(e)))
+    return a0, a1, b
 
 
 def contracted_block(n, L, bloch):
@@ -105,46 +123,57 @@ class TestBounds:
 class TestTwoQubitBlockForm:
     def test_equatorial_configuration(self):
         n = 6
-        bloch = [(1.0, 0.0, 0.0)] * (n - 2)
-        params = m_matrix_L2(n, bloch)
-        assert params.a0 == 0
-        assert params.a1 == Fraction(4 - n, n - 2)
-        assert params.b == 0
-        assert params.c == pytest.approx(1.0)
-        assert params.d == pytest.approx(0.0)
-        assert max(params.closed_form_eigenvalues()) == pytest.approx(float(sep_max(n, 2)))
+        g = gamma_diagonal(n, 2, (Fraction(0),) * (n - 2))
+        a1 = Fraction(4 - n, n - 2)
+        assert g.gamma == (a1, -a1, a1)
+        assert g.corner_abs2_max == 4
+        assert g.corner_reaches(sep_max(n, 2))
+        for n in (4, 7):
+            g = gamma_diagonal(n, 2, (Fraction(0),) * (n - 2))
+            assert g.corner_reaches(sep_max(n, 2))
 
     def test_polar_configuration_stays_bounded(self):
         for n in (4, 5, 6, 7):
-            params = m_matrix_L2(n, [(0.0, 0.0, 1.0)] * (n - 2))
-            assert params.c == pytest.approx(0.0) and params.d == pytest.approx(0.0)
-            assert max(params.closed_form_eigenvalues()) <= float(sep_max(n, 2)) + 1e-12
+            g = gamma_diagonal(n, 2, (1,) * (n - 2))
+            assert g.corner_abs2_max == 0
+            assert g.max_eig_at_most(sep_max(n, 2))
 
     def test_closed_form_matches_dense_eigensolver(self):
         rng = np.random.default_rng(20240502)
-        for _ in range(1000):
-            n = int(rng.integers(3, 9))
-            params = m_matrix_L2(n, random_bloch(rng, n - 2))
-            closed = np.sort(params.closed_form_eigenvalues())
-            dense = np.sort(np.linalg.eigvalsh(params.dense()))
-            assert np.max(np.abs(closed - dense)) < 1e-12
+        for n in (3, 4, 5, 6):
+            for _ in range(25):
+                z, bloch = random_bloch_rational_z(rng, n - 2)
+                g = gamma_diagonal(n, 2, z)
+                g0, g1, g2 = (float(x) for x in g.gamma)
+                mid, half = (g0 + g2) / 2, (g0 - g2) / 2
+                root = math.sqrt(half**2 + float(g.corner_abs2_max))
+                closed = np.sort([g1, g1, mid - root, mid + root])
+                dense = np.sort(np.linalg.eigvalsh(contracted_block(n, 2, bloch)))
+                assert np.max(np.abs(closed - dense)) < 1e-9
 
     def test_matches_block_contraction(self):
         rng = np.random.default_rng(11)
         for n in (4, 5, 6):
-            bloch = random_bloch(rng, n - 2)
-            params = m_matrix_L2(n, bloch)
-            assert np.allclose(contracted_block(n, 2, bloch), params.dense(), atol=1e-9)
+            z, bloch = random_bloch_rational_z(rng, n - 2)
+            m = contracted_block(n, 2, bloch)
+            g = gamma_diagonal(n, 2, z)
+            expected = np.diag([float(g.gamma[bin(i).count("1")]) for i in range(4)])
+            off = m - np.diag(np.diag(m))
+            off[0, 3] = off[3, 0] = 0
+            assert np.allclose(np.diag(m), np.diag(expected), atol=1e-9)
+            assert np.allclose(off, 0, atol=1e-9)
+            assert abs(m[0, 3]) ** 2 == pytest.approx(float(g.corner_abs2_max), abs=1e-9)
 
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
-            m_matrix_L2(4, [(1.0, 0.0, 0.0), (0.5, 0.5, 0.5)])
+            gamma_diagonal(4, 2, (Fraction(0), Fraction(-9, 8)))
         with pytest.raises(ValueError):
-            m_matrix_L2(4, [(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))] * 2)
+            gamma_diagonal(4, 2, (Fraction(3, 2), Fraction(0)))
 
     def test_exact_rational_sphere_point_accepted(self):
-        params = m_matrix_L2(4, [(Fraction(3, 5), 0, Fraction(4, 5))] * 2)
-        assert isinstance(params.a0, Fraction)
+        g = gamma_diagonal(4, 2, (Fraction(4, 5),) * 2)
+        assert all(isinstance(x, Fraction) for x in g.gamma)
+        assert g.corner_abs2_max == 4 * Fraction(9, 25) ** 2
 
 
 class TestSectorDiagonal:
@@ -167,14 +196,10 @@ class TestSectorDiagonal:
         for n in (4, 5, 6, 7):
             z = random_unit_rationals(rng, n - 2)
             g = gamma_diagonal(n, 2, z)
-            bloch = []
-            for zz in z:
-                r = math.sqrt(max(0.0, 1 - float(zz) ** 2))
-                bloch.append((r, 0.0, zz))
-            params = m_matrix_L2(n, bloch)
-            assert g.gamma[1] == params.a0 - params.a1
-            assert g.gamma[0] == params.a0 + params.a1 + 2 * params.b
-            assert g.gamma[2] == params.a0 + params.a1 - 2 * params.b
+            a0, a1, b = two_qubit_form(n, z)
+            assert g.gamma[1] == a0 - a1
+            assert g.gamma[0] == a0 + a1 + 2 * b
+            assert g.gamma[2] == a0 + a1 - 2 * b
 
     def test_edge_sector_product_forms(self):
         rng = random.Random(4)
@@ -235,5 +260,3 @@ class TestSectorDiagonal:
         d = gamma_diagonal(5, 3, (Fraction(0), Fraction(1, 2))).as_dict()
         assert d["n"] == 5 and d["L"] == 3
         assert isinstance(d["gamma"], list) and len(d["gamma"]) == 4
-        d2 = m_matrix_L2(4, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]).as_dict()
-        assert d2["a0"] == pytest.approx(0.0) and isinstance(d2["c"], float)
