@@ -172,8 +172,8 @@ def figure(nmin, nmax, j_list, out):
 def lp(n, k, fmt):
     """Solve the mixed-partition linear program for (n, k)."""
     fmt = fmt or _default_format()
-    if not 2 <= k <= n or n > 20:
-        raise click.UsageError(f"need 2 <= k <= n <= 20, got n={n}, k={k}")
+    if not 2 <= k <= n or n > 30:
+        raise click.UsageError(f"need 2 <= k <= n <= 30, got n={n}, k={k}")
     prob = lpsolve.build_problem(n, k)
     sol = lpsolve.solve(prob)
     certified = lpsolve.verify_solution(prob, sol)

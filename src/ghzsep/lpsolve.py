@@ -4,9 +4,12 @@ Mixing the separable states of all partitions of n qubits into k parties
 keeps the form (1/2^k)(2 GHZ coherence + sum_i u_i T_i / C(n,i)); the best
 threshold comes from minimizing the largest normalized diagonal ratio
 max_i sum_pi q_pi f_pi(i)/C(n,i).  That minimax problem is solved here as
-an epigraph LP in exact rational arithmetic (Bland's rule, so the pivot
-sequence is deterministic and cycling is impossible), together with a dual
-certificate that can be re-verified independently of the solver.
+an epigraph LP by an exact simplex with Bland's rule (so the pivot sequence
+is deterministic and cycling is impossible).  The tableau is held in
+fraction-free integers over one shared denominator (Bareiss pivoting);
+weights, value and dual are converted to Fraction only at the end.  The
+dual is a certificate that verify_solution re-checks in Fraction
+arithmetic, independently of the solver.
 """
 
 from __future__ import annotations
@@ -119,42 +122,57 @@ class LpSolution:
         }
 
 
-def _bland_pivot_loop(T, b, c, basis, allowed, pivots):
-    """Primal simplex on a reduced tableau, minimizing c.x, Bland's rule."""
+def _bland_pivot_loop(T, b, d, c, basis, allowed, pivots):
+    """Primal simplex minimizing c.x with Bland's rule, fraction-free.
+
+    The tableau is T/d with right-hand side b/d: T and b hold integers and
+    the shared denominator d is positive.  Pivoting on p = T[l][e] keeps
+    row l, turns every other row v into (p*v - f*w) // d, where f is the
+    row's entry in column e and w is row l (Bareiss: the division is
+    exact), and makes p the new denominator.  Returns the final d.
+    """
     m = len(T)
     while True:
         basic = set(basis)
+        costed = [(c[basis[r]], T[r]) for r in range(m) if c[basis[r]]]
         enter = -1
         for j in allowed:
             if j in basic:
                 continue
-            red = c[j] - sum(c[basis[r]] * T[r][j] for r in range(m) if c[basis[r]])
-            if red < 0:
+            # d times the reduced cost, which has its sign since d > 0
+            if d * c[j] - sum(cb * row[j] for cb, row in costed) < 0:
                 enter = j
                 break
         if enter < 0:
-            return
+            return d
         leave = -1
-        best = None
         for r in range(m):
-            if T[r][enter] > 0:
-                ratio = b[r] / T[r][enter]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
+            a = T[r][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = r
+                    continue
+                # b[r]/a against b[leave]/T[leave][enter], cross-multiplied
+                lhs, rhs = b[r] * T[leave][enter], b[leave] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
             raise ArithmeticError("unbounded linear program")
         pivots.append((leave, enter))
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        b[leave] /= piv
+        p = T[leave][enter]
+        row_l, b_l = T[leave], b[leave]
         for r in range(m):
-            if r != leave and T[r][enter] != 0:
-                f = T[r][enter]
-                row_l = T[leave]
-                T[r] = [v - f * w for v, w in zip(T[r], row_l)]
-                b[r] -= f * b[leave]
+            if r == leave:
+                continue
+            f = T[r][enter]
+            if f:
+                T[r] = [(p * v - f * w) // d for v, w in zip(T[r], row_l)]
+                b[r] = (p * b[r] - f * b_l) // d
+            elif p != d:
+                T[r] = [p * v // d for v in T[r]]
+                b[r] = p * b[r] // d
         basis[leave] = enter
+        d = p
 
 
 def solve(prob: LpProblem) -> LpSolution:
@@ -171,65 +189,57 @@ def solve(prob: LpProblem) -> LpSolution:
     slack0 = m + 1
     art_col = slack0 + rows
     ncols = art_col + 1
-    zero, one = Fraction(0), Fraction(1)
+    zero = Fraction(0)
 
+    # Ratio row i is scaled to integers by the LCM of its denominators
+    # (C(n, i) for partition data).  Its slack column stays the identity
+    # (the slack variable absorbs the scale), so the start has d = 1.
+    scale = [
+        math.lcm(*(col[i].denominator for col in prob.columns))
+        for i in range(rows)
+    ]
     T = []
-    for i in range(rows):
-        row = [prob.columns[j][i] for j in range(m)]
-        row.append(-one)
-        row.extend(one if s == i else zero for s in range(rows))
-        row.append(zero)
+    for i, s in enumerate(scale):
+        row = [col[i].numerator * (s // col[i].denominator) for col in prob.columns]
+        row.append(-s)
+        row.extend(1 if j == i else 0 for j in range(rows))
+        row.append(0)
         T.append(row)
-    T.append([one] * m + [zero] * (rows + 1) + [one])
-    b = [zero] * rows + [one]
+    T.append([1] * m + [0] * (rows + 1) + [1])
+    b = [0] * rows + [1]
     basis = [slack0 + i for i in range(rows)] + [art_col]
     pivots = []
 
-    c1 = [zero] * ncols
-    c1[art_col] = one
-    _bland_pivot_loop(T, b, c1, basis, range(ncols), pivots)
+    c1 = [0] * ncols
+    c1[art_col] = 1
+    d = _bland_pivot_loop(T, b, 1, c1, basis, range(ncols), pivots)
     if sum(c1[basis[r]] * b[r] for r in range(rows + 1)) != 0:
         raise ArithmeticError("phase one failed; the mixture simplex is empty")
-    if art_col in basis:
-        r = basis.index(art_col)
-        for j in range(art_col):
-            if T[r][j] != 0:
-                pivots.append((r, j))
-                piv = T[r][j]
-                T[r] = [v / piv for v in T[r]]
-                b[r] /= piv
-                for rr in range(rows + 1):
-                    if rr != r and T[rr][j] != 0:
-                        f = T[rr][j]
-                        T[rr] = [v - f * w for v, w in zip(T[rr], T[r])]
-                        b[rr] -= f * b[r]
-                basis[r] = j
-                break
+    # No artificial cleanup: only the convexity row starts with b != 0 and a
+    # pivot on a b = 0 row keeps b, so a basic artificial would hold 1 above.
 
-    c2 = [zero] * ncols
-    c2[t_col] = one
-    _bland_pivot_loop(T, b, c2, basis, range(art_col), pivots)
+    c2 = [0] * ncols
+    c2[t_col] = 1
+    d = _bland_pivot_loop(T, b, d, c2, basis, range(art_col), pivots)
 
     x = [zero] * ncols
     for r in range(rows + 1):
-        x[basis[r]] = b[r]
+        x[basis[r]] = Fraction(b[r], d)
     weights = tuple(x[j] for j in range(m))
     t = x[t_col]
     tau = 1 / t
     p_s = tau / (tau + 2 ** (prob.n - 1))
     support = tuple(p for p, w in zip(prob.partitions, weights) if w > 0)
-    row_vals = [
-        sum((weights[j] * prob.columns[j][i] for j in range(m)), start=zero)
-        for i in range(rows)
-    ]
-    binding = tuple(i + 1 for i in range(rows) if row_vals[i] == t)
+    # ratio row i equals t exactly when its slack is zero
+    binding = tuple(i + 1 for i in range(rows) if x[slack0 + i] == 0)
     # Dual multipliers from the final tableau: the initial identity
-    # columns (one slack per ratio row) carry the basis inverse.
+    # columns (one slack per ratio row) carry the basis inverse, and the
+    # row scale turns the scaled slack back into the original one.
     dual = []
     for i in range(rows):
         col = slack0 + i
         y = sum(c2[basis[r]] * T[r][col] for r in range(rows + 1))
-        dual.append(-y)
+        dual.append(Fraction(-y * scale[i], d))
     return LpSolution(
         n=prob.n,
         k=prob.k,

@@ -110,6 +110,18 @@ class TestLpCommand:
     def test_invalid_cell_exits_two(self, runner):
         assert runner.invoke(main, ["lp", "--n", "4", "--k", "9"]).exit_code == 2
 
+    def test_thirty_eight_certified_at_cap(self, runner):
+        result = runner.invoke(main, ["lp", "--n", "30", "--k", "8", "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["certified"] is True
+        assert payload["tau"] == "2495"
+
+    def test_above_the_cap_exits_two(self, runner):
+        result = runner.invoke(main, ["lp", "--n", "31", "--k", "8"])
+        assert result.exit_code == 2
+        assert "n <= 30" in result.output
+
 
 class TestVerifyCommand:
     def test_wident_suite(self, runner):

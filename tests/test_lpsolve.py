@@ -73,6 +73,19 @@ class TestSolve:
         assert a == b
         assert a.pivots == b.pivots
 
+    @pytest.mark.parametrize(
+        "n, k, pivots",
+        [
+            (6, 3, ((0, 0), (0, 1), (1, 2), (5, 3))),
+            (10, 4, ((0, 0), (0, 1), (0, 3), (1, 6), (0, 5), (0, 7), (1, 8), (9, 9))),
+            (11, 5, ((0, 0), (0, 1), (0, 3), (0, 6), (1, 9), (0, 7), (0, 8), (10, 10))),
+        ],
+    )
+    def test_pivot_sequence_pinned(self, n, k, pivots):
+        # Bland's rule fixes which optimum is reported; a solver change
+        # that alters the sequence must be deliberate
+        assert solve(build_problem(n, k)).pivots == pivots
+
     def test_binding_rows_reported(self):
         sol = solve(build_problem(6, 3))
         assert sol.binding
@@ -155,3 +168,22 @@ class TestGoldenTable:
         assert sol.tau == Fraction(77, 4)
         assert verify_solution(prob, sol)
         assert parse_partition("1|2^2|3^2") in sol.support
+
+
+class TestScale:
+    @pytest.mark.parametrize(
+        "n, k, tau",
+        [(23, 6, Fraction(13248, 7)), (24, 6, Fraction(7799, 3)), (26, 6, Fraction(21229, 4))],
+    )
+    def test_large_cells(self, n, k, tau):
+        prob = build_problem(n, k)
+        sol = solve(prob)
+        assert sol.tau == tau
+        assert verify_solution(prob, sol)
+
+    def test_half_split_is_n_plus_three(self):
+        for n in range(6, 27, 2):
+            prob = build_problem(n, n // 2)
+            sol = solve(prob)
+            assert sol.tau == n + 3, n
+            assert verify_solution(prob, sol), n
