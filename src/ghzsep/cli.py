@@ -64,19 +64,15 @@ def threshold(n, j, k, fmt):
         raise click.UsageError("provide exactly one of --j or --k")
     try:
         if j is not None:
-            bound = thresholds.nj_threshold(n, j)
-            sufficient = necessary = bound
-            kind = "iff"
-            rule = f"exact (n-j)-separability criterion, j={j}"
+            thresholds.nj_threshold(n, j)  # range check: --j needs n >= 2j + 1
             k = n - j
-        else:
-            verdict = thresholds.classify(n, k, 0)
-            sufficient = verdict.sufficient_bound
-            necessary = verdict.necessary_bound
-            kind = "iff" if necessary is not None else "sufficient-only"
-            rule = verdict.sufficient_rule
+        verdict = thresholds.classify(n, k, 0)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    sufficient = verdict.sufficient_bound
+    necessary = verdict.necessary_bound
+    kind = "iff" if necessary is not None else "sufficient-only"
+    rule = verdict.sufficient_rule
     if fmt == "human":
         if kind == "iff":
             click.echo(f"{rat_str(sufficient)} (iff)")
@@ -110,8 +106,8 @@ def threshold(n, j, k, fmt):
 def table1(nmax, check, fmt):
     """K-separability thresholds from the exact linear program (n >= 6)."""
     fmt = fmt or _default_format()
-    if nmax < 6:
-        raise click.UsageError("--nmax must be at least 6")
+    if not 6 <= nmax <= lpsolve.MAX_N:
+        raise click.UsageError(f"need 6 <= --nmax <= {lpsolve.MAX_N}, got {nmax}")
     rows = lpsolve.table1(range(6, nmax + 1))
     if fmt == "human":
         click.echo("n  k  partitions (tau*weight)            tau        p_s")
@@ -172,8 +168,8 @@ def figure(nmin, nmax, j_list, out):
 def lp(n, k, fmt):
     """Solve the mixed-partition linear program for (n, k)."""
     fmt = fmt or _default_format()
-    if not 2 <= k <= n or n > 30:
-        raise click.UsageError(f"need 2 <= k <= n <= 30, got n={n}, k={k}")
+    if not 2 <= k <= n <= lpsolve.MAX_N:
+        raise click.UsageError(f"need 2 <= k <= n <= {lpsolve.MAX_N}, got n={n}, k={k}")
     prob = lpsolve.build_problem(n, k)
     sol = lpsolve.solve(prob)
     certified = lpsolve.verify_solution(prob, sol)

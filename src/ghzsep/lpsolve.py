@@ -21,6 +21,11 @@ from fractions import Fraction
 from .partitions import enumerate_partitions, format_partition, profile
 from .symstate import SymState, mix, partition_average_state
 
+#: Largest n at which the command line and ``thresholds.classify`` solve
+#: the LP.  Every n = 30 cell solves and certifies in under a second; the
+#: column count, the partitions of n into k parts, keeps growing past it.
+MAX_N = 30
+
 #: Certified optimal tau values for the k-separability mixtures with
 #: 3 <= k <= n/2 and 6 <= n <= 12, used as golden values by the table
 #: regression check.  Every entry carries an exact dual certificate

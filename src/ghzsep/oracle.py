@@ -3,8 +3,8 @@
 The constructions elsewhere in the package use closed forms (profiles,
 characteristic-function sums).  This module rebuilds the same objects the
 expensive way, with no shared code path: dense matrices, explicit phase
-and permutation averaging, explicit Pauli traces, and direct numerical
-maximization over product states.
+averaging over every placement of the parties on the qubits, explicit
+Pauli traces, and direct numerical maximization over product states.
 
 Phase averages are exact.  Every matrix entry of the pre-average state is
 a Fourier polynomial of degree between -2 and 2 in each free phase, and a
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,13 +62,22 @@ def _phase_average_support(part: PartitionType):
     return diag_val, off_entries
 
 
-def _permutation_chunks(n: int, chunk: int = 8192):
-    perms = itertools.permutations(range(n))
-    while True:
-        batch = list(itertools.islice(perms, chunk))
-        if not batch:
-            return
-        yield np.array(batch, dtype=np.int64)
+def _placements(free: int, sizes: tuple):
+    """Each split of the qubits in bitmask ``free`` into blocks of the given
+    sizes, once, as a tuple of block bitmasks.  The lowest free qubit's
+    block takes each remaining distinct size in turn, so blocks of equal
+    size are never ordered."""
+    if not sizes:
+        yield ()
+        return
+    low = free & -free
+    rest = [1 << q for q in range(free.bit_length()) if (free ^ low) >> q & 1]
+    for size in set(sizes):
+        i = sizes.index(size)
+        for others in itertools.combinations(rest, size - 1):
+            block = low | sum(others)
+            for tail in _placements(free ^ block, sizes[:i] + sizes[i + 1 :]):
+                yield (block,) + tail
 
 
 def phase_average_oracle(part: PartitionType) -> SymState:
@@ -75,8 +85,11 @@ def phase_average_oracle(part: PartitionType) -> SymState:
 
     One free phase per party (the last party carries minus their sum);
     each phase is averaged over the fourth roots of unity exactly, then
-    the resulting sparse matrix is pushed through every one of the n!
-    qubit relabelings and averaged.  The result must be permutation
+    the resulting sparse matrix is placed on every split of the n qubits
+    into blocks of the party sizes and averaged.  This equals the average
+    over all n! qubit relabelings: each split is reached by equally many
+    of them, and the phase average is symmetric under swapping parties,
+    so equal-size parties need no order.  The result must be permutation
     symmetric (a non-symmetric residue is a hard internal fault) and is
     returned in symmetric-state form.
     """
@@ -84,40 +97,33 @@ def phase_average_oracle(part: PartitionType) -> SymState:
     if n > 10:
         raise ValueError(f"phase averaging limited to n <= 10, got n={n}")
     k = part.k
-    cfg_count = 1 << k
     dim = 1 << n
 
     diag_val, off_entries = _phase_average_support(part)
 
-    part_bits = np.zeros((k, n), dtype=np.int64)
-    start = 0
-    for j, size in enumerate(part.parts):
-        part_bits[j, start : start + size] = 1
-        start += size
-    cfg_bits = ((np.arange(cfg_count, dtype=np.int64)[:, None] >> np.arange(k)) & 1)
-
-    acc = np.zeros(dim, dtype=np.int64)
-    off_acc = np.zeros(dim * dim, dtype=np.int64)
-    seen = 0
-    for batch in _permutation_chunks(n):
-        seen += batch.shape[0]
-        place = np.int64(1) << batch  # 2^(sigma(b)) per permutation and qubit
-        part_imgs = part_bits @ place.T  # parts are disjoint, so sums are unions
-        imgs = cfg_bits @ part_imgs
-        for c in range(cfg_count):
-            v = diag_val[c]
-            if v:
-                acc += v * np.bincount(imgs[c], minlength=dim)
+    acc = [0] * dim
+    off_acc = Counter()
+    placements = 0
+    for blocks in _placements(dim - 1, part.parts):
+        placements += 1
+        imgs = [0]  # configuration c -> OR of the blocks of c's set bits
+        for block in sorted(blocks, key=int.bit_count, reverse=True):
+            imgs += [img | block for img in imgs]
+        for img, v in zip(imgs, diag_val):
+            acc[img] += v
         for cx, cy, v in off_entries:
-            keys = imgs[cx] * dim + imgs[cy]
-            off_acc += v * np.bincount(keys, minlength=dim * dim)
-    if seen != math.factorial(n):
-        raise ArithmeticError("permutation enumeration incomplete")
+            off_acc[imgs[cx], imgs[cy]] += v
+    expected = math.factorial(n) // (
+        math.prod(math.factorial(s) for s in part.parts)
+        * math.prod(math.factorial(m) for m in Counter(part.parts).values())
+    )
+    if placements != expected:
+        raise ArithmeticError("placement enumeration incomplete")
 
-    total = math.factorial(n) * (2**k) * (4 ** (k - 1))
+    total = placements * (2**k) * (4 ** (k - 1))
     by_weight = {}
     for x in range(dim):
-        by_weight.setdefault(x.bit_count(), set()).add(int(acc[x]))
+        by_weight.setdefault(x.bit_count(), set()).add(acc[x])
     for w, vals in by_weight.items():
         if len(vals) != 1:
             raise ArithmeticError(
@@ -127,11 +133,9 @@ def phase_average_oracle(part: PartitionType) -> SymState:
         Fraction(next(iter(by_weight[w])), total) for w in range(n + 1)
     )
     full = dim - 1
-    nonzero_off = np.nonzero(off_acc)[0]
-    corner_keys = {0 * dim + full, full * dim + 0}
-    if not set(int(i) for i in nonzero_off) <= corner_keys:
+    if not {key for key, v in off_acc.items() if v} <= {(0, full), (full, 0)}:
         raise ArithmeticError("phase averaging left off-diagonal weight off the corners")
-    lo, hi = int(off_acc[full]), int(off_acc[full * dim])
+    lo, hi = off_acc[0, full], off_acc[full, 0]
     if lo != hi:
         raise ArithmeticError("phase averaging broke Hermiticity of the corners")
     return SymState(n, Fraction(lo, total), d)

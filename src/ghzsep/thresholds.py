@@ -80,7 +80,8 @@ def _iff_bound(n: int, k: int):
 def classify(n: int, k: int, p) -> SeparabilityVerdict:
     """Classify p against the strongest known bounds for (n, k).
 
-    When no closed form applies the exact linear program is solved.
+    When no closed form applies the exact linear program is solved; above
+    ``lpsolve.MAX_N`` qubits that is a ValueError.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
@@ -92,6 +93,11 @@ def classify(n: int, k: int, p) -> SeparabilityVerdict:
         bound, rule = exact
         sufficient, necessary = bound, bound
         suff_rule = nec_rule = rule
+    elif n > lpsolve.MAX_N:
+        raise ValueError(
+            f"no closed form for n={n}, k={k}, and the linear program is "
+            f"limited to n <= {lpsolve.MAX_N}"
+        )
     else:
         sufficient = lpsolve.solve(lpsolve.build_problem(n, k)).p_s
         necessary = None

@@ -12,11 +12,10 @@ materialized here; the oracle module builds it densely as a cross-check).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import binomial, elem_sym, rat_str, w_coeff
+from .exactmath import binomial, elem_sym, rat_str, verify_lemma1_inequality, w_coeff
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,8 @@ def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:
     alternating coefficients w(L, ., l) and the symmetric sums of the z
     components.  gamma_0 and gamma_L sit in the corner block together with
     a transverse corner entry whose squared magnitude is at most
-    4^(L-1) prod(1 - z_m^2).
+    4^(L-1) prod(1 - z_m^2); the corner parameters a, b and that product
+    are lemma 1's quantities for the n - L free components.
     """
     if not 2 <= L <= n - 1:
         raise ValueError(f"need 2 <= L <= n - 1, got n={n}, L={L}")
@@ -162,28 +162,12 @@ def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:
             )
             total += s[2 * m] * inner
         gamma.append(total)
-    corner_a = (
-        sum(
-            (Fraction(4 * m - free, free) * s[2 * m] for m in range(1, free // 2 + 1)),
-            start=Fraction(0),
-        )
-        - 1
-    )
-    corner_b = sum(
-        (
-            Fraction(4 * m - 2 - free, free) * s[2 * m - 1]
-            for m in range(1, (free + 1) // 2 + 1)
-        ),
-        start=Fraction(0),
-    )
-    abs2 = Fraction(4) ** (L - 1) * math.prod(
-        (1 - x**2 for x in zs), start=Fraction(1)
-    )
+    corner = verify_lemma1_inequality(zs, free + 2)
     return MMatrixParams(
         n=n,
         L=L,
         gamma=tuple(gamma),
-        corner_a=corner_a,
-        corner_b=corner_b,
-        corner_abs2_max=abs2,
+        corner_a=corner.a,
+        corner_b=corner.b,
+        corner_abs2_max=4 ** (L - 1) * corner.transverse_bound,
     )

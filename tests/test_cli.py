@@ -47,6 +47,28 @@ class TestThresholdCommand:
         assert runner.invoke(main, ["threshold", "--n", "5"]).exit_code == 2
         assert runner.invoke(main, ["threshold", "--n", "5", "--j", "1", "--k", "2"]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "n,j", [(n, j) for n in range(3, 9) for j in range(1, (n - 1) // 2 + 1)]
+    )
+    def test_j_and_k_print_the_same_cell(self, runner, n, j):
+        for fmt in ("human", "json", "csv"):
+            by_j = runner.invoke(main, ["threshold", "--n", str(n), "--j", str(j), "--format", fmt])
+            by_k = runner.invoke(main, ["threshold", "--n", str(n), "--k", str(n - j), "--format", fmt])
+            assert by_j.exit_code == by_k.exit_code == 0
+            assert by_j.output == by_k.output
+
+    def test_lp_cell_above_the_cap_exits_two(self, runner):
+        result = runner.invoke(main, ["threshold", "--n", "31", "--k", "10"])
+        assert result.exit_code == 2
+        assert "n <= 30" in result.output
+
+    def test_closed_form_cell_has_no_cap(self, runner):
+        result = runner.invoke(main, ["threshold", "--n", "60", "--k", "59", "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["kind"] == "iff"
+        assert payload["sufficient"] == "15/8358680908399640591"
+
 
 class TestTableCommand:
     def test_golden_check_passes(self, runner):
@@ -69,6 +91,11 @@ class TestTableCommand:
         a = runner.invoke(main, ["table1", "--format", "json"]).output
         b = runner.invoke(main, ["table1", "--format", "json"]).output
         assert a == b
+
+    def test_above_the_cap_exits_two(self, runner):
+        result = runner.invoke(main, ["table1", "--nmax", "31"])
+        assert result.exit_code == 2
+        assert "--nmax <= 30" in result.output
 
 
 class TestFigureCommand:

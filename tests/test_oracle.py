@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from ghzsep.cli import main
 from ghzsep.oracle import (
     characteristic_check,
     dense_witness,
@@ -43,9 +46,24 @@ class TestPhaseAverage:
         assert s.d[0] == s.d[4] == Fraction(1, 2)
         assert all(x == 0 for x in s.d[1:4])
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_equals_closed_form_at_the_guard(self, n):
+        for k in range(2, n + 1):
+            for part in enumerate_partitions(n, k):
+                assert phase_average_oracle(part) == partition_average_state(part)
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             phase_average_oracle(PartitionType((11,)))
+
+    def test_verify_suite_finishes_at_the_guard(self):
+        result = CliRunner().invoke(main, ["verify", "--suite", "phase-oracle", "--limits", "n=10"])
+        assert result.exit_code == 0
+        records = [json.loads(line) for line in result.output.splitlines()]
+        assert len(records) == sum(
+            len(enumerate_partitions(n, k)) for n in range(2, 11) for k in range(2, n + 1)
+        )
+        assert all(r["pass"] for r in records)
 
 
 class TestCharacteristic:
