@@ -10,7 +10,6 @@ and brute-force oracles that re-derive everything from dense matrices.
 from .exactmath import (
     binomial,
     elem_sym,
-    lemma1_quantities,
     verify_appendix_inequality,
     verify_lemma1_inequality,
     verify_w_identities,

@@ -168,69 +168,23 @@ def verify_appendix_inequality(n_max: int, l_max: int) -> SweepReport:
 
 
 @dataclass(frozen=True)
-class Lemma1Quantities:
-    """The four scalars behind the eigenvalue bound of the two-qubit block.
+class Lemma1Check:
+    """Lemma 1's scalars for n - 2 longitudinal components, and its verdict.
 
     a and b are the symmetric-polynomial sums, u and v the averaged sign
-    flip products.  They satisfy a = -(u+v)/2 and b = -(u-v)/2 exactly,
-    which is asserted on construction.
+    flip products; they satisfy a = -(u+v)/2 and b = -(u-v)/2 exactly,
+    which is checked before the record is built.  ``passed`` means a <= 0
+    and a^2 - b^2 >= transverse_bound = prod(1 - z_i^2); ``tight`` means
+    the second holds with equality.
     """
 
     a: Fraction
     b: Fraction
     u: Fraction
     v: Fraction
-
-
-def lemma1_quantities(z: Sequence, n: int) -> Lemma1Quantities:
-    """Compute a, b, u, v for longitudinal components z of n - 2 qubits."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
-    if len(z) != n - 2:
-        raise ValueError(f"need {n - 2} components, got {len(z)}")
-    zs = tuple(Fraction(x) for x in z)
-    if any(x < -1 or x > 1 for x in zs):
-        raise ValueError("every component must lie in [-1, 1]")
-    m = n - 2
-    s = elem_sym(zs)
-    a = sum(
-        (Fraction(4 * i + 2 - n, m) * s[2 * i] for i in range(1, m // 2 + 1)),
-        start=Fraction(0),
-    ) - 1
-    b = sum(
-        (Fraction(4 * i - n, m) * s[2 * i - 1] for i in range(1, (m + 1) // 2 + 1)),
-        start=Fraction(0),
-    )
-    u = (
-        sum(
-            math.prod((1 - x) if t == j else (1 + x) for t, x in enumerate(zs))
-            for j in range(m)
-        )
-        / Fraction(m)
-    )
-    v = (
-        sum(
-            math.prod((1 + x) if t == j else (1 - x) for t, x in enumerate(zs))
-            for j in range(m)
-        )
-        / Fraction(m)
-    )
-    if a != -(u + v) / 2 or b != -(u - v) / 2:
-        raise ArithmeticError("internal identity between (a, b) and (u, v) violated")
-    return Lemma1Quantities(a, b, u, v)
-
-
-@dataclass(frozen=True)
-class Lemma1Check:
-    """Exact check that a <= 0 and a^2 - b^2 dominates the transverse bound."""
-
-    passed: bool
-    a_nonpositive: bool
-    square_bound_ok: bool
-    tight: bool
-    a: Fraction
-    b: Fraction
     transverse_bound: Fraction
+    passed: bool
+    tight: bool
 
 
 def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
@@ -241,19 +195,39 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
     the statement that the two-qubit block eigenvalue never exceeds the
     symmetric-state value.
     """
-    q = lemma1_quantities(z, n)
-    bound = math.prod((1 - Fraction(x) ** 2 for x in z), start=Fraction(1))
-    a_ok = q.a <= 0
-    lhs = q.a**2 - q.b**2
-    sq_ok = lhs >= bound
-    return Lemma1Check(a_ok and sq_ok, a_ok, sq_ok, lhs == bound, q.a, q.b, bound)
+    if n < 3:
+        raise ValueError(f"need n >= 3, got n={n}")
+    if len(z) != n - 2:
+        raise ValueError(f"need {n - 2} components, got {len(z)}")
+    zs = tuple(Fraction(x) for x in z)
+    if any(x < -1 or x > 1 for x in zs):
+        raise ValueError("every component must lie in [-1, 1]")
+    m = n - 2
+    # S_i enters with weight (2i - m)/m: even i make up a (S_0 gives the
+    # -1), odd i make up b.
+    weighted = [Fraction(2 * i - m, m) * s_i for i, s_i in enumerate(elem_sym(zs))]
+    a, b = sum(weighted[0::2]), sum(weighted[1::2])
+    # m*u is the first-order coefficient of prod((1+z) + eps (1-z)), m*v
+    # the same with (1+z) and (1-z) swapped; plus and minus are the
+    # zeroth-order products.
+    plus, minus = Fraction(1), Fraction(1)
+    mu, mv = Fraction(0), Fraction(0)
+    for x in zs:
+        mu, mv = mu * (1 + x) + plus * (1 - x), mv * (1 - x) + minus * (1 + x)
+        plus, minus = plus * (1 + x), minus * (1 - x)
+    u, v = mu / m, mv / m
+    if a != -(u + v) / 2 or b != -(u - v) / 2:
+        raise ArithmeticError("internal identity between (a, b) and (u, v) violated")
+    bound = plus * minus
+    lhs = a**2 - b**2
+    return Lemma1Check(a, b, u, v, bound, a <= 0 and lhs >= bound, lhs == bound)
 
 
-def random_unit_rationals(rng: random.Random, length: int, max_den: int = 64) -> tuple:
-    """Seeded random exact rationals in [-1, 1] with denominators <= max_den."""
+def random_unit_rationals(rng: random.Random, length: int) -> tuple:
+    """Seeded random exact rationals in [-1, 1] with denominators <= 64."""
     out = []
     for _ in range(length):
-        den = rng.randint(1, max_den)
+        den = rng.randint(1, 64)
         out.append(Fraction(rng.randint(-den, den), den))
     return tuple(out)
 
@@ -266,9 +240,9 @@ def rat_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_decimal(q, digits: int = 12) -> str:
-    """Decimal rendering of a rational with the given significant digits."""
+def rat_decimal(q) -> str:
+    """Decimal rendering of a rational with 12 significant digits."""
     q = Fraction(q)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(Decimal(q.numerator) / Decimal(q.denominator))

@@ -308,7 +308,7 @@ def mixed_state(sol: LpSolution) -> SymState:
     return mix(states, sol.weights)
 
 
-def table1(n_values=range(6, 13)) -> list:
+def table1(n_values) -> list:
     """Solve every (n, k) cell with 3 <= k <= n/2 over the given n values.
 
     These are exactly the cells not covered by a closed form; for

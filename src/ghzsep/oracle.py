@@ -2,9 +2,12 @@
 
 The constructions elsewhere in the package use closed forms (profiles,
 characteristic-function sums).  This module rebuilds the same objects the
-expensive way, with no shared code path: dense matrices, explicit phase
-averaging over every placement of the parties on the qubits, explicit
-Pauli traces, and direct numerical maximization over product states.
+expensive way: explicit phase averaging over every placement of the
+parties on the qubits, dense witness matrices, and direct numerical
+maximization over product states.  The characteristic-function check
+starts from the library's dense noisy GHZ state; its explicit Pauli
+traces and the stabilizer pattern they are compared with are the
+independent part.
 
 Phase averages are exact.  Every matrix entry of the pre-average state is
 a Fourier polynomial of degree between -2 and 2 in each free phase, and a
@@ -174,26 +177,16 @@ def _expected_correlation(idx, p: Fraction) -> Fraction:
 def characteristic_check(n: int, p) -> CharacteristicReport:
     """Evaluate every Pauli-string expectation of the dense noisy GHZ state.
 
-    Builds the 2^n x 2^n matrix explicitly and takes every trace in exact
-    arithmetic (Pauli strings are monomial matrices, so each trace is a
-    single sweep over basis states).  Mismatches against the stabilizer
-    pattern become report entries, never exceptions.
+    Takes every trace of ``to_dense(noisy_ghz(n, p))`` in exact arithmetic
+    (Pauli strings are monomial matrices, so each trace is a single sweep
+    over basis states).  Mismatches against the stabilizer pattern become
+    report entries, never exceptions.
     """
     if n > 8:
         raise ValueError(f"characteristic sweep limited to n <= 8, got n={n}")
     p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
+    rho = to_dense(noisy_ghz(n, p))
     dim = 1 << n
-    full = dim - 1
-    noise = (1 - p) / 2**n
-    rho = [[Fraction(0)] * dim for _ in range(dim)]
-    for x in range(dim):
-        rho[x][x] = noise
-    rho[0][0] += p / 2
-    rho[full][full] += p / 2
-    rho[0][full] += p / 2
-    rho[full][0] += p / 2
 
     values = {}
     mismatch = None
@@ -309,13 +302,14 @@ def _env_operator(qt: np.ndarray, vecs, j: int) -> np.ndarray:
     return np.einsum(*operands, [j, k + j])
 
 
-def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed,
-                        tol=1e-12, max_sweeps=500) -> float:
+def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed) -> float:
     """Multistart alternating eigenvector ascent over product states.
 
     With every party but one frozen, the value is a quadratic form in the
     remaining party, so the optimal update is the top eigenvector of the
     contracted operator; sweeping the parties gives monotone convergence.
+    A restart converges when one sweep moves the value by at most 1e-12
+    relative, within 500 sweeps.
     """
     dims = [1 << s for s in part.parts]
     k = len(dims)
@@ -328,14 +322,14 @@ def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed,
         prev = None
         value = None
         ok = False
-        for _ in range(max_sweeps):
+        for _ in range(500):
             for j in range(k):
                 env = _env_operator(qt, vecs, j)
                 env = (env + env.conj().T) / 2
                 eigvals, eigvecs = np.linalg.eigh(env)
                 vecs[j] = eigvecs[:, -1]
                 value = float(eigvals[-1])
-            if prev is not None and abs(value - prev) <= tol * max(1.0, abs(value)):
+            if prev is not None and abs(value - prev) <= 1e-12 * max(1.0, abs(value)):
                 ok = True
                 break
             prev = value
@@ -389,8 +383,7 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
 
 
 def split_monotonicity_check(n: int, L: int, finer: PartitionType,
-                             restarts: int = 16, seed: int = 42,
-                             slack: float = 1e-9) -> bool:
+                             restarts: int = 16, seed: int = 42) -> bool:
     """Splitting the L-qubit party into parties of size >= 2 cannot raise
     the product-state maximum of tr(rho Q)."""
     if finer.n != n:
@@ -403,4 +396,4 @@ def split_monotonicity_check(n: int, L: int, finer: PartitionType,
     q = _dense_witness_float(n, L)
     coarse = _maximize_partition(q, _block_partition(n, L), restarts, seed)
     fine = _maximize_partition(q, finer, restarts, seed)
-    return fine <= coarse + slack
+    return fine <= coarse + 1e-9

@@ -56,7 +56,6 @@ class SeparabilityVerdict:
     sufficient_bound: Fraction
     necessary_bound: Fraction  # None when no necessary bound is known
     sufficient_rule: str
-    necessary_rule: str
 
 
 def _iff_bound(n: int, k: int):
@@ -90,9 +89,8 @@ def classify(n: int, k: int, p) -> SeparabilityVerdict:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
     exact = _iff_bound(n, k)
     if exact is not None:
-        bound, rule = exact
-        sufficient, necessary = bound, bound
-        suff_rule = nec_rule = rule
+        sufficient, rule = exact
+        necessary = sufficient
     elif n > lpsolve.MAX_N:
         raise ValueError(
             f"no closed form for n={n}, k={k}, and the linear program is "
@@ -101,15 +99,14 @@ def classify(n: int, k: int, p) -> SeparabilityVerdict:
     else:
         sufficient = lpsolve.solve(lpsolve.build_problem(n, k)).p_s
         necessary = None
-        suff_rule = "mixed-partition linear program"
-        nec_rule = None
+        rule = "mixed-partition linear program"
     if p <= sufficient:
         status = "separable"
     elif necessary is not None and p > necessary:
         status = "entangled"
     else:
         status = "unknown-gap"
-    return SeparabilityVerdict(n, k, p, status, sufficient, necessary, suff_rule, nec_rule)
+    return SeparabilityVerdict(n, k, p, status, sufficient, necessary, rule)
 
 
 def figure1_data(n_min: int, n_max: int, j_list) -> list:

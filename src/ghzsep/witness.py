@@ -132,41 +132,23 @@ def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:
     if not 2 <= L <= n - 1:
         raise ValueError(f"need 2 <= L <= n - 1, got n={n}, L={L}")
     zs = tuple(Fraction(x) for x in z)
-    if len(zs) != n - L:
-        raise ValueError(f"need {n - L} components, got {len(zs)}")
-    if any(x < -1 or x > 1 for x in zs):
-        raise ValueError("every component must lie in [-1, 1]")
+    corner = verify_lemma1_inequality(zs, n - L + 2)  # validates zs
     spec = canonical_witness(n, L)
     s = elem_sym(zs)
-    free = n - L
-
-    def m_at(i):
-        return Fraction(0) if i == 0 else spec.m[i - 1]
-
-    gamma = []
-    for l in range(L + 1):
-        total = sum(
-            (m_at(i) * w_coeff(L, 2 * i, l) for i in range(1, L // 2 + 1)),
-            start=Fraction(0),
-        )
-        for m in range(1, (free + 1) // 2 + 1):
-            inner = sum(
-                (m_at(i + m - 1) * w_coeff(L, 2 * i - 1, l) for i in range(1, (L + 1) // 2 + 1)),
-                start=Fraction(0),
-            )
-            total += s[2 * m - 1] * inner
-        for m in range(1, free // 2 + 1):
-            inner = sum(
-                (m_at(i + m) * w_coeff(L, 2 * i, l) for i in range(0, L // 2 + 1)),
-                start=Fraction(0),
-            )
-            total += s[2 * m] * inner
-        gamma.append(total)
-    corner = verify_lemma1_inequality(zs, free + 2)
+    # gamma_l = sum of M_{(r+k)/2} w(L, r, l) S_k over even r + k, where r
+    # counts the block's Z factors and k the free ones; the identity term
+    # (r + k = 0) carries no coefficient.
+    pairs = [
+        (r, k) for r in range(L + 1) for k in range(n - L + 1) if (r + k) % 2 == 0 and r + k >= 2
+    ]
+    gamma = tuple(
+        sum(spec.m[(r + k) // 2 - 1] * w_coeff(L, r, l) * s[k] for r, k in pairs)
+        for l in range(L + 1)
+    )
     return MMatrixParams(
         n=n,
         L=L,
-        gamma=tuple(gamma),
+        gamma=gamma,
         corner_a=corner.a,
         corner_b=corner.b,
         corner_abs2_max=4 ** (L - 1) * corner.transverse_bound,

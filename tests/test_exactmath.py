@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ghzsep.exactmath import (
     binomial,
     elem_sym,
-    lemma1_quantities,
     random_unit_rationals,
     rat_decimal,
     rat_str,
@@ -183,20 +182,38 @@ class TestAppendixInequality:
             verify_appendix_inequality(10, 1)
 
 
+def indexed_lemma1(z, n):
+    """The paper's indexed forms: a and b as sums of S_2i and S_(2i-1)
+    weighted by (4i+2-n)/m and (4i-n)/m, u and v as averages over j of
+    the products with the j-th factor flipped."""
+    zs = [Fraction(x) for x in z]
+    m = n - 2
+    s = brute_elem_sym(zs)
+    a = sum(Fraction(4 * i + 2 - n, m) * s[2 * i] for i in range(1, m // 2 + 1)) - 1
+    b = sum(Fraction(4 * i - n, m) * s[2 * i - 1] for i in range(1, (m + 1) // 2 + 1))
+    u = sum(
+        math.prod((1 - x) if t == j else (1 + x) for t, x in enumerate(zs)) for j in range(m)
+    ) / Fraction(m)
+    v = sum(
+        math.prod((1 + x) if t == j else (1 - x) for t, x in enumerate(zs)) for j in range(m)
+    ) / Fraction(m)
+    return a, b, u, v
+
+
 class TestLemma1:
     def test_four_qubit_hand_value(self):
-        q = lemma1_quantities((Fraction(1, 2), Fraction(1, 2)), 4)
+        q = verify_lemma1_inequality((Fraction(1, 2), Fraction(1, 2)), 4)
         assert q.a == Fraction(-3, 4)  # z1*z2 - 1
         assert q.b == 0
 
     def test_all_zero_input(self):
         for n in range(3, 9):
-            q = lemma1_quantities((Fraction(0),) * (n - 2), n)
+            q = verify_lemma1_inequality((Fraction(0),) * (n - 2), n)
             assert q.a == -1 and q.b == 0
 
     def test_all_ones_collapses_products(self):
         # every flipped product contains a (1 - 1) factor
-        q = lemma1_quantities((1, 1, 1), 5)
+        q = verify_lemma1_inequality((1, 1, 1), 5)
         assert q.u == 0 and q.v == 0
         assert q.a == 0 and q.b == 0
 
@@ -205,10 +222,23 @@ class TestLemma1:
     @settings(max_examples=150)
     def test_uv_identity_and_inequality(self, z):
         n = len(z) + 2
-        q = lemma1_quantities(z, n)  # raises if a != -(u+v)/2 or b != -(u-v)/2
-        assert q.u >= 0 and q.v >= 0
-        check = verify_lemma1_inequality(z, n)
+        check = verify_lemma1_inequality(z, n)  # raises if a != -(u+v)/2 or b != -(u-v)/2
+        assert check.u >= 0 and check.v >= 0
         assert check.passed
+
+    @given(st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=16),
+                    min_size=1, max_size=8))
+    @settings(max_examples=150)
+    def test_matches_indexed_forms(self, z):
+        n = len(z) + 2
+        check = verify_lemma1_inequality(z, n)
+        assert (check.a, check.b, check.u, check.v) == indexed_lemma1(z, n)
+        bound = math.prod(1 - x**2 for x in z)
+        assert check.transverse_bound == bound
+        assert check.tight == (check.a**2 - check.b**2 == bound)
+        assert all(
+            type(x) is Fraction for x in (check.a, check.b, check.u, check.v, check.transverse_bound)
+        )
 
     def test_equality_detected(self):
         check = verify_lemma1_inequality((Fraction(1, 2), Fraction(1, 2)), 4)
@@ -218,9 +248,9 @@ class TestLemma1:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            lemma1_quantities((Fraction(3, 2),), 3)
+            verify_lemma1_inequality((Fraction(3, 2),), 3)
         with pytest.raises(ValueError):
-            lemma1_quantities((0, 0), 3)
+            verify_lemma1_inequality((0, 0), 3)
 
 
 class TestFormatting:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghzsep.exactmath import elem_sym, random_unit_rationals
+from ghzsep.exactmath import elem_sym, random_unit_rationals, w_coeff
 from ghzsep.oracle import dense_witness
 from ghzsep.witness import (
     canonical_witness,
@@ -43,6 +43,31 @@ def two_qubit_form(n, z):
     a1 = sum(e[m] * z1 ** (m % 2) * m_at((m + 1) // 2 + 1) for m in range(len(e)))
     b = sum(e[m] * z1 ** (1 - m % 2) * m_at((m + 2) // 2) for m in range(len(e)))
     return a0, a1, b
+
+
+def three_loop_gamma(n, L, z):
+    """gamma_l as three index-shifted sums: the block-only terms, then the
+    odd and the even free symmetric sums S_(2m-1) and S_(2m)."""
+    spec = canonical_witness(n, L)
+    s = elem_sym(z)
+    free = n - L
+
+    def m_at(i):
+        return Fraction(0) if i == 0 else spec.m[i - 1]
+
+    gamma = []
+    for l in range(L + 1):
+        total = sum(m_at(i) * w_coeff(L, 2 * i, l) for i in range(1, L // 2 + 1))
+        for m in range(1, (free + 1) // 2 + 1):
+            total += s[2 * m - 1] * sum(
+                m_at(i + m - 1) * w_coeff(L, 2 * i - 1, l) for i in range(1, (L + 1) // 2 + 1)
+            )
+        for m in range(1, free // 2 + 1):
+            total += s[2 * m] * sum(
+                m_at(i + m) * w_coeff(L, 2 * i, l) for i in range(0, L // 2 + 1)
+            )
+        gamma.append(total)
+    return tuple(gamma)
 
 
 def contracted_block(n, L, bloch):
@@ -200,6 +225,15 @@ class TestSectorDiagonal:
             assert g.gamma[1] == a0 - a1
             assert g.gamma[0] == a0 + a1 + 2 * b
             assert g.gamma[2] == a0 + a1 - 2 * b
+
+    def test_matches_three_loop_form(self):
+        rng = random.Random(2024)
+        for n in range(3, 10):
+            for L in range(2, n):
+                for z in ((0,) * (n - L), (1,) * (n - L), random_unit_rationals(rng, n - L)):
+                    g = gamma_diagonal(n, L, z)
+                    assert g.gamma == three_loop_gamma(n, L, z)
+                    assert all(type(x) is Fraction for x in g.gamma)
 
     def test_edge_sector_product_forms(self):
         rng = random.Random(4)
