@@ -134,28 +134,39 @@ def verify_w_identities(L: int) -> list:
     return records
 
 
+def _pascal_rows(top: int) -> list:
+    """Rows 0..top of Pascal's triangle: ``rows[r][c]`` is C(r, c)."""
+    rows = [[1]]
+    for _ in range(top):
+        row = rows[-1]
+        rows.append([1] + [x + y for x, y in zip(row, row[1:])] + [1])
+    return rows
+
+
 def verify_appendix_inequality(n_max: int, l_max: int) -> SweepReport:
     """Exact sweep of (C(n,i) + C(n,i-l))/n <= C(n+l,i)/(n+l).
 
     Ranges: 2 <= l <= l_max, l <= i <= n <= n_max.  This bound is the
     inductive step that lets a single-qubit party absorb one extra party
-    of size l while preserving the per-sector padding bound.
+    of size l while preserving the per-sector padding bound.  The binomials
+    are read from Pascal rows 0..n_max + l_max, built once.
     """
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
     if l_max < 2:
         raise ValueError(f"need l_max >= 2, got {l_max}")
+    pascal = _pascal_rows(n_max + l_max)
     checked = 0
     violations = []
     for l in range(2, l_max + 1):
         for n in range(l, n_max + 1):
-            for i in range(l, n + 1):
-                checked += 1
-                lhs_num = (n + l) * (math.comb(n, i) + math.comb(n, i - l))
-                rhs_num = n * math.comb(n + l, i)
-                if lhs_num > rhs_num:
-                    lhs = Fraction(math.comb(n, i) + math.comb(n, i - l), n)
-                    rhs = Fraction(math.comb(n + l, i), n + l)
+            row, wide = pascal[n], pascal[n + l]
+            checked += n - l + 1
+            # i runs over l..n: row[i], row[i - l] and wide[i] side by side
+            for i, c_i, c_shift, c_wide in zip(range(l, n + 1), row[l:], row, wide[l:]):
+                if (n + l) * (c_i + c_shift) > n * c_wide:
+                    lhs = Fraction(c_i + c_shift, n)
+                    rhs = Fraction(c_wide, n + l)
                     violations.append(
                         CheckRecord(
                             "padding-binomial-bound",
@@ -200,27 +211,35 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
     if len(z) != n - 2:
         raise ValueError(f"need {n - 2} components, got {len(z)}")
     zs = tuple(Fraction(x) for x in z)
-    if any(x < -1 or x > 1 for x in zs):
+    if any(abs(x.numerator) > x.denominator for x in zs):
         raise ValueError("every component must lie in [-1, 1]")
     m = n - 2
-    # S_i enters with weight (2i - m)/m: even i make up a (S_0 gives the
-    # -1), odd i make up b.
-    weighted = [Fraction(2 * i - m, m) * s_i for i, s_i in enumerate(elem_sym(zs))]
-    a, b = sum(weighted[0::2]), sum(weighted[1::2])
-    # m*u is the first-order coefficient of prod((1+z) + eps (1-z)), m*v
-    # the same with (1+z) and (1-z) swapped; plus and minus are the
-    # zeroth-order products.
-    plus, minus = Fraction(1), Fraction(1)
-    mu, mv = Fraction(0), Fraction(0)
+    # Everything runs on integers over one denominator: with z_j = p_j/q_j
+    # and Q = prod q_j, Q*S_i is the x^i coefficient of prod(q_j + x p_j).
+    # With (1 + z) and (1 - z) scaled to q + p and q - p, Q*m*u is the
+    # first-order coefficient of prod((q+p) + eps (q-p)), Q*m*v the same
+    # with q + p and q - p swapped; plus and minus are the zeroth-order
+    # products, Q times prod(1 + z) and prod(1 - z).
+    sym = [1]
+    big_q, plus, minus, mu, mv = 1, 1, 1, 0, 0
     for x in zs:
-        mu, mv = mu * (1 + x) + plus * (1 - x), mv * (1 - x) + minus * (1 + x)
-        plus, minus = plus * (1 + x), minus * (1 - x)
-    u, v = mu / m, mv / m
-    if a != -(u + v) / 2 or b != -(u - v) / 2:
+        p, q = x.numerator, x.denominator
+        sym = [q * c + p * d for c, d in zip(sym + [0], [0] + sym)]
+        mu, mv = mu * (q + p) + plus * (q - p), mv * (q - p) + minus * (q + p)
+        plus, minus, big_q = plus * (q + p), minus * (q - p), big_q * q
+    # S_i enters with weight (2i - m)/m: even i make up a (S_0 gives the
+    # -1), odd i make up b.  ma = Q*m*a and mb = Q*m*b.
+    weighted = [(2 * i - m) * c for i, c in enumerate(sym)]
+    ma, mb = sum(weighted[0::2]), sum(weighted[1::2])
+    if 2 * ma != -(mu + mv) or 2 * mb != -(mu - mv):
         raise ArithmeticError("internal identity between (a, b) and (u, v) violated")
-    bound = plus * minus
-    lhs = a**2 - b**2
-    return Lemma1Check(a, b, u, v, bound, a <= 0 and lhs >= bound, lhs == bound)
+    # a^2 - b^2 >= prod(1 - z^2), scaled by (Q*m)^2
+    lhs, rhs = ma * ma - mb * mb, m * m * plus * minus
+    den = big_q * m
+    return Lemma1Check(
+        Fraction(ma, den), Fraction(mb, den), Fraction(mu, den), Fraction(mv, den),
+        Fraction(plus * minus, big_q * big_q), ma <= 0 and lhs >= rhs, lhs == rhs,
+    )
 
 
 def random_unit_rationals(rng: random.Random, length: int) -> tuple:

@@ -39,29 +39,24 @@ def _phase_average_support(part: PartitionType):
     Returns (diag_val, off_entries) over block configurations: the value
     attached to configuration pair (cx, cy) is 2^k 4^(k-1) times the
     averaged matrix entry.  Each free phase is averaged over the four
-    fourth roots of unity.
+    fourth roots of unity.  Free phase j carries degree d_j - d_last, with
+    d_j = cx_j - cy_j in {-1, 0, 1}, so the average vanishes unless every
+    flip difference is equal: only the diagonal and the two all-flip
+    corners are walked.
     """
     k = part.k
-    cfg_count = 1 << k
+    full = (1 << k) - 1
     # sum of i^(t*deg) over t = 0..3: 4 when 4 divides deg, else 0
     four_point = {deg: 4 if deg % 4 == 0 else 0 for deg in range(-2, 3)}
-    diag_val = [0] * cfg_count
-    off_entries = []
-    for cx in range(cfg_count):
-        for cy in range(cfg_count):
-            delta_last = ((cx >> (k - 1)) & 1) - ((cy >> (k - 1)) & 1)
-            val = 1
-            for j in range(k - 1):
-                deg = ((cx >> j) & 1) - ((cy >> j) & 1) - delta_last
-                val *= four_point[deg]
-                if val == 0:
-                    break
-            if val == 0:
-                continue
-            if cx == cy:
-                diag_val[cx] = val
-            else:
-                off_entries.append((cx, cy, val))
+
+    def average(cx, cy):
+        delta_last = ((cx >> (k - 1)) & 1) - ((cy >> (k - 1)) & 1)
+        return math.prod(
+            four_point[((cx >> j) & 1) - ((cy >> j) & 1) - delta_last] for j in range(k - 1)
+        )
+
+    diag_val = [average(c, c) for c in range(full + 1)]
+    off_entries = [(cx, cy, average(cx, cy)) for cx, cy in ((0, full), (full, 0))]
     return diag_val, off_entries
 
 
@@ -177,16 +172,22 @@ def _expected_correlation(idx, p: Fraction) -> Fraction:
 def characteristic_check(n: int, p) -> CharacteristicReport:
     """Evaluate every Pauli-string expectation of the dense noisy GHZ state.
 
-    Takes every trace of ``to_dense(noisy_ghz(n, p))`` in exact arithmetic
-    (Pauli strings are monomial matrices, so each trace is a single sweep
-    over basis states).  Mismatches against the stabilizer pattern become
-    report entries, never exceptions.
+    Takes every trace of ``to_dense(noisy_ghz(n, p))`` in exact arithmetic.
+    A Pauli string with X mask x is a monomial matrix that pairs column y
+    with row y ^ x, so its trace reads only the entries of rho whose row
+    XOR column is x; the nonzero entries are grouped by that mask once.
+    Mismatches against the stabilizer pattern become report entries, never
+    exceptions.
     """
     if n > 8:
         raise ValueError(f"characteristic sweep limited to n <= 8, got n={n}")
     p = Fraction(p)
     rho = to_dense(noisy_ghz(n, p))
-    dim = 1 << n
+    by_xmask = {}
+    for row, entries in enumerate(rho):
+        for y, amp in enumerate(entries):
+            if amp:
+                by_xmask.setdefault(row ^ y, []).append((y, amp))
 
     values = {}
     mismatch = None
@@ -204,18 +205,16 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
                 ycount += 1
         re = Fraction(0)
         im = Fraction(0)
-        for y in range(dim):
-            amp = rho[y ^ xmask][y]
-            if amp:
-                power = (ycount + 2 * (y & zmask).bit_count()) % 4
-                if power == 0:
-                    re += amp
-                elif power == 1:
-                    im += amp
-                elif power == 2:
-                    re -= amp
-                else:
-                    im -= amp
+        for y, amp in by_xmask.get(xmask, ()):
+            power = (ycount + 2 * (y & zmask).bit_count()) % 4
+            if power == 0:
+                re += amp
+            elif power == 1:
+                im += amp
+            elif power == 2:
+                re -= amp
+            else:
+                im -= amp
         if im != 0:
             mismatch = mismatch or (idx, "non-real correlation")
         values[idx] = re
@@ -273,8 +272,9 @@ def dense_witness(n: int, L: int):
                 q[x ^ full][x] += 1
     for p in (Fraction(0), Fraction(1)):
         rho = to_dense(noisy_ghz(n, p))
+        # zero entries of rho add nothing to tr(rho Q)
         tr = sum(
-            (rho[x][y] * q[y][x] for x in range(dim) for y in range(dim)),
+            (amp * q[y][x] for x, row in enumerate(rho) for y, amp in enumerate(row) if amp),
             start=Fraction(0),
         )
         if tr != ghz_witness_value(spec, p):
@@ -380,20 +380,3 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
         vals = np.einsum("si,si->s", psi.conj() @ q, psi).real
         best = max(best, float(vals.max()))
     return best
-
-
-def split_monotonicity_check(n: int, L: int, finer: PartitionType,
-                             restarts: int = 16, seed: int = 42) -> bool:
-    """Splitting the L-qubit party into parties of size >= 2 cannot raise
-    the product-state maximum of tr(rho Q)."""
-    if finer.n != n:
-        raise ValueError("refinement must cover the same qubits")
-    singles = sum(1 for s in finer.parts if s == 1)
-    if singles != n - L:
-        raise ValueError("refinement must keep exactly the original single-qubit parties")
-    if sum(s for s in finer.parts if s >= 2) != L:
-        raise ValueError("refined block parties must cover the L-qubit party")
-    q = _dense_witness_float(n, L)
-    coarse = _maximize_partition(q, _block_partition(n, L), restarts, seed)
-    fine = _maximize_partition(q, finer, restarts, seed)
-    return fine <= coarse + 1e-9

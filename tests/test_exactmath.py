@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzsep import exactmath
 from ghzsep.exactmath import (
     binomial,
     elem_sym,
@@ -160,6 +161,21 @@ class TestWIdentities:
         assert set(d) == {"check", "params", "pass", "detail"}
 
 
+def comb_appendix_sweep(n_max, l_max, comb):
+    """The appendix sweep with one binomial call per term: the number of
+    checks and each violation's params and detail."""
+    checked, violations = 0, []
+    for l in range(2, l_max + 1):
+        for n in range(l, n_max + 1):
+            for i in range(l, n + 1):
+                checked += 1
+                lhs = Fraction(comb(n, i) + comb(n, i - l), n)
+                rhs = Fraction(comb(n + l, i), n + l)
+                if lhs > rhs:
+                    violations.append(({"n": n, "l": l, "i": i}, f"lhs={lhs}, rhs={rhs}"))
+    return checked, violations
+
+
 class TestAppendixInequality:
     def test_specific_values(self):
         # n=6, l=2, i=3: 26/6 <= 56/8
@@ -174,6 +190,38 @@ class TestAppendixInequality:
     def test_moderate_sweep_clean(self):
         report = verify_appendix_inequality(40, 20)
         assert report.passed
+
+    @pytest.mark.parametrize("n_max, l_max", [(8, 4), (40, 20)])
+    def test_matches_comb_form(self, n_max, l_max):
+        checked, violations = comb_appendix_sweep(n_max, l_max, math.comb)
+        report = verify_appendix_inequality(n_max, l_max)
+        assert report.checked == checked == sum(
+            n - l + 1 for l in range(2, l_max + 1) for n in range(l, n_max + 1)
+        )
+        assert [(r.params, r.detail) for r in report.violations] == violations == []
+
+    def test_pascal_rows_are_binomials(self):
+        rows = exactmath._pascal_rows(120)
+        assert len(rows) == 121
+        assert all(rows[r] == [math.comb(r, c) for c in range(r + 1)] for r in range(121))
+
+    def test_reports_each_injected_violation(self, monkeypatch):
+        # The bound holds everywhere, so corrupt a few Pascal entries and
+        # check that the sweep reads each binomial from the right place:
+        # C(n, i) inside the range and at i = n, C(n, i - l) at i = l, and
+        # C(n + l, i).
+        rows = [[math.comb(r, c) for c in range(r + 1)] for r in range(61)]
+        rows[30][12] = rows[30][30] = rows[25][0] = 10**30
+        rows[36][17] = 0
+        monkeypatch.setattr(exactmath, "_pascal_rows", lambda top: rows[: top + 1])
+        checked, violations = comb_appendix_sweep(40, 20, lambda r, c: rows[r][c])
+        report = verify_appendix_inequality(40, 20)
+        assert report.checked == checked
+        assert [(r.params, r.detail) for r in report.violations] == violations
+        hit = {(p["n"], p["i"] - p["l"]) for p, _ in violations}
+        assert {(30, 12), (25, 0)} <= hit
+        assert {(p["n"], p["i"]) for p, _ in violations} >= {(30, 12), (30, 30)}
+        assert any(p["n"] + p["l"] == 36 and p["i"] == 17 for p, _ in violations)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -198,6 +246,37 @@ def indexed_lemma1(z, n):
         math.prod((1 + x) if t == j else (1 - x) for t, x in enumerate(zs)) for j in range(m)
     ) / Fraction(m)
     return a, b, u, v
+
+
+def fraction_lemma1(z, n):
+    """The Fraction form of lemma 1: S_i weighted by (2i - m)/m, u and v
+    from the (1 + z), (1 - z) recurrence, the verdict on Fractions.
+    Returns the seven Lemma1Check fields in order."""
+    zs = tuple(Fraction(x) for x in z)
+    m = n - 2
+    weighted = [Fraction(2 * i - m, m) * s_i for i, s_i in enumerate(elem_sym(zs))]
+    a, b = sum(weighted[0::2]), sum(weighted[1::2])
+    plus, minus = Fraction(1), Fraction(1)
+    mu, mv = Fraction(0), Fraction(0)
+    for x in zs:
+        mu, mv = mu * (1 + x) + plus * (1 - x), mv * (1 - x) + minus * (1 + x)
+        plus, minus = plus * (1 + x), minus * (1 - x)
+    u, v = mu / m, mv / m
+    bound = plus * minus
+    lhs = a**2 - b**2
+    return (a, b, u, v, bound, a <= 0 and lhs >= bound, lhs == bound)
+
+
+def lemma1_fields(check):
+    return tuple(getattr(check, name) for name in
+                 ("a", "b", "u", "v", "transverse_bound", "passed", "tight"))
+
+
+unit_values = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=64),
+    st.integers(min_value=-1, max_value=1),
+    st.floats(min_value=-1, max_value=1),
+)
 
 
 class TestLemma1:
@@ -239,6 +318,26 @@ class TestLemma1:
         assert all(
             type(x) is Fraction for x in (check.a, check.b, check.u, check.v, check.transverse_bound)
         )
+
+    @given(st.integers(min_value=3, max_value=10).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(unit_values, min_size=n - 2, max_size=n - 2))))
+    @settings(max_examples=300)
+    def test_matches_fraction_form(self, case):
+        n, z = case
+        got = lemma1_fields(verify_lemma1_inequality(z, n))
+        want = fraction_lemma1(z, n)
+        assert got == want
+        assert [type(x) for x in got] == [Fraction] * 5 + [bool] * 2
+
+    def test_matches_fraction_form_on_corners(self):
+        for n in range(3, 11):
+            cases = [(0,) * (n - 2), (0.0,) * (n - 2), (Fraction(0),) * (n - 2)]
+            cases += itertools.product((-1, 1), repeat=n - 2)
+            cases += itertools.product((-1.0, Fraction(1)), repeat=n - 2)
+            for z in cases:
+                got = lemma1_fields(verify_lemma1_inequality(z, n))
+                assert got == fraction_lemma1(z, n), (n, z)
+                assert [type(x) for x in got] == [Fraction] * 5 + [bool] * 2
 
     def test_equality_detected(self):
         check = verify_lemma1_inequality((Fraction(1, 2), Fraction(1, 2)), 4)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -7,19 +8,72 @@ from click.testing import CliRunner
 
 from ghzsep.cli import main
 from ghzsep.oracle import (
+    _block_partition,
+    _dense_witness_float,
+    _maximize_partition,
+    _phase_average_support,
     characteristic_check,
     dense_witness,
     max_sampled_product_value,
     maximize_over_product_states,
     phase_average_oracle,
-    split_monotonicity_check,
 )
 from ghzsep.partitions import PartitionType, enumerate_partitions, parse_partition
 from ghzsep.symstate import noisy_ghz, partition_average_state, to_dense
 from ghzsep.witness import canonical_witness, ghz_witness_value, sep_max
 
 
+def four_k_support(part):
+    """The phase-average support by brute force over all 4^k
+    configuration pairs, each phase averaged over the fourth roots."""
+    k = part.k
+    cfg_count = 1 << k
+    four_point = {deg: 4 if deg % 4 == 0 else 0 for deg in range(-2, 3)}
+    diag_val = [0] * cfg_count
+    off_entries = []
+    for cx in range(cfg_count):
+        for cy in range(cfg_count):
+            delta_last = ((cx >> (k - 1)) & 1) - ((cy >> (k - 1)) & 1)
+            val = 1
+            for j in range(k - 1):
+                val *= four_point[((cx >> j) & 1) - ((cy >> j) & 1) - delta_last]
+                if val == 0:
+                    break
+            if val == 0:
+                continue
+            if cx == cy:
+                diag_val[cx] = val
+            else:
+                off_entries.append((cx, cy, val))
+    return diag_val, off_entries
+
+
+def split_monotonicity_check(n, L, finer, restarts=16, seed=42):
+    """Float probe: splitting the L-qubit party into parties of size >= 2
+    cannot raise the product-state maximum of tr(rho Q)."""
+    if finer.n != n:
+        raise ValueError("refinement must cover the same qubits")
+    singles = sum(1 for s in finer.parts if s == 1)
+    if singles != n - L:
+        raise ValueError("refinement must keep exactly the original single-qubit parties")
+    if sum(s for s in finer.parts if s >= 2) != L:
+        raise ValueError("refined block parties must cover the L-qubit party")
+    q = _dense_witness_float(n, L)
+    coarse = _maximize_partition(q, _block_partition(n, L), restarts, seed)
+    fine = _maximize_partition(q, finer, restarts, seed)
+    return fine <= coarse + 1e-9
+
+
 class TestPhaseAverage:
+    def test_support_matches_four_k_loop(self):
+        parts = [PartitionType((n,)) for n in range(1, 9)]
+        parts += [part for n in range(2, 9) for k in range(2, min(n, 7) + 1)
+                  for part in enumerate_partitions(n, k)]
+        for part in parts:
+            diag_val, off_entries = _phase_average_support(part)
+            want_diag, want_off = four_k_support(part)
+            assert (diag_val, set(off_entries)) == (want_diag, set(want_off)), part
+
     def test_equals_closed_form_small(self):
         for n in range(2, 7):
             for k in range(2, n + 1):
@@ -66,7 +120,32 @@ class TestPhaseAverage:
         assert all(r["pass"] for r in records)
 
 
+def per_row_correlations(n, p):
+    """Every Pauli-string trace of the dense noisy GHZ state, each one a
+    sweep over all 2^n basis states."""
+    rho = to_dense(noisy_ghz(n, Fraction(p)))
+    values = {}
+    for idx in itertools.product(range(4), repeat=n):
+        xmask = sum(1 << q for q, s in enumerate(idx) if s in (1, 2))
+        zmask = sum(1 << q for q, s in enumerate(idx) if s in (2, 3))
+        ycount = idx.count(2)
+        trace = [Fraction(0)] * 4  # coefficients of 1, i, -1, -i
+        for y in range(1 << n):
+            trace[(ycount + 2 * (y & zmask).bit_count()) % 4] += rho[y ^ xmask][y]
+        assert trace[1] == trace[3]
+        values[idx] = trace[0] - trace[2]
+    return values
+
+
 class TestCharacteristic:
+    def test_values_match_per_row_sweep(self):
+        for n in range(2, 6):
+            for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                rep = characteristic_check(n, p)
+                want = per_row_correlations(n, p)
+                assert rep.values == want
+                assert rep.nonzero_count == sum(1 for v in want.values() if v)
+
     def test_three_qubit_pure_values(self):
         rep = characteristic_check(3, 1)
         assert rep.passed
