@@ -5,11 +5,12 @@ keeps the form (1/2^k)(2 GHZ coherence + sum_i u_i T_i / C(n,i)); the best
 threshold comes from minimizing the largest normalized diagonal ratio
 max_i sum_pi q_pi f_pi(i)/C(n,i).  That minimax problem is solved here as
 an epigraph LP by an exact simplex with Bland's rule (so the pivot sequence
-is deterministic and cycling is impossible).  The tableau is held in
-fraction-free integers over one shared denominator (Bareiss pivoting);
-weights, value and dual are converted to Fraction only at the end.  The
-dual is a certificate that verify_solution re-checks in Fraction
-arithmetic, independently of the solver.
+is deterministic and cycling is impossible).  The problem data are the
+integer subset-sum counts f_pi(i); the tableau is held in fraction-free
+integers over one shared denominator (Bareiss pivoting), and weights,
+value and dual are converted to Fraction only at the end.  The dual is a
+certificate that verify_solution re-checks over integers, independently
+of the solver.
 """
 
 from __future__ import annotations
@@ -59,30 +60,25 @@ def reference_threshold(n: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Minimax problem data: one column of normalized profile ratios per
-    partition of n into k parts."""
+    """Minimax problem data: one column of subset-sum counts per partition
+    of n into k parts.  Ratio row i of column j is f_j(i) / C(n, i)."""
 
     n: int
     k: int
     partitions: tuple
-    columns: tuple  # columns[j][i-1] = f_j(i) / C(n, i) for i = 1..n-1
+    columns: tuple  # columns[j][i-1] = f_j(i) for i = 1..n-1
 
 
 def build_problem(n: int, k: int) -> LpProblem:
-    """Enumerate all partitions of n into k parts and their ratio columns.
+    """Enumerate all partitions of n into k parts and their count columns.
 
     No pre-filtering: the solver decides which partitions carry weight.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     parts = enumerate_partitions(n, k)
-    columns = []
-    for p in parts:
-        f = profile(p).counts
-        columns.append(
-            tuple(Fraction(f[i], math.comb(n, i)) for i in range(1, n))
-        )
-    return LpProblem(n, k, tuple(parts), tuple(columns))
+    columns = tuple(profile(p).counts[1:n] for p in parts)
+    return LpProblem(n, k, tuple(parts), columns)
 
 
 @dataclass(frozen=True)
@@ -127,29 +123,24 @@ class LpSolution:
         }
 
 
-def _bland_pivot_loop(T, b, d, c, basis, allowed, pivots):
-    """Primal simplex minimizing c.x with Bland's rule, fraction-free.
+def _bland_pivot_loop(T, b, d, obj, basis, allowed, pivots):
+    """Primal simplex minimizing variable obj with Bland's rule, fraction-free.
 
     The tableau is T/d with right-hand side b/d: T and b hold integers and
-    the shared denominator d is positive.  Pivoting on p = T[l][e] keeps
-    row l, turns every other row v into (p*v - f*w) // d, where f is the
-    row's entry in column e and w is row l (Bareiss: the division is
+    the shared denominator d is positive.  While obj is basic in row r, d
+    times the reduced cost of a nonbasic column j is -T[r][j]; once obj is
+    nonbasic it is zero and the phase is done.  Pivoting on p = T[l][e]
+    keeps row l, turns every other row v into (p*v - f*w) // d, where f is
+    the row's entry in column e and w is row l (Bareiss: the division is
     exact), and makes p the new denominator.  Returns the final d.
     """
     m = len(T)
-    while True:
+    while obj in basis:
+        cost = T[basis.index(obj)]
         basic = set(basis)
-        costed = [(c[basis[r]], T[r]) for r in range(m) if c[basis[r]]]
-        enter = -1
-        for j in allowed:
-            if j in basic:
-                continue
-            # d times the reduced cost, which has its sign since d > 0
-            if d * c[j] - sum(cb * row[j] for cb, row in costed) < 0:
-                enter = j
-                break
+        enter = next((j for j in allowed if j not in basic and cost[j] > 0), -1)
         if enter < 0:
-            return d
+            break
         leave = -1
         for r in range(m):
             a = T[r][enter]
@@ -178,6 +169,7 @@ def _bland_pivot_loop(T, b, d, c, basis, allowed, pivots):
                 b[r] = p * b[r] // d
         basis[leave] = enter
         d = p
+    return d
 
 
 def solve(prob: LpProblem) -> LpSolution:
@@ -188,25 +180,19 @@ def solve(prob: LpProblem) -> LpSolution:
     always feasible and bounded.  Deterministic: identical input yields
     the identical pivot sequence and solution.
     """
-    m = len(prob.partitions)
-    rows = prob.n - 1
+    n, m = prob.n, len(prob.partitions)
+    rows = n - 1
     t_col = m
     slack0 = m + 1
     art_col = slack0 + rows
-    ncols = art_col + 1
-    zero = Fraction(0)
 
-    # Ratio row i is scaled to integers by the LCM of its denominators
-    # (C(n, i) for partition data).  Its slack column stays the identity
-    # (the slack variable absorbs the scale), so the start has d = 1.
-    scale = [
-        math.lcm(*(col[i].denominator for col in prob.columns))
-        for i in range(rows)
-    ]
+    # Ratio row i is held as C(n, i) times itself: the counts f_j(i) and
+    # -C(n, i) in t's column.  Its slack column stays the identity (the
+    # slack variable absorbs the scale), so the start has d = 1.
     T = []
-    for i, s in enumerate(scale):
-        row = [col[i].numerator * (s // col[i].denominator) for col in prob.columns]
-        row.append(-s)
+    for i in range(rows):
+        row = [col[i] for col in prob.columns]
+        row.append(-math.comb(n, i + 1))
         row.extend(1 if j == i else 0 for j in range(rows))
         row.append(0)
         T.append(row)
@@ -215,38 +201,32 @@ def solve(prob: LpProblem) -> LpSolution:
     basis = [slack0 + i for i in range(rows)] + [art_col]
     pivots = []
 
-    c1 = [0] * ncols
-    c1[art_col] = 1
-    d = _bland_pivot_loop(T, b, 1, c1, basis, range(ncols), pivots)
-    if sum(c1[basis[r]] * b[r] for r in range(rows + 1)) != 0:
+    d = _bland_pivot_loop(T, b, 1, art_col, basis, range(art_col + 1), pivots)
+    if art_col in basis and b[basis.index(art_col)] != 0:
         raise ArithmeticError("phase one failed; the mixture simplex is empty")
     # No artificial cleanup: only the convexity row starts with b != 0 and a
     # pivot on a b = 0 row keeps b, so a basic artificial would hold 1 above.
+    d = _bland_pivot_loop(T, b, d, t_col, basis, range(art_col), pivots)
 
-    c2 = [0] * ncols
-    c2[t_col] = 1
-    d = _bland_pivot_loop(T, b, d, c2, basis, range(art_col), pivots)
-
-    x = [zero] * ncols
-    for r in range(rows + 1):
-        x[basis[r]] = Fraction(b[r], d)
-    weights = tuple(x[j] for j in range(m))
-    t = x[t_col]
+    x = [0] * (art_col + 1)
+    for r, j in enumerate(basis):
+        x[j] = b[r]
+    weights = tuple(Fraction(v, d) for v in x[:m])
+    t = Fraction(x[t_col], d)
     tau = 1 / t
-    p_s = tau / (tau + 2 ** (prob.n - 1))
+    p_s = tau / (tau + 2 ** (n - 1))
     support = tuple(p for p, w in zip(prob.partitions, weights) if w > 0)
     # ratio row i equals t exactly when its slack is zero
     binding = tuple(i + 1 for i in range(rows) if x[slack0 + i] == 0)
-    # Dual multipliers from the final tableau: the initial identity
-    # columns (one slack per ratio row) carry the basis inverse, and the
-    # row scale turns the scaled slack back into the original one.
-    dual = []
-    for i in range(rows):
-        col = slack0 + i
-        y = sum(c2[basis[r]] * T[r][col] for r in range(rows + 1))
-        dual.append(Fraction(-y * scale[i], d))
+    # Dual multipliers from t's row of the final tableau: the initial
+    # identity columns (one slack per ratio row) carry the basis inverse,
+    # and C(n, i) turns the scaled slack back into the original one.
+    cost = T[basis.index(t_col)]
+    dual = tuple(
+        Fraction(-cost[slack0 + i] * math.comb(n, i + 1), d) for i in range(rows)
+    )
     return LpSolution(
-        n=prob.n,
+        n=n,
         k=prob.k,
         partitions=prob.partitions,
         weights=weights,
@@ -255,49 +235,63 @@ def solve(prob: LpProblem) -> LpSolution:
         p_s=p_s,
         support=support,
         binding=binding,
-        dual=tuple(dual),
+        dual=dual,
         pivots=tuple(pivots),
     )
 
 
 def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
-    """Certify optimality independently of the solver, in exact arithmetic.
+    """Certify optimality independently of the solver, over integers.
 
     Primal: weights form a distribution and every ratio row is at most t,
     with t attained.  Dual: the multipliers are a distribution over rows
     under which every partition column averages at least t.  Weak duality
-    then pins t as the exact optimum; complementary slackness ties the two.
+    then pins t as the exact optimum.  Complementary slackness needs no
+    check of its own: sum_j w_j col_j = sum_i y_i row_i is at least t and
+    at most t, so every weighted column and every weighted row equals t.
+
+    Each sum runs over the integer counts: the weights over their common
+    denominator W give the rows times W C(n, i), and the values
+    y_i / C(n, i) over their common denominator D give the columns times D.
     """
-    m = len(prob.partitions)
-    rows = prob.n - 1
-    zero = Fraction(0)
-    if len(sol.weights) != m or any(w < 0 for w in sol.weights):
+    n, m = prob.n, len(prob.partitions)
+    rows = n - 1
+    w = [Fraction(v) for v in sol.weights]
+    y = [Fraction(v) for v in sol.dual]
+    t = Fraction(sol.t)
+    if len(w) != m or any(v < 0 for v in w):
         return False
-    if sum(sol.weights) != 1:
+    if sum(w) != 1:
         return False
-    row_vals = [
-        sum((sol.weights[j] * prob.columns[j][i] for j in range(m)), start=zero)
+    binom = [math.comb(n, i) for i in range(1, n)]
+    big_w = math.lcm(*(v.denominator for v in w))
+    support = [
+        (v.numerator * (big_w // v.denominator), col)
+        for v, col in zip(w, prob.columns)
+        if v
+    ]
+    # row i against t: sum_j a_j f_j(i) / (W C(n, i)) <= t, cross-multiplied
+    row_excess = [
+        sum(a * col[i] for a, col in support) * t.denominator
+        - t.numerator * big_w * binom[i]
         for i in range(rows)
     ]
-    if any(v > sol.t for v in row_vals) or max(row_vals) != sol.t:
+    if any(v > 0 for v in row_excess) or max(row_excess) != 0:
         return False
-    y = sol.dual
     if len(y) != rows or any(v < 0 for v in y):
         return False
     if sum(y) != 1:
         return False
-    col_vals = [
-        sum((y[i] * prob.columns[j][i] for i in range(rows)), start=zero)
-        for j in range(m)
-    ]
-    if any(v < sol.t for v in col_vals):
+    z = [v / c for v, c in zip(y, binom)]
+    big_d = math.lcm(*(v.denominator for v in z))
+    e = [v.numerator * (big_d // v.denominator) for v in z]
+    floor = t.numerator * big_d
+    if any(
+        sum(ei * fi for ei, fi in zip(e, col)) * t.denominator < floor
+        for col in prob.columns
+    ):
         return False
-    # complementary slackness
-    if any(y[i] > 0 and row_vals[i] != sol.t for i in range(rows)):
-        return False
-    if any(sol.weights[j] > 0 and col_vals[j] != sol.t for j in range(m)):
-        return False
-    if sol.tau != 1 / sol.t or sol.p_s != sol.tau / (sol.tau + 2 ** (prob.n - 1)):
+    if sol.tau != 1 / t or sol.p_s != sol.tau / (sol.tau + 2 ** (n - 1)):
         return False
     return True
 

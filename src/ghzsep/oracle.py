@@ -19,6 +19,7 @@ the roots are integers, so nothing is ever rounded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -282,8 +283,13 @@ def dense_witness(n: int, L: int):
     return q
 
 
+@functools.cache
 def _dense_witness_float(n: int, L: int) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in dense_witness(n, L)])
+    """The exact dense witness in floats, built once per (n, L) and shared
+    read-only by the product-state probes."""
+    q = np.array([[float(v) for v in row] for row in dense_witness(n, L)])
+    q.flags.writeable = False
+    return q
 
 
 def _random_unit(rng, dim: int) -> np.ndarray:

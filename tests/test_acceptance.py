@@ -11,6 +11,7 @@ kept in the suite as strict expected failures, and a companion test
 proves the inconsistency with exact certificates.  See the AC-1 tests.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -106,7 +107,10 @@ def test_ac1_defective_quoted_cells_are_impossible():
     sol = solve(prob)
     assert sol.tau == Fraction(77, 4) and verify_solution(prob, sol)
     quoted = [parse_partition("2^4|3"), parse_partition("1^2|3^3")]
-    cols = {p: c for p, c in zip(prob.partitions, prob.columns)}
+    cols = {
+        p: [Fraction(f, math.comb(11, i + 1)) for i, f in enumerate(c)]
+        for p, c in zip(prob.partitions, prob.columns)
+    }
     mix_rows = [
         Fraction(1, 2) * cols[quoted[0]][i] + Fraction(1, 2) * cols[quoted[1]][i]
         for i in range(10)
@@ -114,7 +118,7 @@ def test_ac1_defective_quoted_cells_are_impossible():
     assert 1 / max(mix_rows) == 11  # not the quoted 22
     assert all(
         sum(sol.dual[i] * c[i] for i in range(10)) >= Fraction(4, 77)
-        for c in prob.columns
+        for c in cols.values()
     )  # dual certificate: no mixture beats tau = 77/4
 
     # (12,4): the quoted mixture 0.55*3^4 + 0.33*2^2|4^2 + 0.12*1|3|4^2
@@ -122,7 +126,10 @@ def test_ac1_defective_quoted_cells_are_impossible():
     prob = build_problem(12, 4)
     sol = solve(prob)
     assert sol.tau == 97 and verify_solution(prob, sol)
-    cols = {p: c for p, c in zip(prob.partitions, prob.columns)}
+    cols = {
+        p: [Fraction(f, math.comb(12, i + 1)) for i, f in enumerate(c)]
+        for p, c in zip(prob.partitions, prob.columns)
+    }
     ws = {
         parse_partition("3^4"): Fraction(55, 100),
         parse_partition("2^2|4^2"): Fraction(33, 100),

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from ghzsep import lpsolve
 from ghzsep.cli import main
 
 
@@ -92,6 +94,12 @@ class TestTableCommand:
         b = runner.invoke(main, ["table1", "--format", "json"]).output
         assert a == b
 
+    def test_golden_mismatch_exits_one(self, runner, monkeypatch):
+        monkeypatch.setitem(lpsolve.REFERENCE_TAU, (6, 3), Fraction(10))
+        result = runner.invoke(main, ["table1", "--check"])
+        assert result.exit_code == 1
+        assert "golden mismatch at rows: [(6, 3)]" in result.output
+
     def test_above_the_cap_exits_two(self, runner):
         result = runner.invoke(main, ["table1", "--nmax", "31"])
         assert result.exit_code == 2
@@ -134,6 +142,17 @@ class TestLpCommand:
         assert payload["tau"] == "97"
         assert payload["p_s"] == "97/2145"
 
+    def test_csv_row(self, runner):
+        result = runner.invoke(main, ["lp", "--n", "6", "--k", "3", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output == "n,k,tau,p_s,certified\n6,3,9,9/41,True\n"
+
+    def test_rejected_certificate_exits_one(self, runner, monkeypatch):
+        monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
+        result = runner.invoke(main, ["lp", "--n", "6", "--k", "3"])
+        assert result.exit_code == 1
+        assert "certificate: INVALID" in result.output
+
     def test_invalid_cell_exits_two(self, runner):
         assert runner.invoke(main, ["lp", "--n", "4", "--k", "9"]).exit_code == 2
 
@@ -175,6 +194,15 @@ class TestVerifyCommand:
         lines = [json.loads(line) for line in result.output.strip().splitlines()]
         assert all(rec["pass"] for rec in lines)
         assert len(lines) == 13  # partitions with k >= 2 of n = 2..5
+
+    def test_witness_max_suite_small(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--suite", "witness-max", "--limits", "restarts=4,samples=100"]
+        )
+        assert result.exit_code == 0
+        lines = [json.loads(line) for line in result.output.strip().splitlines()]
+        assert [rec["check"] for rec in lines] == ["witness-product-max"] * 7
+        assert all(rec["pass"] for rec in lines)
 
     def test_charfn_suite_small(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "charfn", "--limits", "n=3"])

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from ghzsep.lpsolve import (
 )
 from ghzsep.partitions import parse_partition
 from ghzsep.symstate import pad_to_isotropic
-from ghzsep.thresholds import bisep_threshold, nj_threshold
+from ghzsep.thresholds import _iff_bound, bisep_threshold, nj_threshold
 
 
 class TestBuildProblem:
@@ -29,9 +30,10 @@ class TestBuildProblem:
         assert "1|2^4|3" in names and "2^6" in names
 
     def test_full_separability_column(self):
+        # 1^5: f(i) = C(5, i), so every ratio row is 1
         prob = build_problem(5, 5)
         assert len(prob.partitions) == 1
-        assert prob.columns[0] == (1, 1, 1, 1)
+        assert prob.columns[0] == (5, 10, 10, 5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -109,7 +111,8 @@ class TestVerifierRejectsBadCertificates:
         prob = build_problem(6, 3)
         sol = solve(prob)
         # put all weight on the first partition (4+1+1): feasible but not optimal
-        t = max(prob.columns[0])
+        t = max(Fraction(f, math.comb(6, i + 1)) for i, f in enumerate(prob.columns[0]))
+        assert t > sol.t
         forged = replace(
             sol,
             weights=(Fraction(1), Fraction(0), Fraction(0)),
@@ -120,7 +123,66 @@ class TestVerifierRejectsBadCertificates:
         assert not verify_solution(prob, forged)
 
 
+def _with_t(sol, t):
+    """The solution with t replaced and tau, p_s kept consistent with it."""
+    tau = 1 / t
+    return replace(sol, t=t, tau=tau, p_s=tau / (tau + 2 ** (sol.n - 1)))
+
+
+# Forgeries of the (7, 3) optimum: weights (0, 0, 2/5, 3/5), t = 2/35 and
+# dual (2/5, 3/5, 0, 0, 0, 0).  All but short-weights and t-raised fail
+# exactly one check of verify_solution, so each of its checks has a
+# forgery that only it rejects.  Rows 3 and 4 are mirrors (f(3) = f(4),
+# C(7, 3) = C(7, 4)), so negative-dual leaves every column sum as it was.
+FORGERIES = {
+    "negative-weight": lambda s: replace(
+        s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
+    "weights-sum-below-one": lambda s: _with_t(
+        replace(s, weights=tuple(w / 2 for w in s.weights)), s.t / 2),
+    "short-weights": lambda s: replace(s, weights=s.weights[:-1]),
+    "t-lowered": lambda s: _with_t(s, s.t * Fraction(9, 10)),
+    "t-raised": lambda s: _with_t(s, s.t * Fraction(11, 10)),
+    "negative-dual": lambda s: replace(
+        s, dual=s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:]),
+    "dual-sum-above-one": lambda s: replace(s, dual=tuple(2 * y for y in s.dual)),
+    "short-dual": lambda s: replace(s, dual=s.dual[:-1]),
+    "tau-off": lambda s: replace(s, tau=s.tau + 1),
+    "p_s-off": lambda s: replace(s, p_s=s.p_s + Fraction(1, 10**6)),
+    "dual-on-slack-row": lambda s: replace(
+        s, dual=(0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:]),
+    "weight-on-zero-column": lambda s: replace(
+        s, weights=s.weights[2:3] + (0, 0) + s.weights[3:]),
+}
+
+
+class TestVerifierRejectsForgeries:
+    def test_genuine_certificate_passes(self):
+        prob = build_problem(7, 3)
+        sol = solve(prob)
+        assert sol.weights == (0, 0, Fraction(2, 5), Fraction(3, 5))
+        assert sol.dual == (Fraction(2, 5), Fraction(3, 5), 0, 0, 0, 0)
+        assert verify_solution(prob, sol)
+
+    @pytest.mark.parametrize("name", sorted(FORGERIES))
+    def test_forgery_rejected(self, name):
+        prob = build_problem(7, 3)
+        assert not verify_solution(prob, FORGERIES[name](solve(prob)))
+
+
 class TestConsistencyWithClosedForms:
+    def test_every_small_cell_certifies_and_meets_closed_forms(self):
+        cells = [(n, k) for n in range(2, 17) for k in range(2, n + 1)]
+        closed = 0
+        for n, k in cells:
+            prob = build_problem(n, k)
+            sol = solve(prob)
+            assert verify_solution(prob, sol), (n, k)
+            exact = _iff_bound(n, k)
+            if exact is not None:
+                closed += 1
+                assert sol.p_s == exact[0], (n, k)
+        assert (len(cells), closed) == (120, 84)
+
     def test_matches_exact_criterion(self):
         for n in range(3, 13):
             for j in range(1, (n - 1) // 2 + 1):
