@@ -5,52 +5,39 @@ thresholds for noisy GHZ states: exact closed forms where a partition
 class admits one, phase-averaged separable constructions for arbitrary
 partitions, an exact-rational linear program for mixed-partition bounds,
 and brute-force oracles that re-derive everything from dense matrices.
+
+Public names resolve on first use (PEP 562): a process loads only the
+submodules it touches.
 """
 
-from .exactmath import (
-    binomial,
-    elem_sym,
-    verify_appendix_inequality,
-    verify_lemma1_inequality,
-    verify_w_identities,
-    w_coeff,
-)
-from .lpsolve import LpProblem, LpSolution, build_problem, solve, table1, verify_solution
-from .partitions import (
-    PartitionType,
-    Profile,
-    appendix_recursion_check,
-    enumerate_partitions,
-    format_partition,
-    parse_partition,
-    profile,
-)
-from .symstate import (
-    PadResult,
-    SymState,
-    mix,
-    noisy_ghz,
-    pad_to_isotropic,
-    partition_average_state,
-    to_dense,
-)
-from .thresholds import (
-    SeparabilityVerdict,
-    bisep_threshold,
-    classify,
-    figure1_data,
-    full_sep_threshold,
-    nj_threshold,
-)
-from .witness import (
-    MMatrixParams,
-    WitnessSpec,
-    canonical_witness,
-    gamma_diagonal,
-    ghz_witness_value,
-    necessary_threshold,
-    sep_max,
-    witness_sum,
-)
+import importlib
+
+#: Public names by the submodule that defines them.
+_EXPORTS = {
+    "exactmath": ("binomial", "elem_sym", "verify_appendix_inequality",
+                  "verify_lemma1_inequality", "verify_w_identities", "w_coeff"),
+    "lpsolve": ("LpProblem", "LpSolution", "build_problem", "solve", "table1",
+                "verify_solution"),
+    "partitions": ("PartitionType", "Profile", "appendix_recursion_check",
+                   "enumerate_partitions", "format_partition", "parse_partition", "profile"),
+    "symstate": ("PadResult", "SymState", "mix", "noisy_ghz", "pad_to_isotropic",
+                 "partition_average_state", "to_dense"),
+    "thresholds": ("SeparabilityVerdict", "bisep_threshold", "classify", "figure1_data",
+                   "full_sep_threshold", "nj_threshold"),
+    "witness": ("MMatrixParams", "WitnessSpec", "canonical_witness", "gamma_diagonal",
+                "ghz_witness_value", "necessary_threshold", "sep_max", "witness_sum"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    """Import a public name's submodule and cache the name.  Any other name
+    is an AttributeError, so ``from ghzsep import lpsolve`` imports the submodule."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

@@ -1,5 +1,7 @@
 """Command-line interface: thresholds, the LP table, curve data, and the
-verification suites."""
+verification suites.  Each command and suite imports the modules it runs
+below its docstring (click's help text), so numpy loads only for witness-max.
+"""
 
 from __future__ import annotations
 
@@ -10,20 +12,6 @@ import sys
 from fractions import Fraction
 
 import click
-
-from . import lpsolve, thresholds
-from .exactmath import (
-    CheckRecord,
-    random_unit_rationals,
-    rat_decimal,
-    rat_str,
-    verify_appendix_inequality,
-    verify_lemma1_inequality,
-    verify_w_identities,
-)
-from .partitions import enumerate_partitions, format_partition
-from .symstate import partition_average_state
-from .witness import sep_max
 
 SCHEMA_VERSION = 1
 _FORMATS = ("human", "json", "csv")
@@ -59,6 +47,9 @@ def main():
 @format_option
 def threshold(n, j, k, fmt):
     """Print the separability bound(s) for (n, j) or (n, k)."""
+    from . import thresholds
+    from .exactmath import rat_decimal, rat_str
+
     fmt = fmt or _default_format()
     if (j is None) == (k is None):
         raise click.UsageError("provide exactly one of --j or --k")
@@ -105,6 +96,10 @@ def threshold(n, j, k, fmt):
 @format_option
 def table1(nmax, check, fmt):
     """K-separability thresholds from the exact linear program (n >= 6)."""
+    from . import lpsolve
+    from .exactmath import rat_str
+    from .partitions import format_partition
+
     fmt = fmt or _default_format()
     if not 6 <= nmax <= lpsolve.MAX_N:
         raise click.UsageError(f"need 6 <= --nmax <= {lpsolve.MAX_N}, got {nmax}")
@@ -149,6 +144,8 @@ def table1(nmax, check, fmt):
               help="Output CSV path (default: stdout).")
 def figure(nmin, nmax, j_list, out):
     """Write threshold curve data as CSV."""
+    from . import thresholds
+
     try:
         rows = thresholds.figure1_data(nmin, nmax, j_list)
     except ValueError as exc:
@@ -167,6 +164,10 @@ def figure(nmin, nmax, j_list, out):
 @format_option
 def lp(n, k, fmt):
     """Solve the mixed-partition linear program for (n, k)."""
+    from . import lpsolve
+    from .exactmath import rat_decimal, rat_str
+    from .partitions import format_partition
+
     fmt = fmt or _default_format()
     if not 2 <= k <= n <= lpsolve.MAX_N:
         raise click.UsageError(f"need 2 <= k <= n <= {lpsolve.MAX_N}, got n={n}, k={k}")
@@ -246,11 +247,15 @@ def _resolve_limits(names, limits):
 
 
 def _suite_wident(seed, limits):
+    from .exactmath import verify_w_identities
+
     for L in range(2, limits["L"] + 1):
         yield from verify_w_identities(L)
 
 
 def _suite_appendix(seed, limits):
+    from .exactmath import CheckRecord, verify_appendix_inequality
+
     n_max, l_max = limits["n"], limits["l"]
     report = verify_appendix_inequality(n_max, l_max)
     yield from report.violations
@@ -260,6 +265,8 @@ def _suite_appendix(seed, limits):
 
 
 def _suite_lemma1(seed, limits):
+    from .exactmath import CheckRecord, random_unit_rationals, verify_lemma1_inequality
+
     samples = limits["samples"]
     rng = random.Random(seed)
     for n in range(4, limits["n"] + 1):
@@ -278,6 +285,9 @@ def _suite_lemma1(seed, limits):
 
 def _suite_phase_oracle(seed, limits):
     from . import oracle
+    from .exactmath import CheckRecord
+    from .partitions import enumerate_partitions, format_partition
+    from .symstate import partition_average_state
 
     for n in range(2, limits["n"] + 1):
         for k in range(2, n + 1):
@@ -289,6 +299,8 @@ def _suite_phase_oracle(seed, limits):
 
 def _suite_witness_max(seed, limits):
     from . import oracle
+    from .exactmath import CheckRecord
+    from .witness import sep_max
 
     restarts, samples = limits["restarts"], limits["samples"]
     for n, L in WITNESS_MAX_CASES:

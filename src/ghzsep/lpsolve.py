@@ -297,9 +297,10 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
 
 
 def mixed_state(sol: LpSolution) -> SymState:
-    """The optimal mixture as a symmetric state."""
-    states = [partition_average_state(p) for p in sol.partitions]
-    return mix(states, sol.weights)
+    """The optimal mixture as a symmetric state.  Zero weights would add
+    exact zeros, so only the support's states are built."""
+    weights = sol.weights_by_partition
+    return mix([partition_average_state(p) for p in sol.support], [weights[p] for p in sol.support])
 
 
 def table1(n_values) -> list:

@@ -4,10 +4,11 @@ The constructions elsewhere in the package use closed forms (profiles,
 characteristic-function sums).  This module rebuilds the same objects the
 expensive way: explicit phase averaging over every placement of the
 parties on the qubits, dense witness matrices, and direct numerical
-maximization over product states.  The characteristic-function check
-starts from the library's dense noisy GHZ state; its explicit Pauli
-traces and the stabilizer pattern they are compared with are the
-independent part.
+maximization over product states (the only numpy code; those functions
+import it, so the exact checks never load numpy).  The
+characteristic-function check starts from the library's dense noisy GHZ
+state; its explicit Pauli traces and the stabilizer pattern they are
+compared with are the independent part.
 
 Phase averages are exact.  Every matrix entry of the pre-average state is
 a Fourier polynomial of degree between -2 and 2 in each free phase, and a
@@ -25,8 +26,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exactmath import CheckRecord
 from .partitions import PartitionType
@@ -287,18 +286,22 @@ def dense_witness(n: int, L: int):
 def _dense_witness_float(n: int, L: int) -> np.ndarray:
     """The exact dense witness in floats, built once per (n, L) and shared
     read-only by the product-state probes."""
+    import numpy as np
+
     q = np.array([[float(v) for v in row] for row in dense_witness(n, L)])
     q.flags.writeable = False
     return q
 
 
 def _random_unit(rng, dim: int) -> np.ndarray:
+    import numpy as np
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
 def _env_operator(qt: np.ndarray, vecs, j: int) -> np.ndarray:
     """Contract all parties except j against their current pure states."""
+    import numpy as np
     k = len(vecs)
     operands = [qt, list(range(2 * k))]
     for l, v in enumerate(vecs):
@@ -317,6 +320,8 @@ def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed) -> f
     A restart converges when one sweep moves the value by at most 1e-12
     relative, within 500 sweeps.
     """
+    import numpy as np
+
     dims = [1 << s for s in part.parts]
     k = len(dims)
     qt = q.reshape(dims + dims)
@@ -366,6 +371,8 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
                               seed: int = 42) -> float:
     """Largest tr(rho Q) over Haar-random product states of the
     1^(n-L)|L partition; a soundness probe for the separability bound."""
+    import numpy as np
+
     if n > 8:
         raise ValueError(f"product-state sampling limited to n <= 8, got n={n}")
     q = _dense_witness_float(n, L)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lpsolve
 from .exactmath import rat_decimal, rat_str
 
 
@@ -80,7 +79,8 @@ def classify(n: int, k: int, p) -> SeparabilityVerdict:
     """Classify p against the strongest known bounds for (n, k).
 
     When no closed form applies the exact linear program is solved; above
-    ``lpsolve.MAX_N`` qubits that is a ValueError.
+    ``lpsolve.MAX_N`` qubits that is a ValueError.  For every k, p above
+    the biseparability threshold is entangled.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
@@ -91,18 +91,21 @@ def classify(n: int, k: int, p) -> SeparabilityVerdict:
     if exact is not None:
         sufficient, rule = exact
         necessary = sufficient
-    elif n > lpsolve.MAX_N:
-        raise ValueError(
-            f"no closed form for n={n}, k={k}, and the linear program is "
-            f"limited to n <= {lpsolve.MAX_N}"
-        )
     else:
+        from . import lpsolve
+
+        if n > lpsolve.MAX_N:
+            raise ValueError(
+                f"no closed form for n={n}, k={k}, and the linear program is "
+                f"limited to n <= {lpsolve.MAX_N}"
+            )
         sufficient = lpsolve.solve(lpsolve.build_problem(n, k)).p_s
         necessary = None
         rule = "mixed-partition linear program"
     if p <= sufficient:
         status = "separable"
-    elif necessary is not None and p > necessary:
+    elif (necessary is not None and p > necessary) or p > bisep_threshold(n):
+        # every k-separable state is biseparable
         status = "entangled"
     else:
         status = "unknown-gap"

@@ -233,44 +233,198 @@ class TestVerifyCommand:
         assert result.output.startswith("Usage:")
 
 
+def _src_env(**extra):
+    env = dict(os.environ, **extra)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 class TestModuleEntryPoint:
     def test_import_does_not_load_numpy(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import ghzsep, ghzsep.cli, sys; assert 'numpy' not in sys.modules"],
-            env=env,
-            timeout=60,
-        )
+        script = """
+import sys
+import ghzsep
+assert not [m for m in sys.modules if m.startswith("ghzsep.")]
+from ghzsep import lpsolve  # not a public name: the submodule import
+assert lpsolve.__name__ == "ghzsep.lpsolve"
+import ghzsep.cli
+assert "numpy" not in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), timeout=60)
         assert proc.returncode == 0
 
+    def test_public_names_are_the_submodule_objects(self):
+        import ghzsep
+
+        assert len(ghzsep.__all__) == 40
+        for name in ghzsep.__all__:
+            obj = getattr(ghzsep, name)
+            assert obj is getattr(sys.modules[obj.__module__], name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        import ghzsep
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ghzsep.no_such_name
+
     def test_python_dash_m(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "ghzsep", "threshold", "--n", "3", "--j", "1"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_src_env(),
             timeout=60,
         )
         assert proc.returncode == 0
         assert "3/7 (iff)" in proc.stdout
 
     def test_format_env_variable(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["GHZSEP_FORMAT"] = "json"
         proc = subprocess.run(
             [sys.executable, "-m", "ghzsep", "threshold", "--n", "3", "--j", "1"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_src_env(GHZSEP_FORMAT="json"),
             timeout=60,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["sufficient"] == "3/7"
+
+
+# Runs the CLI as ``python -m ghzsep`` would and, at exit, writes the loaded
+# ghzsep submodules and whether numpy was loaded as the last stderr line.
+_REPORT_IMPORTS = """
+import atexit, json, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(
+    [sorted(m for m in sys.modules if m.startswith("ghzsep.")), "numpy" in sys.modules])))
+runpy.run_module("ghzsep", run_name="__main__")
+"""
+
+_LP = ["cli", "exactmath", "lpsolve", "partitions", "symstate"]
+_ORACLE = ["cli", "exactmath", "oracle", "partitions", "symstate", "witness"]
+
+#: command line -> (the ghzsep submodules it loads, whether it loads numpy)
+IMPORT_SETS = {
+    "--help": (["cli"], False),
+    "lp --n 6 --k 3": (_LP, False),
+    "table1 --nmax 6": (_LP, False),
+    "threshold --n 5 --k 4": (["cli", "exactmath", "thresholds"], False),
+    "threshold --n 6 --k 3": (_LP + ["thresholds"], False),
+    "figure --nmax 4": (["cli", "exactmath", "thresholds"], False),
+    "verify --suite wident --limits L=2": (["cli", "exactmath"], False),
+    "verify --suite appendix --limits n=4,l=2": (["cli", "exactmath"], False),
+    "verify --suite lemma1 --limits n=4,samples=1": (["cli", "exactmath"], False),
+    "verify --suite phase-oracle --limits n=2": (_ORACLE, False),
+    "verify --suite charfn --limits n=2": (_ORACLE, False),
+    "verify --suite witness-max --limits restarts=1,samples=1": (_ORACLE, True),
+}
+
+
+class TestCommandImports:
+    """Each command loads only the modules it runs, and numpy only for the
+    float witness probes."""
+
+    @pytest.mark.parametrize("command", list(IMPORT_SETS))
+    def test_import_set(self, command):
+        modules, numpy = IMPORT_SETS[command]
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_IMPORTS, *command.split()],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert loaded == sorted(f"ghzsep.{m}" for m in modules)
+        assert numpy_loaded is numpy
+
+
+_OPTIONS_FORMAT = """\
+  --format [human|json|csv]  Output format (default: human, or
+                             $GHZSEP_FORMAT).
+  --help                     Show this message and exit.
+"""
+
+#: ``--help`` of the group and of each command, byte for byte.  Each
+#: command's help text is its docstring, so a statement above the
+#: docstring would blank it.
+HELP_TEXT = {
+    (): """\
+Usage: ghzsep [OPTIONS] COMMAND [ARGS]...
+
+  Exact separability thresholds of N-qubit GHZ states in white noise.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  figure     Write threshold curve data as CSV.
+  lp         Solve the mixed-partition linear program for (n, k).
+  table1     K-separability thresholds from the exact linear program (n...
+  threshold  Print the separability bound(s) for (n, j) or (n, k).
+  verify     Run a verification suite; stream JSON-line reports, exit 0...
+""",
+    ("threshold",): """\
+Usage: ghzsep threshold [OPTIONS]
+
+  Print the separability bound(s) for (n, j) or (n, k).
+
+Options:
+  --n INTEGER                Number of qubits.  [required]
+  --j INTEGER                n-j separability index.
+  --k INTEGER                Number of parties.
+""" + _OPTIONS_FORMAT,
+    ("table1",): """\
+Usage: ghzsep table1 [OPTIONS]
+
+  K-separability thresholds from the exact linear program (n >= 6).
+
+Options:
+  --nmax INTEGER             Largest qubit count.
+  --check                    Compare against the golden values.
+""" + _OPTIONS_FORMAT,
+    ("figure",): """\
+Usage: ghzsep figure [OPTIONS]
+
+  Write threshold curve data as CSV.
+
+Options:
+  --nmin INTEGER
+  --nmax INTEGER
+  --j INTEGER
+  --out FILE      Output CSV path (default: stdout).
+  --help          Show this message and exit.
+""",
+    ("lp",): """\
+Usage: ghzsep lp [OPTIONS]
+
+  Solve the mixed-partition linear program for (n, k).
+
+Options:
+  --n INTEGER                [required]
+  --k INTEGER                [required]
+""" + _OPTIONS_FORMAT,
+    ("verify",): """\
+Usage: ghzsep verify [OPTIONS]
+
+  Run a verification suite; stream JSON-line reports, exit 0 iff all pass.
+
+Options:
+  --suite [appendix|charfn|lemma1|phase-oracle|wident|witness-max|all]
+                                  [required]
+  --seed INTEGER
+  --limits TEXT                   Comma-separated key=value limit overrides.
+  --help                          Show this message and exit.
+""",
+}
+
+
+class TestHelpText:
+    @pytest.mark.parametrize("command", sorted(HELP_TEXT), ids=lambda c: " ".join(c) or "main")
+    def test_help_pinned(self, runner, command):
+        # 78 columns: the width click formats for an 80-column terminal
+        result = runner.invoke(main, [*command, "--help"], prog_name="ghzsep",
+                               terminal_width=78)
+        assert result.exit_code == 0
+        assert result.output == HELP_TEXT[command]

@@ -14,7 +14,7 @@ from ghzsep.lpsolve import (
     verify_solution,
 )
 from ghzsep.partitions import parse_partition
-from ghzsep.symstate import pad_to_isotropic
+from ghzsep.symstate import mix, pad_to_isotropic, partition_average_state
 from ghzsep.thresholds import _iff_bound, bisep_threshold, nj_threshold
 
 
@@ -209,6 +209,17 @@ class TestConsistencyWithClosedForms:
             res = pad_to_isotropic(mixed_state(sol))
             assert res.tau == sol.tau
             assert res.p_s == sol.p_s
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[(n, k) for n in range(2, 13) for k in range(2, n + 1)], [(23, 6)]],
+        ids=["n<=12", "23-6"],
+    )
+    def test_mixed_state_equals_the_all_partition_mix(self, cells):
+        for n, k in cells:
+            sol = solve(build_problem(n, k))
+            every = mix([partition_average_state(p) for p in sol.partitions], sol.weights)
+            assert mixed_state(sol) == every, (n, k)
 
 
 class TestGoldenTable:

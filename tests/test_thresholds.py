@@ -70,6 +70,20 @@ class TestClassify:
         assert v.sufficient_bound == Fraction(9, 41)
         assert v.necessary_bound is None
 
+    def test_gap_verdicts_agree_with_biseparability(self):
+        # every k-separable state is biseparable, so above the
+        # biseparability threshold every gap cell is entangled
+        for n in range(6, 11):
+            bisep = bisep_threshold(n)
+            for k in range(3, n // 2 + 1):
+                p_s = classify(n, k, 0).sufficient_bound
+                assert p_s < bisep
+                above = classify(n, k, bisep + Fraction(1, 10**9))
+                assert (above.status, above.necessary_bound) == ("entangled", None), (n, k)
+                assert classify(n, k, (p_s + bisep) / 2).status == "unknown-gap", (n, k)
+                assert classify(n, k, p_s).status == "separable", (n, k)
+        assert classify(6, 3, Fraction(99, 100)).status == "entangled"
+
     def test_entangled_beyond_full_separability(self):
         v = classify(4, 4, Fraction(1, 2))
         assert v.status == "entangled"
