@@ -6,7 +6,6 @@ below its docstring (click's help text), so numpy loads only for witness-max.
 from __future__ import annotations
 
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -18,19 +17,25 @@ _FORMATS = ("human", "json", "csv")
 
 WITNESS_MAX_CASES = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4))
 
+#: Largest n whose closed-form rationals ``threshold`` and ``figure`` print:
+#: near n = 14,273 their digits pass Python's int-to-string limit.
+_CLOSED_FORM_MAX_N = 10_000
 
-def _default_format() -> str:
-    fmt = os.environ.get("GHZSEP_FORMAT", "human")
-    return fmt if fmt in _FORMATS else "human"
 
-
-def _emit_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    click.echo(json.dumps(payload, sort_keys=True))
+def _emit(fmt, human, payload, header, rows):
+    """Print one result as human lines, a JSON object or CSV rows."""
+    if fmt == "human":
+        lines = human
+    elif fmt == "json":
+        lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True)]
+    else:
+        lines = [header, *(",".join(map(str, row)) for row in rows)]
+    for line in lines:
+        click.echo(line)
 
 
 format_option = click.option(
-    "--format", "fmt", type=click.Choice(_FORMATS), default=None,
+    "--format", "fmt", type=click.Choice(_FORMATS), default="human", envvar="GHZSEP_FORMAT",
     help="Output format (default: human, or $GHZSEP_FORMAT).",
 )
 
@@ -50,9 +55,10 @@ def threshold(n, j, k, fmt):
     from . import thresholds
     from .exactmath import rat_decimal, rat_str
 
-    fmt = fmt or _default_format()
     if (j is None) == (k is None):
         raise click.UsageError("provide exactly one of --j or --k")
+    if n > _CLOSED_FORM_MAX_N:
+        raise click.UsageError(f"need n <= {_CLOSED_FORM_MAX_N}, got n={n}")
     try:
         if j is not None:
             thresholds.nj_threshold(n, j)  # range check: --j needs n >= 2j + 1
@@ -60,34 +66,15 @@ def threshold(n, j, k, fmt):
         verdict = thresholds.classify(n, k, 0)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    sufficient = verdict.sufficient_bound
-    necessary = verdict.necessary_bound
-    kind = "iff" if necessary is not None else "sufficient-only"
-    rule = verdict.sufficient_rule
-    if fmt == "human":
-        if kind == "iff":
-            click.echo(f"{rat_str(sufficient)} (iff)")
-            click.echo(f"rule: {rule}")
-        else:
-            click.echo(f"sufficient: {rat_str(sufficient)}")
-            click.echo("necessary: none given")
-            click.echo(f"rule: {rule}")
-    elif fmt == "json":
-        _emit_json(
-            {
-                "n": n,
-                "k": k,
-                "kind": kind,
-                "rule": rule,
-                "sufficient": rat_str(sufficient),
-                "sufficient_decimal": rat_decimal(sufficient),
-                "necessary": rat_str(necessary) if necessary is not None else None,
-            }
-        )
-    else:
-        click.echo("n,k,kind,sufficient,necessary")
-        nec = rat_str(necessary) if necessary is not None else ""
-        click.echo(f"{n},{k},{kind},{rat_str(sufficient)},{nec}")
+    sufficient, rule = rat_str(verdict.sufficient_bound), verdict.sufficient_rule
+    necessary = None if verdict.necessary_bound is None else rat_str(verdict.necessary_bound)
+    kind = "sufficient-only" if necessary is None else "iff"
+    human = ([f"sufficient: {sufficient}", "necessary: none given"] if necessary is None
+             else [f"{sufficient} (iff)"])
+    _emit(fmt, human + [f"rule: {rule}"],
+          {"n": n, "k": k, "kind": kind, "rule": rule, "sufficient": sufficient,
+           "sufficient_decimal": rat_decimal(verdict.sufficient_bound), "necessary": necessary},
+          "n,k,kind,sufficient,necessary", [(n, k, kind, sufficient, necessary or "")])
 
 
 @main.command()
@@ -100,40 +87,29 @@ def table1(nmax, check, fmt):
     from .exactmath import rat_str
     from .partitions import format_partition
 
-    fmt = fmt or _default_format()
     if not 6 <= nmax <= lpsolve.MAX_N:
         raise click.UsageError(f"need 6 <= --nmax <= {lpsolve.MAX_N}, got {nmax}")
     rows = lpsolve.table1(range(6, nmax + 1))
-    if fmt == "human":
-        click.echo("n  k  partitions (tau*weight)            tau        p_s")
-        for sol in rows:
-            supp = ", ".join(
-                f"{format_partition(p)}:{rat_str(w * sol.tau)}"
-                for p, w in zip(sol.partitions, sol.weights)
-                if w > 0
-            )
-            click.echo(
-                f"{sol.n:<3}{sol.k:<3}{supp:<36}{rat_str(sol.tau):<11}{rat_str(sol.p_s)}"
-            )
-    elif fmt == "json":
-        _emit_json({"rows": [sol.as_dict() for sol in rows]})
-    else:
-        click.echo("n,k,tau,p_s,support")
-        for sol in rows:
-            supp = " ".join(format_partition(p) for p in sol.support)
-            click.echo(f"{sol.n},{sol.k},{rat_str(sol.tau)},{rat_str(sol.p_s)},{supp}")
+    human = ["n  k  partitions (tau*weight)            tau        p_s"]
+    for sol in rows:
+        supp = ", ".join(
+            f"{format_partition(p)}:{rat_str(w * sol.tau)}"
+            for p, w in zip(sol.partitions, sol.weights)
+            if w > 0
+        )
+        human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{rat_str(sol.tau):<11}{rat_str(sol.p_s)}")
+    _emit(fmt, human, {"rows": [sol.as_dict() for sol in rows]}, "n,k,tau,p_s,support",
+          [(sol.n, sol.k, rat_str(sol.tau), rat_str(sol.p_s),
+            " ".join(format_partition(p) for p in sol.support)) for sol in rows])
     if check:
-        bad = []
-        for sol in rows:
-            key = (sol.n, sol.k)
-            if key not in lpsolve.REFERENCE_TAU:
-                continue
-            if sol.tau != lpsolve.REFERENCE_TAU[key] or sol.p_s != lpsolve.reference_threshold(*key):
-                bad.append(key)
+        golden = [sol for sol in rows if (sol.n, sol.k) in lpsolve.REFERENCE_TAU]
+        bad = [(sol.n, sol.k) for sol in golden
+               if sol.tau != lpsolve.REFERENCE_TAU[sol.n, sol.k]
+               or sol.p_s != lpsolve.reference_threshold(sol.n, sol.k)]
         if bad:
             click.echo(f"golden mismatch at rows: {bad}", err=True)
             sys.exit(1)
-        click.echo(f"golden check passed for {sum(1 for s in rows if (s.n, s.k) in lpsolve.REFERENCE_TAU)} rows", err=True)
+        click.echo(f"golden check passed for {len(golden)} rows", err=True)
 
 
 @main.command()
@@ -146,6 +122,8 @@ def figure(nmin, nmax, j_list, out):
     """Write threshold curve data as CSV."""
     from . import thresholds
 
+    if nmax > _CLOSED_FORM_MAX_N:
+        raise click.UsageError(f"need --nmax <= {_CLOSED_FORM_MAX_N}, got {nmax}")
     try:
         rows = thresholds.figure1_data(nmin, nmax, j_list)
     except ValueError as exc:
@@ -168,28 +146,20 @@ def lp(n, k, fmt):
     from .exactmath import rat_decimal, rat_str
     from .partitions import format_partition
 
-    fmt = fmt or _default_format()
     if not 2 <= k <= n <= lpsolve.MAX_N:
         raise click.UsageError(f"need 2 <= k <= n <= {lpsolve.MAX_N}, got n={n}, k={k}")
     prob = lpsolve.build_problem(n, k)
     sol = lpsolve.solve(prob)
     certified = lpsolve.verify_solution(prob, sol)
-    if fmt == "human":
-        click.echo(f"tau = {rat_str(sol.tau)}")
-        click.echo(f"p_s = {rat_str(sol.p_s)} ({rat_decimal(sol.p_s)})")
-        for p, w in zip(sol.partitions, sol.weights):
-            if w > 0:
-                click.echo(f"  {format_partition(p)}: {rat_str(w)}")
-        click.echo(f"binding rows: {list(sol.binding)}")
-        click.echo(f"certificate: {'valid' if certified else 'INVALID'}")
-    elif fmt == "json":
-        payload = sol.as_dict()
-        payload["binding"] = list(sol.binding)
-        payload["certified"] = certified
-        _emit_json(payload)
-    else:
-        click.echo("n,k,tau,p_s,certified")
-        click.echo(f"{n},{k},{rat_str(sol.tau)},{rat_str(sol.p_s)},{certified}")
+    tau, p_s = rat_str(sol.tau), rat_str(sol.p_s)
+    _emit(fmt,
+          [f"tau = {tau}", f"p_s = {p_s} ({rat_decimal(sol.p_s)})",
+           *(f"  {format_partition(p)}: {rat_str(w)}"
+             for p, w in zip(sol.partitions, sol.weights) if w > 0),
+           f"binding rows: {list(sol.binding)}",
+           f"certificate: {'valid' if certified else 'INVALID'}"],
+          {**sol.as_dict(), "binding": list(sol.binding), "certified": certified},
+          "n,k,tau,p_s,certified", [(n, k, tau, p_s, certified)])
     if not certified:
         sys.exit(1)
 
@@ -209,24 +179,13 @@ def _parse_limits(text):
     return limits
 
 
-#: Limit keys of each suite: key -> (default, smallest, largest or None).
-_SUITE_LIMITS = {
-    "wident": {"L": (20, 2, None)},
-    "appendix": {"n": (100, 4, None), "l": (100, 2, None)},
-    "lemma1": {"n": (8, 4, None), "samples": (10000, 1, None)},
-    "phase-oracle": {"n": (8, 2, 10)},
-    "witness-max": {"restarts": (64, 1, None), "samples": (10000, 1, None)},
-    "charfn": {"n": (6, 2, 8)},
-}
-
-
 def _resolve_limits(names, limits):
     """Each named suite's limits: overrides on top of defaults, validated.
 
     A key no named suite declares, or a value outside a suite's range, is
     a usage error raised before any suite runs.
     """
-    known = set().union(*(_SUITE_LIMITS[name] for name in names))
+    known = set().union(*(_SUITES[name][1] for name in names))
     unknown = sorted(set(limits) - known)
     if unknown:
         raise click.UsageError(
@@ -236,7 +195,7 @@ def _resolve_limits(names, limits):
     resolved = {}
     for name in names:
         values = {}
-        for key, (default, lo, hi) in _SUITE_LIMITS[name].items():
+        for key, (default, lo, hi) in _SUITES[name][1].items():
             value = limits.get(key, default)
             if value < lo or (hi is not None and value > hi):
                 span = f"{key} >= {lo}" if hi is None else f"{lo} <= {key} <= {hi}"
@@ -320,13 +279,14 @@ def _suite_charfn(seed, limits):
             yield from oracle.characteristic_check(n, p).records
 
 
+#: Each suite's generator and limit keys: key -> (default, smallest, largest or None).
 _SUITES = {
-    "wident": _suite_wident,
-    "appendix": _suite_appendix,
-    "lemma1": _suite_lemma1,
-    "phase-oracle": _suite_phase_oracle,
-    "witness-max": _suite_witness_max,
-    "charfn": _suite_charfn,
+    "wident": (_suite_wident, {"L": (20, 2, None)}),
+    "appendix": (_suite_appendix, {"n": (100, 4, None), "l": (100, 2, None)}),
+    "lemma1": (_suite_lemma1, {"n": (8, 4, None), "samples": (10000, 1, None)}),
+    "phase-oracle": (_suite_phase_oracle, {"n": (8, 2, 10)}),
+    "witness-max": (_suite_witness_max, {"restarts": (64, 1, None), "samples": (10000, 1, None)}),
+    "charfn": (_suite_charfn, {"n": (6, 2, 8)}),
 }
 
 
@@ -336,11 +296,13 @@ _SUITES = {
 @click.option("--limits", default="", help="Comma-separated key=value limit overrides.")
 def verify(suite, seed, limits):
     """Run a verification suite; stream JSON-line reports, exit 0 iff all pass."""
+    if seed < 0:
+        raise click.UsageError(f"need --seed >= 0, got {seed}")
     names = sorted(_SUITES) if suite == "all" else [suite]
     limits = _resolve_limits(names, _parse_limits(limits))
     all_ok = True
     for name in names:
-        for record in _SUITES[name](seed, limits[name]):
+        for record in _SUITES[name][0](seed, limits[name]):
             all_ok = all_ok and record.passed
             click.echo(json.dumps(record.as_dict(), sort_keys=True))
     sys.exit(0 if all_ok else 1)

@@ -191,37 +191,23 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
 
     values = {}
     mismatch = None
-    nonzero = 0
     for idx in itertools.product(range(4), repeat=n):
-        xmask = 0
-        zmask = 0
-        ycount = 0
-        for q, s in enumerate(idx):
-            if s in (1, 2):
-                xmask |= 1 << q
-            if s in (2, 3):
-                zmask |= 1 << q
-            if s == 2:
-                ycount += 1
-        re = Fraction(0)
-        im = Fraction(0)
+        xmask = sum(1 << q for q, s in enumerate(idx) if s in (1, 2))
+        zmask = sum(1 << q for q, s in enumerate(idx) if s in (2, 3))
+        ycount = idx.count(2)
+        # the parts of the trace carrying i^0 .. i^3; int zeros keep the
+        # strings that reach no entry of rho free of Fraction arithmetic
+        trace = [0] * 4
         for y, amp in by_xmask.get(xmask, ()):
-            power = (ycount + 2 * (y & zmask).bit_count()) % 4
-            if power == 0:
-                re += amp
-            elif power == 1:
-                im += amp
-            elif power == 2:
-                re -= amp
-            else:
-                im -= amp
-        if im != 0:
-            mismatch = mismatch or (idx, "non-real correlation")
+            trace[(ycount + 2 * (y & zmask).bit_count()) % 4] += amp
+        re, im = Fraction(trace[0] - trace[2]), trace[1] - trace[3]
         values[idx] = re
-        if re != 0:
-            nonzero += 1
-        if mismatch is None and re != _expected_correlation(idx, p):
-            mismatch = (idx, f"got {re}, expected {_expected_correlation(idx, p)}")
+        expected = _expected_correlation(idx, p)
+        if mismatch is None and im != 0:
+            mismatch = (idx, "non-real correlation")
+        elif mismatch is None and re != expected:
+            mismatch = (idx, f"got {re}, expected {expected}")
+    nonzero = sum(1 for value in values.values() if value)
 
     expected_count = 2**n if p != 0 else 1
     records = (

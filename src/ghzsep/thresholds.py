@@ -120,10 +120,12 @@ def figure1_data(n_min: int, n_max: int, j_list) -> list:
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError(f"invalid range [{n_min}, {n_max}]")
+    if j_list and min(j_list) < 1:
+        raise ValueError(f"need j >= 1, got j={min(j_list)}")
     rows = []
     for n in range(n_min, n_max + 1):
         for j in j_list:
-            if j >= 1 and n >= 2 * j + 1:
+            if n >= 2 * j + 1:
                 rows.append((n, f"j={j}", nj_threshold(n, j)))
         rows.append((n, "bisep", bisep_threshold(n)))
         rows.append((n, "full", full_sep_threshold(n)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from ghzsep import lpsolve
-from ghzsep.cli import main
+from ghzsep.cli import _CLOSED_FORM_MAX_N, main
 
 
 @pytest.fixture
@@ -71,6 +72,22 @@ class TestThresholdCommand:
         assert payload["kind"] == "iff"
         assert payload["sufficient"] == "15/8358680908399640591"
 
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    @pytest.mark.parametrize("offset", [1, 0, None], ids=["k=n-1", "k=n", "k=2"])
+    def test_closed_form_cells_print_at_the_cap(self, runner, fmt, offset):
+        n = _CLOSED_FORM_MAX_N
+        k = 2 if offset is None else n - offset
+        result = runner.invoke(main, ["threshold", "--n", str(n), "--k", str(k), "--format", fmt])
+        assert result.exit_code == 0
+        assert "iff" in result.output
+
+    def test_above_the_closed_form_cap_exits_two(self, runner):
+        # the rationals near n = 14,273 pass Python's int-to-string digit limit
+        result = runner.invoke(main, ["threshold", "--n", "20000", "--k", "19999"])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert f"n <= {_CLOSED_FORM_MAX_N}" in result.output
+
 
 class TestTableCommand:
     def test_golden_check_passes(self, runner):
@@ -118,6 +135,20 @@ class TestFigureCommand:
         assert "3,j=1,3/7," in text
         assert "6,full,1/33," in text
         assert "6,bisep,31/63," in text
+
+    def test_at_the_cap(self, runner):
+        cap = str(_CLOSED_FORM_MAX_N)
+        result = runner.invoke(main, ["figure", "--nmin", cap, "--nmax", cap])
+        assert result.exit_code == 0
+        assert [line.split(",")[1] for line in result.output.splitlines()[1:]] == [
+            "j=1", "j=2", "j=3", "j=4", "j=5", "bisep", "full"
+        ]
+
+    @pytest.mark.parametrize("args", [["--nmin", "20000", "--nmax", "20000"], ["--j", "0"]])
+    def test_bad_input_exits_two(self, runner, args):
+        result = runner.invoke(main, ["figure", *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
 
 
 class TestLpCommand:
@@ -215,6 +246,13 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", "wident", "--limits", "L"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("suite", ["witness-max", "all"])
+    def test_negative_seed_exits_two_before_any_suite(self, runner, suite):
+        result = runner.invoke(main, ["verify", "--suite", suite, "--seed", "-1"])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert "--seed >= 0" in result.output
+
     @pytest.mark.parametrize(
         "suite, limits",
         [
@@ -231,6 +269,32 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", suite, "--limits", limits])
         assert result.exit_code == 2
         assert result.output.startswith("Usage:")
+
+
+def _pinned_command_lines():
+    """threshold over every (n, k) with n <= 10 and every valid (n, j) with
+    n <= 9, lp over every n <= 9 and table1 --check to 12, in each format."""
+    cells = [["threshold", "--n", str(n), "--k", str(k)] for n in range(2, 11) for k in range(2, n + 1)]
+    cells += [["threshold", "--n", str(n), "--j", str(j)]
+              for n in range(3, 10) for j in range(1, (n - 1) // 2 + 1)]
+    cells += [["lp", "--n", str(n), "--k", str(k)] for n in range(2, 10) for k in range(2, n + 1)]
+    cells.append(["table1", "--nmax", "12", "--check"])
+    return [args + ["--format", fmt] for fmt in ("human", "json", "csv") for args in cells]
+
+
+class TestOutputPinned:
+    #: sha256 over each command line, its exit code and its output, captured
+    #: before the three commands shared one output path.
+    DIGEST = "6ca6ecf72229a7ec95a9d32125c9927dcefd4413f66d6010eb37971f7858228c"
+
+    def test_every_command_byte_for_byte(self, runner):
+        lines = _pinned_command_lines()
+        assert len(lines) == 294
+        digest = hashlib.sha256()
+        for args in lines:
+            result = runner.invoke(main, args)
+            digest.update(f"{' '.join(args)}\n{result.exit_code}\n{result.output}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 def _src_env(**extra):
@@ -289,6 +353,19 @@ assert "numpy" not in sys.modules
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["sufficient"] == "3/7"
+
+    def test_invalid_format_env_variable_exits_two(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzsep", "threshold", "--n", "3", "--j", "1"],
+            capture_output=True,
+            text=True,
+            env=_src_env(GHZSEP_FORMAT="bogus"),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("Usage:")
+        assert "Traceback" not in proc.stderr
 
 
 # Runs the CLI as ``python -m ghzsep`` would and, at exit, writes the loaded

@@ -140,3 +140,8 @@ class TestFigureData:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             figure1_data(5, 4, (1,))
+
+    @pytest.mark.parametrize("j_list", [(0,), (1, -2)])
+    def test_rejects_j_below_one(self, j_list):
+        with pytest.raises(ValueError, match="need j >= 1"):
+            figure1_data(3, 6, j_list)
