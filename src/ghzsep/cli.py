@@ -1,6 +1,7 @@
 """Command-line interface: thresholds, the LP table, curve data, and the
 verification suites.  Each command and suite imports the modules it runs
 below its docstring (click's help text), so numpy loads only for witness-max.
+The library returns exact values; this module alone turns them into text.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from decimal import Context
 from fractions import Fraction
 
 import click
@@ -21,8 +23,11 @@ WITNESS_MAX_CASES = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4))
 #: near n = 14,273 their digits pass Python's int-to-string limit.
 _CLOSED_FORM_MAX_N = 10_000
 
+#: The decimal column printed beside an exact rational has 12 significant digits.
+_DECIMAL_CONTEXT = Context(prec=12)
 
-def _emit(fmt, human, payload, header, rows):
+
+def _emit(fmt, human, payload, header, rows, file=None):
     """Print one result as human lines, a JSON object or CSV rows."""
     if fmt == "human":
         lines = human
@@ -30,8 +35,21 @@ def _emit(fmt, human, payload, header, rows):
         lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True)]
     else:
         lines = [header, *(",".join(map(str, row)) for row in rows)]
-    for line in lines:
-        click.echo(line)
+    click.echo("\n".join(lines), file=file)
+
+
+def _decimal(q):
+    """A rational to 12 significant digits."""
+    return str(_DECIMAL_CONTEXT.divide(q.numerator, q.denominator))
+
+
+def _lp_payload(sol):
+    """The JSON fields of one LP solution: exact tau, p_s and support weights."""
+    from .partitions import format_partition
+
+    return {"n": sol.n, "k": sol.k, "tau": str(sol.tau), "p_s": str(sol.p_s),
+            "weights": {format_partition(p): str(w)
+                        for p, w in zip(sol.partitions, sol.weights) if w > 0}}
 
 
 format_option = click.option(
@@ -53,7 +71,6 @@ def main():
 def threshold(n, j, k, fmt):
     """Print the separability bound(s) for (n, j) or (n, k)."""
     from . import thresholds
-    from .exactmath import rat_decimal, rat_str
 
     if (j is None) == (k is None):
         raise click.UsageError("provide exactly one of --j or --k")
@@ -66,14 +83,16 @@ def threshold(n, j, k, fmt):
         verdict = thresholds.classify(n, k, 0)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    sufficient, rule = rat_str(verdict.sufficient_bound), verdict.sufficient_rule
-    necessary = None if verdict.necessary_bound is None else rat_str(verdict.necessary_bound)
+    except ArithmeticError as exc:
+        raise click.ClickException(str(exc))
+    sufficient, rule = str(verdict.sufficient_bound), verdict.sufficient_rule
+    necessary = None if verdict.necessary_bound is None else str(verdict.necessary_bound)
     kind = "sufficient-only" if necessary is None else "iff"
     human = ([f"sufficient: {sufficient}", "necessary: none given"] if necessary is None
              else [f"{sufficient} (iff)"])
     _emit(fmt, human + [f"rule: {rule}"],
           {"n": n, "k": k, "kind": kind, "rule": rule, "sufficient": sufficient,
-           "sufficient_decimal": rat_decimal(verdict.sufficient_bound), "necessary": necessary},
+           "sufficient_decimal": _decimal(verdict.sufficient_bound), "necessary": necessary},
           "n,k,kind,sufficient,necessary", [(n, k, kind, sufficient, necessary or "")])
 
 
@@ -84,23 +103,25 @@ def threshold(n, j, k, fmt):
 def table1(nmax, check, fmt):
     """K-separability thresholds from the exact linear program (n >= 6)."""
     from . import lpsolve
-    from .exactmath import rat_str
     from .partitions import format_partition
 
     if not 6 <= nmax <= lpsolve.MAX_N:
         raise click.UsageError(f"need 6 <= --nmax <= {lpsolve.MAX_N}, got {nmax}")
-    rows = lpsolve.table1(range(6, nmax + 1))
+    try:
+        rows = lpsolve.table1(range(6, nmax + 1))
+    except ArithmeticError as exc:
+        raise click.ClickException(str(exc))
     human = ["n  k  partitions (tau*weight)            tau        p_s"]
     for sol in rows:
         supp = ", ".join(
-            f"{format_partition(p)}:{rat_str(w * sol.tau)}"
+            f"{format_partition(p)}:{w * sol.tau}"
             for p, w in zip(sol.partitions, sol.weights)
             if w > 0
         )
-        human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{rat_str(sol.tau):<11}{rat_str(sol.p_s)}")
-    _emit(fmt, human, {"rows": [sol.as_dict() for sol in rows]}, "n,k,tau,p_s,support",
-          [(sol.n, sol.k, rat_str(sol.tau), rat_str(sol.p_s),
-            " ".join(format_partition(p) for p in sol.support)) for sol in rows])
+        human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{str(sol.tau):<11}{sol.p_s}")
+    _emit(fmt, human, {"rows": [_lp_payload(sol) for sol in rows]}, "n,k,tau,p_s,support",
+          [(sol.n, sol.k, sol.tau, sol.p_s, " ".join(format_partition(p) for p in sol.support))
+           for sol in rows])
     if check:
         golden = [sol for sol in rows if (sol.n, sol.k) in lpsolve.REFERENCE_TAU]
         bad = [(sol.n, sol.k) for sol in golden
@@ -128,12 +149,9 @@ def figure(nmin, nmax, j_list, out):
         rows = thresholds.figure1_data(nmin, nmax, j_list)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    text = thresholds.rows_to_csv(rows)
-    if out == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with click.open_file(out, "w") as fh:
+        _emit("csv", None, None, "n,curve,p_exact,p_decimal",
+              [(n, curve, p, _decimal(p)) for n, curve, p in rows], file=fh)
 
 
 @main.command()
@@ -143,7 +161,6 @@ def figure(nmin, nmax, j_list, out):
 def lp(n, k, fmt):
     """Solve the mixed-partition linear program for (n, k)."""
     from . import lpsolve
-    from .exactmath import rat_decimal, rat_str
     from .partitions import format_partition
 
     if not 2 <= k <= n <= lpsolve.MAX_N:
@@ -151,15 +168,14 @@ def lp(n, k, fmt):
     prob = lpsolve.build_problem(n, k)
     sol = lpsolve.solve(prob)
     certified = lpsolve.verify_solution(prob, sol)
-    tau, p_s = rat_str(sol.tau), rat_str(sol.p_s)
     _emit(fmt,
-          [f"tau = {tau}", f"p_s = {p_s} ({rat_decimal(sol.p_s)})",
-           *(f"  {format_partition(p)}: {rat_str(w)}"
+          [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
+           *(f"  {format_partition(p)}: {w}"
              for p, w in zip(sol.partitions, sol.weights) if w > 0),
            f"binding rows: {list(sol.binding)}",
            f"certificate: {'valid' if certified else 'INVALID'}"],
-          {**sol.as_dict(), "binding": list(sol.binding), "certified": certified},
-          "n,k,tau,p_s,certified", [(n, k, tau, p_s, certified)])
+          {**_lp_payload(sol), "binding": list(sol.binding), "certified": certified},
+          "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, certified)])
     if not certified:
         sys.exit(1)
 
@@ -170,10 +186,13 @@ def _parse_limits(text):
         return limits
     for piece in text.split(","):
         key, _, value = piece.partition("=")
-        if not value:
+        key = key.strip()
+        if not key or not value:
             raise click.UsageError(f"bad --limits entry {piece!r}; expected key=value")
+        if key in limits:
+            raise click.UsageError(f"duplicate --limits key {key!r}")
         try:
-            limits[key.strip()] = int(value)
+            limits[key] = int(value)
         except ValueError:
             raise click.UsageError(f"bad --limits value in {piece!r}")
     return limits
@@ -280,9 +299,10 @@ def _suite_charfn(seed, limits):
 
 
 #: Each suite's generator and limit keys: key -> (default, smallest, largest or None).
+#: The appendix sweep's Pascal table grows with (n + l)^2 entries, hence its cap.
 _SUITES = {
     "wident": (_suite_wident, {"L": (20, 2, None)}),
-    "appendix": (_suite_appendix, {"n": (100, 4, None), "l": (100, 2, None)}),
+    "appendix": (_suite_appendix, {"n": (100, 4, 500), "l": (100, 2, 500)}),
     "lemma1": (_suite_lemma1, {"n": (8, 4, None), "samples": (10000, 1, None)}),
     "phase-oracle": (_suite_phase_oracle, {"n": (8, 2, 10)}),
     "witness-max": (_suite_witness_max, {"restarts": (64, 1, None), "samples": (10000, 1, None)}),
@@ -304,7 +324,9 @@ def verify(suite, seed, limits):
     for name in names:
         for record in _SUITES[name][0](seed, limits[name]):
             all_ok = all_ok and record.passed
-            click.echo(json.dumps(record.as_dict(), sort_keys=True))
+            click.echo(json.dumps({"check": record.check, "params": record.params,
+                                   "pass": record.passed, "detail": record.detail},
+                                  sort_keys=True))
     sys.exit(0 if all_ok else 1)
 
 

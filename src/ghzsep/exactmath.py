@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -71,14 +70,6 @@ class CheckRecord:
     params: dict
     passed: bool
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "pass": self.passed,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -249,19 +240,3 @@ def random_unit_rationals(rng: random.Random, length: int) -> tuple:
         den = rng.randint(1, 64)
         out.append(Fraction(rng.randint(-den, den), den))
     return tuple(out)
-
-
-def rat_str(q) -> str:
-    """Render a rational as ``num/den`` (or just ``num`` for integers)."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def rat_decimal(q) -> str:
-    """Decimal rendering of a rational with 12 significant digits."""
-    q = Fraction(q)
-    with localcontext() as ctx:
-        ctx.prec = 12
-        return str(Decimal(q.numerator) / Decimal(q.denominator))

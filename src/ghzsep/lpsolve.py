@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import enumerate_partitions, format_partition, profile
+from .partitions import enumerate_partitions, profile
 from .symstate import SymState, mix, partition_average_state
 
 #: Largest n at which the command line and ``thresholds.classify`` solve
@@ -106,21 +106,6 @@ class LpSolution:
     @property
     def weights_by_partition(self) -> dict:
         return dict(zip(self.partitions, self.weights))
-
-    def as_dict(self) -> dict:
-        from .exactmath import rat_str
-
-        return {
-            "n": self.n,
-            "k": self.k,
-            "tau": rat_str(self.tau),
-            "p_s": rat_str(self.p_s),
-            "weights": {
-                format_partition(p): rat_str(w)
-                for p, w in zip(self.partitions, self.weights)
-                if w > 0
-            },
-        }
 
 
 def _bland_pivot_loop(T, b, d, obj, basis, allowed, pivots):
@@ -303,14 +288,18 @@ def mixed_state(sol: LpSolution) -> SymState:
     return mix([partition_average_state(p) for p in sol.support], [weights[p] for p in sol.support])
 
 
-def table1(n_values) -> list:
-    """Solve every (n, k) cell with 3 <= k <= n/2 over the given n values.
+def _certified_solve(n: int, k: int) -> LpSolution:
+    """Certified (n, k) solution for table1 and classify, else ArithmeticError."""
+    prob = build_problem(n, k)
+    sol = solve(prob)
+    if not verify_solution(prob, sol):
+        raise ArithmeticError(f"optimality certificate rejected for n={n}, k={k}")
+    return sol
 
-    These are exactly the cells not covered by a closed form; for
-    n = 6..12 they reproduce the sixteen reference rows.
+
+def table1(n_values) -> list:
+    """Solve and certify every (n, k) cell with 3 <= k <= n/2 over the given
+    n values: the cells no closed form covers.  For n = 6..12 they reproduce
+    the sixteen reference rows; a rejected certificate is an ArithmeticError.
     """
-    out = []
-    for n in n_values:
-        for k in range(3, n // 2 + 1):
-            out.append(solve(build_problem(n, k)))
-    return out
+    return [_certified_solve(n, k) for n in n_values for k in range(3, n // 2 + 1)]

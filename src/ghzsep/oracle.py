@@ -192,9 +192,12 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
     values = {}
     mismatch = None
     for idx in itertools.product(range(4), repeat=n):
-        xmask = sum(1 << q for q, s in enumerate(idx) if s in (1, 2))
-        zmask = sum(1 << q for q, s in enumerate(idx) if s in (2, 3))
-        ycount = idx.count(2)
+        xmask = zmask = ycount = 0
+        for q, s in enumerate(idx):  # X (1) and Y (2) flip bit q, Y and Z (3) read it
+            if s:
+                xmask |= (s != 3) << q
+                zmask |= (s != 1) << q
+                ycount += s == 2
         # the parts of the trace carrying i^0 .. i^3; int zeros keep the
         # strings that reach no entry of rho free of Fraction arithmetic
         trace = [0] * 4

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import rat_str
 from .partitions import PartitionType, profile
 
 
@@ -48,13 +47,6 @@ class SymState:
             all(x >= 0 for x in self.d)
             and self.alpha**2 <= self.d[0] * self.d[self.n]
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": rat_str(self.alpha),
-            "d": [rat_str(x) for x in self.d],
-        }
 
 
 def noisy_ghz(n: int, p) -> SymState:

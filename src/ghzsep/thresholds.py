@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import rat_decimal, rat_str
-
 
 def nj_threshold(n: int, j: int) -> Fraction:
     """Exact (n - j)-separability threshold 1/(1 + (n-2j)/n * 2^(n-1)).
@@ -78,7 +76,8 @@ def _iff_bound(n: int, k: int):
 def classify(n: int, k: int, p) -> SeparabilityVerdict:
     """Classify p against the strongest known bounds for (n, k).
 
-    When no closed form applies the exact linear program is solved; above
+    When no closed form applies the exact linear program is solved and
+    its certificate checked (a rejected one is an ArithmeticError); above
     ``lpsolve.MAX_N`` qubits that is a ValueError.  For every k, p above
     the biseparability threshold is entangled.
     """
@@ -99,7 +98,7 @@ def classify(n: int, k: int, p) -> SeparabilityVerdict:
                 f"no closed form for n={n}, k={k}, and the linear program is "
                 f"limited to n <= {lpsolve.MAX_N}"
             )
-        sufficient = lpsolve.solve(lpsolve.build_problem(n, k)).p_s
+        sufficient = lpsolve._certified_solve(n, k).p_s
         necessary = None
         rule = "mixed-partition linear program"
     if p <= sufficient:
@@ -130,11 +129,3 @@ def figure1_data(n_min: int, n_max: int, j_list) -> list:
         rows.append((n, "bisep", bisep_threshold(n)))
         rows.append((n, "full", full_sep_threshold(n)))
     return rows
-
-
-def rows_to_csv(rows) -> str:
-    """Render curve rows as CSV: n, curve, exact fraction, 12-digit decimal."""
-    lines = ["n,curve,p_exact,p_decimal"]
-    for n, curve, p in rows:
-        lines.append(f"{n},{curve},{rat_str(p)},{rat_decimal(p)}")
-    return "\n".join(lines) + "\n"

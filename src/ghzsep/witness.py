@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import binomial, elem_sym, rat_str, verify_lemma1_inequality, w_coeff
+from .exactmath import binomial, elem_sym, verify_lemma1_inequality, w_coeff
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,6 @@ class MMatrixParams:
             and gL <= bound
             and (bound - g0) * (bound - gL) == self.corner_abs2_max
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "L": self.L,
-            "gamma": [rat_str(g) for g in self.gamma],
-            "corner_a": rat_str(self.corner_a),
-            "corner_b": rat_str(self.corner_b),
-            "corner_abs2_max": rat_str(self.corner_abs2_max),
-        }
 
 
 def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:

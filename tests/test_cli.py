@@ -81,6 +81,12 @@ class TestThresholdCommand:
         assert result.exit_code == 0
         assert "iff" in result.output
 
+    def test_rejected_certificate_exits_one(self, runner, monkeypatch):
+        monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
+        result = runner.invoke(main, ["threshold", "--n", "6", "--k", "3"])
+        assert result.exit_code == 1
+        assert result.output == "Error: optimality certificate rejected for n=6, k=3\n"
+
     def test_above_the_closed_form_cap_exits_two(self, runner):
         # the rationals near n = 14,273 pass Python's int-to-string digit limit
         result = runner.invoke(main, ["threshold", "--n", "20000", "--k", "19999"])
@@ -117,6 +123,12 @@ class TestTableCommand:
         assert result.exit_code == 1
         assert "golden mismatch at rows: [(6, 3)]" in result.output
 
+    def test_rejected_certificate_exits_one_with_no_rows(self, runner, monkeypatch):
+        monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
+        result = runner.invoke(main, ["table1", "--check"])
+        assert result.exit_code == 1
+        assert result.output == "Error: optimality certificate rejected for n=6, k=3\n"
+
     def test_above_the_cap_exits_two(self, runner):
         result = runner.invoke(main, ["table1", "--nmax", "31"])
         assert result.exit_code == 2
@@ -132,9 +144,28 @@ class TestFigureCommand:
         assert result.exit_code == 0
         text = out.read_text()
         assert text.splitlines()[0] == "n,curve,p_exact,p_decimal"
-        assert "3,j=1,3/7," in text
+        assert "3,j=1,3/7,0.428571428571\n" in text
         assert "6,full,1/33," in text
         assert "6,bisep,31/63," in text
+
+    #: sha256 over the bytes of the default run, two --j curves to n = 300,
+    #: the n = 10,000 cap row and an --out file, captured before figure
+    #: printed through the shared emitter.
+    DIGEST = "66be70c1f82a434462b63171b29b92283857e59d36c93c73f9029a26bf784e02"
+
+    def test_output_pinned(self, runner, tmp_path):
+        cap = str(_CLOSED_FORM_MAX_N)
+        digest = hashlib.sha256()
+        for args in ([], ["--nmin", "3", "--nmax", "300", "--j", "1", "--j", "7"],
+                     ["--nmin", cap, "--nmax", cap]):
+            result = runner.invoke(main, ["figure", *args])
+            assert result.exit_code == 0
+            digest.update(result.output.encode())
+        out = tmp_path / "curves.csv"
+        result = runner.invoke(main, ["figure", "--nmax", "40", "--j", "2", "--out", str(out)])
+        assert result.exit_code == 0 and result.output == ""
+        digest.update(out.read_bytes())
+        assert digest.hexdigest() == self.DIGEST
 
     def test_at_the_cap(self, runner):
         cap = str(_CLOSED_FORM_MAX_N)
@@ -206,6 +237,7 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         lines = [json.loads(line) for line in result.output.strip().splitlines()]
         assert lines and all(rec["pass"] for rec in lines)
+        assert all(set(rec) == {"check", "params", "pass", "detail"} for rec in lines)
 
     def test_appendix_suite_small(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "appendix", "--limits", "n=20,l=10"])
@@ -263,6 +295,9 @@ class TestVerifyCommand:
             ("phase-oracle", "n=1"),
             ("wident", "foo=1,L=2"),
             ("charfn", "n=9"),
+            ("appendix", "n=501"),
+            ("wident", "L=2,L=3"),
+            ("wident", "=3"),
         ],
     )
     def test_limits_validated_before_suite_runs(self, runner, suite, limits):
@@ -377,7 +412,7 @@ atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(
 runpy.run_module("ghzsep", run_name="__main__")
 """
 
-_LP = ["cli", "exactmath", "lpsolve", "partitions", "symstate"]
+_LP = ["cli", "lpsolve", "partitions", "symstate"]
 _ORACLE = ["cli", "exactmath", "oracle", "partitions", "symstate", "witness"]
 
 #: command line -> (the ghzsep submodules it loads, whether it loads numpy)
@@ -385,9 +420,9 @@ IMPORT_SETS = {
     "--help": (["cli"], False),
     "lp --n 6 --k 3": (_LP, False),
     "table1 --nmax 6": (_LP, False),
-    "threshold --n 5 --k 4": (["cli", "exactmath", "thresholds"], False),
+    "threshold --n 5 --k 4": (["cli", "thresholds"], False),
     "threshold --n 6 --k 3": (_LP + ["thresholds"], False),
-    "figure --nmax 4": (["cli", "exactmath", "thresholds"], False),
+    "figure --nmax 4": (["cli", "thresholds"], False),
     "verify --suite wident --limits L=2": (["cli", "exactmath"], False),
     "verify --suite appendix --limits n=4,l=2": (["cli", "exactmath"], False),
     "verify --suite lemma1 --limits n=4,samples=1": (["cli", "exactmath"], False),

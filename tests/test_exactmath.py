@@ -12,8 +12,6 @@ from ghzsep.exactmath import (
     binomial,
     elem_sym,
     random_unit_rationals,
-    rat_decimal,
-    rat_str,
     verify_appendix_inequality,
     verify_lemma1_inequality,
     verify_w_identities,
@@ -154,11 +152,6 @@ class TestWIdentities:
     def test_all_pass_up_to_twenty(self):
         for L in range(2, 21):
             assert all(r.passed for r in verify_w_identities(L))
-
-    def test_record_serialization(self):
-        rec = verify_w_identities(3)[0]
-        d = rec.as_dict()
-        assert set(d) == {"check", "params", "pass", "detail"}
 
 
 def comb_appendix_sweep(n_max, l_max, comb):
@@ -353,13 +346,6 @@ class TestLemma1:
 
 
 class TestFormatting:
-    def test_rat_str(self):
-        assert rat_str(Fraction(9, 41)) == "9/41"
-        assert rat_str(Fraction(9)) == "9"
-
-    def test_rat_decimal_digits(self):
-        assert rat_decimal(Fraction(3, 7)).startswith("0.428571428571")
-
     def test_random_rationals_bounded(self):
         rng = random.Random(5)
         vals = random_unit_rationals(rng, 100)

@@ -93,11 +93,6 @@ class TestSolve:
         assert sol.binding
         assert all(1 <= i <= 5 for i in sol.binding)
 
-    def test_solution_dict(self):
-        d = solve(build_problem(6, 3)).as_dict()
-        assert d["tau"] == "9" and d["p_s"] == "9/41"
-        assert d["weights"] == {"1|2|3": "2/3", "2^3": "1/3"}
-
 
 class TestVerifierRejectsBadCertificates:
     def test_wrong_objective(self):

@@ -177,9 +177,3 @@ class TestToDense:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             to_dense(SymState(13, Fraction(1, 2), (Fraction(0),) * 14))
-
-
-class TestSerialization:
-    def test_dict_form(self):
-        d = noisy_ghz(2, Fraction(1, 3)).as_dict()
-        assert d == {"n": 2, "alpha": "1/6", "d": ["1/3", "1/6", "1/3"]}

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from ghzsep import lpsolve
 from ghzsep.thresholds import (
     bisep_threshold,
     classify,
     figure1_data,
     full_sep_threshold,
     nj_threshold,
-    rows_to_csv,
 )
 from ghzsep.witness import necessary_threshold
 
@@ -70,6 +70,11 @@ class TestClassify:
         assert v.sufficient_bound == Fraction(9, 41)
         assert v.necessary_bound is None
 
+    def test_rejected_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
+        with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
+            classify(6, 3, 0)
+
     def test_gap_verdicts_agree_with_biseparability(self):
         # every k-separable state is biseparable, so above the
         # biseparability threshold every gap cell is entangled
@@ -130,12 +135,6 @@ class TestFigureData:
         labels = {(n, c) for n, c, _ in rows}
         assert (4, "j=2") not in labels
         assert (5, "j=2") in labels
-
-    def test_csv_shape(self):
-        text = rows_to_csv(figure1_data(3, 4, (1,)))
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,curve,p_exact,p_decimal"
-        assert lines[1].startswith("3,j=1,3/7,0.428571428571")
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

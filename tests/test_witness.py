@@ -289,8 +289,3 @@ class TestSectorDiagonal:
             gamma_diagonal(5, 3, (Fraction(3, 2), Fraction(0)))
         with pytest.raises(ValueError):
             gamma_diagonal(5, 3, (Fraction(0),))
-
-    def test_serialization(self):
-        d = gamma_diagonal(5, 3, (Fraction(0), Fraction(1, 2))).as_dict()
-        assert d["n"] == 5 and d["L"] == 3
-        assert isinstance(d["gamma"], list) and len(d["gamma"]) == 4
