@@ -14,16 +14,16 @@ import importlib
 
 #: Public names by the submodule that defines them.
 _EXPORTS = {
-    "exactmath": ("binomial", "elem_sym", "verify_appendix_inequality",
-                  "verify_lemma1_inequality", "verify_w_identities", "w_coeff"),
+    "exactmath": ("elem_sym", "verify_appendix_inequality", "verify_lemma1_inequality",
+                  "verify_w_identities", "w_coeff"),
     "lpsolve": ("LpProblem", "LpSolution", "build_problem", "solve", "table1",
                 "verify_solution"),
-    "partitions": ("PartitionType", "Profile", "appendix_recursion_check",
-                   "enumerate_partitions", "format_partition", "parse_partition", "profile"),
+    "partitions": ("PartitionType", "appendix_recursion_check", "enumerate_partitions",
+                   "format_partition", "parse_partition", "profile"),
     "symstate": ("PadResult", "SymState", "mix", "noisy_ghz", "pad_to_isotropic",
                  "partition_average_state", "to_dense"),
     "thresholds": ("SeparabilityVerdict", "bisep_threshold", "classify", "figure1_data",
-                   "full_sep_threshold", "nj_threshold"),
+                   "full_sep_threshold", "nj_threshold", "threshold"),
     "witness": ("MMatrixParams", "WitnessSpec", "canonical_witness", "gamma_diagonal",
                 "ghz_witness_value", "necessary_threshold", "sep_max", "witness_sum"),
 }

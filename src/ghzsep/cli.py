@@ -11,6 +11,7 @@ import random
 import sys
 from decimal import Context
 from fractions import Fraction
+from importlib.util import find_spec
 
 import click
 
@@ -80,19 +81,19 @@ def threshold(n, j, k, fmt):
         if j is not None:
             thresholds.nj_threshold(n, j)  # range check: --j needs n >= 2j + 1
             k = n - j
-        verdict = thresholds.classify(n, k, 0)
+        bound, exact, rule = thresholds.threshold(n, k)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except ArithmeticError as exc:
         raise click.ClickException(str(exc))
-    sufficient, rule = str(verdict.sufficient_bound), verdict.sufficient_rule
-    necessary = None if verdict.necessary_bound is None else str(verdict.necessary_bound)
-    kind = "sufficient-only" if necessary is None else "iff"
-    human = ([f"sufficient: {sufficient}", "necessary: none given"] if necessary is None
-             else [f"{sufficient} (iff)"])
+    sufficient = str(bound)
+    necessary = sufficient if exact else None
+    kind = "iff" if exact else "sufficient-only"
+    human = ([f"{sufficient} (iff)"] if exact
+             else [f"sufficient: {sufficient}", "necessary: none given"])
     _emit(fmt, human + [f"rule: {rule}"],
           {"n": n, "k": k, "kind": kind, "rule": rule, "sufficient": sufficient,
-           "sufficient_decimal": _decimal(verdict.sufficient_bound), "necessary": necessary},
+           "sufficient_decimal": _decimal(bound), "necessary": necessary},
           "n,k,kind,sufficient,necessary", [(n, k, kind, sufficient, necessary or "")])
 
 
@@ -124,9 +125,8 @@ def table1(nmax, check, fmt):
            for sol in rows])
     if check:
         golden = [sol for sol in rows if (sol.n, sol.k) in lpsolve.REFERENCE_TAU]
-        bad = [(sol.n, sol.k) for sol in golden
-               if sol.tau != lpsolve.REFERENCE_TAU[sol.n, sol.k]
-               or sol.p_s != lpsolve.reference_threshold(sol.n, sol.k)]
+        # every row is certified, which ties p_s to tau
+        bad = [(sol.n, sol.k) for sol in golden if sol.tau != lpsolve.REFERENCE_TAU[sol.n, sol.k]]
         if bad:
             click.echo(f"golden mismatch at rows: {bad}", err=True)
             sys.exit(1)
@@ -149,7 +149,11 @@ def figure(nmin, nmax, j_list, out):
         rows = thresholds.figure1_data(nmin, nmax, j_list)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    with click.open_file(out, "w") as fh:
+    try:
+        fh = click.open_file(out, "w")
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'")
+    with fh:
         _emit("csv", None, None, "n,curve,p_exact,p_decimal",
               [(n, curve, p, _decimal(p)) for n, curve, p in rows], file=fh)
 
@@ -198,30 +202,27 @@ def _parse_limits(text):
     return limits
 
 
-def _resolve_limits(names, limits):
-    """Each named suite's limits: overrides on top of defaults, validated.
+def _resolve_limits(name, limits):
+    """One suite's limits: overrides on top of its defaults, validated.
 
-    A key no named suite declares, or a value outside a suite's range, is
-    a usage error raised before any suite runs.
+    A key the suite does not declare, or a value outside its range, is a
+    usage error raised before the suite runs.
     """
-    known = set().union(*(_SUITES[name][1] for name in names))
-    unknown = sorted(set(limits) - known)
+    declared = _SUITES[name][1]
+    unknown = sorted(set(limits) - set(declared))
     if unknown:
         raise click.UsageError(
             f"unknown --limits key(s) {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(known))}"
+            f"allowed: {', '.join(sorted(declared))}"
         )
-    resolved = {}
-    for name in names:
-        values = {}
-        for key, (default, lo, hi) in _SUITES[name][1].items():
-            value = limits.get(key, default)
-            if value < lo or (hi is not None and value > hi):
-                span = f"{key} >= {lo}" if hi is None else f"{lo} <= {key} <= {hi}"
-                raise click.UsageError(f"suite {name} needs {span}, got {key}={value}")
-            values[key] = value
-        resolved[name] = values
-    return resolved
+    values = {}
+    for key, (default, lo, hi) in declared.items():
+        value = limits.get(key, default)
+        if value < lo or (hi is not None and value > hi):
+            span = f"{key} >= {lo}" if hi is None else f"{lo} <= {key} <= {hi}"
+            raise click.UsageError(f"suite {name} needs {span}, got {key}={value}")
+        values[key] = value
+    return values
 
 
 def _suite_wident(seed, limits):
@@ -318,8 +319,17 @@ def verify(suite, seed, limits):
     """Run a verification suite; stream JSON-line reports, exit 0 iff all pass."""
     if seed < 0:
         raise click.UsageError(f"need --seed >= 0, got {seed}")
+    if suite == "all" and limits:
+        raise click.UsageError(
+            "--limits sets one suite's limits; --suite all runs each suite at its defaults")
     names = sorted(_SUITES) if suite == "all" else [suite]
-    limits = _resolve_limits(names, _parse_limits(limits))
+    overrides = _parse_limits(limits)
+    limits = {name: _resolve_limits(name, overrides) for name in names}
+    if "witness-max" in names and find_spec("numpy") is None:
+        error = click.ClickException("suite witness-max needs numpy, from the probes "
+                                     "extra: pip install 'ghzsep[probes]'")
+        error.exit_code = 2
+        raise error
     all_ok = True
     for name in names:
         for record in _SUITES[name][0](seed, limits[name]):

@@ -1,10 +1,10 @@
 """Exact combinatorics underneath the separability thresholds.
 
-Everything in this module is exact: binomial coefficients on big integers,
-elementary symmetric polynomials over the rationals, the alternating
-coefficients that couple a witness block to the Hamming-weight sectors,
-and sweep verifiers for the identities and inequalities the threshold
-constructions rely on.  No floating point anywhere.
+Everything in this module is exact: elementary symmetric polynomials
+over the rationals, the alternating coefficients that couple a witness
+block to the Hamming-weight sectors, and sweep verifiers for the
+identities and inequalities the threshold constructions rely on.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,19 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n.
-
-    The zero convention lets alternating binomial sums be written without
-    explicit summation bounds.
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def elem_sym(z: Sequence) -> tuple:
@@ -49,15 +36,15 @@ def w_coeff(L: int, n: int, l: int) -> int:
 
     Equivalently the coefficient of x^n in (1+x)^(L-l) (1-x)^l.  It weighs
     how the Hamming-weight-l sector of an L-qubit block enters the witness
-    sums; the implicit summation bounds come from the binomial zero
-    convention.
+    sums; the lower summation bound is implicit, as ``math.comb`` is zero
+    for n - j > L - l.
     """
     if not 0 <= n <= L:
         raise ValueError(f"need 0 <= n <= L, got n={n}, L={L}")
     if not 0 <= l <= L:
         raise ValueError(f"need 0 <= l <= L, got l={l}, L={L}")
     return sum(
-        (-1) ** j * binomial(L - l, n - j) * binomial(l, j)
+        (-1) ** j * math.comb(L - l, n - j) * math.comb(l, j)
         for j in range(min(n, l) + 1)
     )
 

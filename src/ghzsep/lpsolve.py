@@ -22,7 +22,7 @@ from fractions import Fraction
 from .partitions import enumerate_partitions, profile
 from .symstate import SymState, mix, partition_average_state
 
-#: Largest n at which the command line and ``thresholds.classify`` solve
+#: Largest n at which the command line and ``thresholds.threshold`` solve
 #: the LP.  Every n = 30 cell solves and certifies in under a second; the
 #: column count, the partitions of n into k parts, keeps growing past it.
 MAX_N = 30
@@ -30,8 +30,8 @@ MAX_N = 30
 #: Certified optimal tau values for the k-separability mixtures with
 #: 3 <= k <= n/2 and 6 <= n <= 12, used as golden values by the table
 #: regression check.  Every entry carries an exact dual certificate
-#: (see verify_solution).  The threshold follows as
-#: p_s = tau/(tau + 2^(n-1)).
+#: (see verify_solution).  A certified solution has
+#: p_s = tau/(tau + 2^(n-1)), so a matching tau is a matching threshold.
 REFERENCE_TAU = {
     (6, 3): Fraction(9),
     (7, 3): Fraction(35, 2),
@@ -50,12 +50,6 @@ REFERENCE_TAU = {
     (12, 5): Fraction(30),
     (12, 6): Fraction(15),
 }
-
-
-def reference_threshold(n: int, k: int) -> Fraction:
-    """Golden threshold tau/(tau + 2^(n-1)) for a reference (n, k) cell."""
-    tau = REFERENCE_TAU[(n, k)]
-    return tau / (tau + 2 ** (n - 1))
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ def build_problem(n: int, k: int) -> LpProblem:
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     parts = enumerate_partitions(n, k)
-    columns = tuple(profile(p).counts[1:n] for p in parts)
+    columns = tuple(profile(p)[1:n] for p in parts)
     return LpProblem(n, k, tuple(parts), columns)
 
 
@@ -102,10 +96,6 @@ class LpSolution:
     binding: tuple
     dual: tuple
     pivots: tuple
-
-    @property
-    def weights_by_partition(self) -> dict:
-        return dict(zip(self.partitions, self.weights))
 
 
 def _bland_pivot_loop(T, b, d, obj, basis, allowed, pivots):
@@ -284,12 +274,12 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
 def mixed_state(sol: LpSolution) -> SymState:
     """The optimal mixture as a symmetric state.  Zero weights would add
     exact zeros, so only the support's states are built."""
-    weights = sol.weights_by_partition
-    return mix([partition_average_state(p) for p in sol.support], [weights[p] for p in sol.support])
+    support = [(p, w) for p, w in zip(sol.partitions, sol.weights) if w > 0]
+    return mix([partition_average_state(p) for p, _ in support], [w for _, w in support])
 
 
 def _certified_solve(n: int, k: int) -> LpSolution:
-    """Certified (n, k) solution for table1 and classify, else ArithmeticError."""
+    """Certified (n, k) solution for table1 and thresholds.threshold, else ArithmeticError."""
     prob = build_problem(n, k)
     sol = solve(prob)
     if not verify_solution(prob, sol):

@@ -2,9 +2,10 @@
 
 The noisy GHZ state is permutation symmetric, so a way of splitting the
 qubits into parties only matters through the multiset of party sizes.  A
-partition's profile counts, for every Hamming weight i, how many
-sub-multisets of party sizes sum to i; that integer vector is the diagonal
-fingerprint of the separable state the partition generates.
+partition's profile counts, for every Hamming weight i, how many subsets
+of parties have sizes summing to i (for parts (2, 2, 2), f(2) = 3); that
+integer vector is the diagonal fingerprint of the separable state the
+partition generates.
 """
 
 from __future__ import annotations
@@ -102,23 +103,9 @@ def format_partition(p: PartitionType) -> str:
     return "|".join(pieces)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Subset-sum counts f(0..n) of a partition's part sizes."""
-
-    counts: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.counts) - 1
-
-    @property
-    def interior(self) -> tuple:
-        return self.counts[1:-1]
-
-
-def profile(p: PartitionType) -> Profile:
-    """f(i) = number of sub-multisets of the parts summing to i.
+def profile(p: PartitionType) -> tuple:
+    """Subset-sum counts (f(0), ..., f(n)): f(i) is the number of subsets of
+    parties whose sizes sum to i.
 
     Computed by dynamic programming over the parts; exact integers (counts
     reach 2^k in total).
@@ -128,7 +115,7 @@ def profile(p: PartitionType) -> Profile:
     for part in p.parts:
         for i in range(p.n, part - 1, -1):
             counts[i] += counts[i - part]
-    return Profile(tuple(counts))
+    return tuple(counts)
 
 
 def appendix_recursion_check(p: PartitionType, l: int) -> bool:
@@ -146,7 +133,7 @@ def appendix_recursion_check(p: PartitionType, l: int) -> bool:
     if l < 2:
         raise ValueError(f"attached party must have size >= 2, got {l}")
     n = p.n
-    f1 = profile(p).counts
+    f1 = profile(p)
     base_ok = all(f1[i] * n <= f1[1] * math.comb(n, i) for i in range(1, n))
     m = n + l
     f2 = [

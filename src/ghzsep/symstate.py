@@ -75,7 +75,7 @@ def partition_average_state(p: PartitionType) -> SymState:
     """
     if p.k < 2:
         raise ValueError("need at least two parties to carry a free phase")
-    f = profile(p).counts
+    f = profile(p)
     scale = 2**p.k
     d = tuple(Fraction(f[i], scale * math.comb(p.n, i)) for i in range(p.n + 1))
     return SymState(p.n, Fraction(1, scale), d)

@@ -4,7 +4,8 @@ For a noisy n-qubit GHZ state split into k parties the exact threshold is
 known whenever k >= ceil((n+1)/2) (equivalently n >= 2j + 1 for j = n - k),
 at the biseparability endpoint k = 2, and at the full-separability
 endpoint k = n.  Everything in between only has a sufficient bound, which
-comes from the mixed-partition linear program.
+comes from the mixed-partition linear program.  ``threshold`` is the one
+lookup that decides which kind a cell gets.
 """
 
 from __future__ import annotations
@@ -55,8 +56,15 @@ class SeparabilityVerdict:
     sufficient_rule: str
 
 
-def _iff_bound(n: int, k: int):
-    """The exact threshold for (n, k) when one is known, with its rule name."""
+def threshold(n: int, k: int) -> tuple:
+    """(bound, exact, rule) for (n, k): the closed form, necessary and
+    sufficient, at k = 2, k = n and n >= 2j + 1 (j = n - k), else the
+    certified linear-program bound, sufficient only.  Closed forms that
+    disagree or a rejected certificate raise ArithmeticError; a linear-program
+    cell above ``lpsolve.MAX_N`` qubits raises ValueError.
+    """
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     candidates = []
     if k == n:
         candidates.append((full_sep_threshold(n), "full-separability formula"))
@@ -65,50 +73,34 @@ def _iff_bound(n: int, k: int):
     j = n - k
     if j >= 1 and n >= 2 * j + 1:
         candidates.append((nj_threshold(n, j), f"exact (n-j)-separability criterion, j={j}"))
-    if not candidates:
-        return None
-    values = {b for b, _ in candidates}
-    if len(values) != 1:
-        raise ArithmeticError(f"inconsistent exact bounds for n={n}, k={k}: {candidates}")
-    return candidates[0]
+    if candidates:
+        if len({b for b, _ in candidates}) != 1:
+            raise ArithmeticError(f"inconsistent exact bounds for n={n}, k={k}: {candidates}")
+        bound, rule = candidates[0]
+        return bound, True, rule
+    from . import lpsolve
+
+    if n > lpsolve.MAX_N:
+        raise ValueError(f"no closed form for n={n}, k={k}, and the linear program is "
+                         f"limited to n <= {lpsolve.MAX_N}")
+    return lpsolve._certified_solve(n, k).p_s, False, "mixed-partition linear program"
 
 
 def classify(n: int, k: int, p) -> SeparabilityVerdict:
-    """Classify p against the strongest known bounds for (n, k).
-
-    When no closed form applies the exact linear program is solved and
-    its certificate checked (a rejected one is an ArithmeticError); above
-    ``lpsolve.MAX_N`` qubits that is a ValueError.  For every k, p above
-    the biseparability threshold is entangled.
-    """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
+    """Classify p against ``threshold(n, k)``.  Past a sufficient-only bound p
+    is entangled above the biseparability threshold (every k-separable state
+    is biseparable) and unknown-gap up to it."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    exact = _iff_bound(n, k)
-    if exact is not None:
-        sufficient, rule = exact
-        necessary = sufficient
-    else:
-        from . import lpsolve
-
-        if n > lpsolve.MAX_N:
-            raise ValueError(
-                f"no closed form for n={n}, k={k}, and the linear program is "
-                f"limited to n <= {lpsolve.MAX_N}"
-            )
-        sufficient = lpsolve._certified_solve(n, k).p_s
-        necessary = None
-        rule = "mixed-partition linear program"
-    if p <= sufficient:
+    bound, exact, rule = threshold(n, k)
+    if p <= bound:
         status = "separable"
-    elif (necessary is not None and p > necessary) or p > bisep_threshold(n):
-        # every k-separable state is biseparable
+    elif exact or p > bisep_threshold(n):
         status = "entangled"
     else:
         status = "unknown-gap"
-    return SeparabilityVerdict(n, k, p, status, sufficient, necessary, rule)
+    return SeparabilityVerdict(n, k, p, status, bound, bound if exact else None, rule)
 
 
 def figure1_data(n_min: int, n_max: int, j_list) -> list:

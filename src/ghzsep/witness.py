@@ -12,10 +12,11 @@ materialized here; the oracle module builds it densely as a cross-check).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import binomial, elem_sym, verify_lemma1_inequality, w_coeff
+from .exactmath import elem_sym, verify_lemma1_inequality, w_coeff
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ def canonical_witness(n: int, L: int) -> WitnessSpec:
 def witness_sum(w: WitnessSpec) -> Fraction:
     """sum_i M_i C(n, 2i); equals n/(n - L) for the canonical witness."""
     return sum(
-        (w.m[i - 1] * binomial(w.n, 2 * i) for i in range(1, w.n // 2 + 1)),
+        (w.m[i - 1] * math.comb(w.n, 2 * i) for i in range(1, w.n // 2 + 1)),
         start=Fraction(0),
     )
 

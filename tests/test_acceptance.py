@@ -27,7 +27,6 @@ from ghzsep.exactmath import (
 from ghzsep.lpsolve import (
     REFERENCE_TAU,
     build_problem,
-    reference_threshold,
     solve,
     verify_solution,
 )
@@ -146,7 +145,7 @@ def test_ac1_certified_table_within_time_budget():
     for (n, k), tau in REFERENCE_TAU.items():
         prob = build_problem(n, k)
         sol = solve(prob)
-        if sol.tau != tau or sol.p_s != reference_threshold(n, k):
+        if sol.tau != tau or sol.p_s != tau / (tau + 2 ** (n - 1)):
             mismatches.append((n, k))
         assert verify_solution(prob, sol), (n, k)
     elapsed = time.time() - start

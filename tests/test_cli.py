@@ -181,6 +181,14 @@ class TestFigureCommand:
         assert result.exit_code == 2
         assert result.output.startswith("Usage:")
 
+    def test_out_in_a_missing_directory_exits_two(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        result = runner.invoke(main, ["figure", "--nmax", "5", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert f"cannot write {out}: No such file or directory" in result.output
+        assert not out.parent.exists()
+
 
 class TestLpCommand:
     def test_six_three(self, runner):
@@ -305,6 +313,15 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert result.output.startswith("Usage:")
 
+    def test_limits_with_all_suites_exits_two(self, runner):
+        # --limits sets one suite's limits: under --suite all, n would mean
+        # a different bound to each of the four suites that read it
+        result = runner.invoke(main, ["verify", "--suite", "all", "--limits", "n=6"])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert "--limits sets one suite's limits" in result.output
+        assert '"check"' not in result.output
+
 
 def _pinned_command_lines():
     """threshold over every (n, k) with n <= 10 and every valid (n, j) with
@@ -356,7 +373,7 @@ assert "numpy" not in sys.modules
     def test_public_names_are_the_submodule_objects(self):
         import ghzsep
 
-        assert len(ghzsep.__all__) == 40
+        assert len(ghzsep.__all__) == 39
         for name in ghzsep.__all__:
             obj = getattr(ghzsep, name)
             assert obj is getattr(sys.modules[obj.__module__], name)
@@ -450,6 +467,42 @@ class TestCommandImports:
         loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
         assert loaded == sorted(f"ghzsep.{m}" for m in modules)
         assert numpy_loaded is numpy
+
+
+# Runs the CLI as ``python -m ghzsep`` would, with numpy unimportable.
+_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+runpy.run_module("ghzsep", run_name="__main__")
+"""
+
+
+def _run_without_numpy(command):
+    return subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *command.split()],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+
+
+class TestWithoutNumpy:
+    """numpy is an optional extra: only the float witness probes need it."""
+
+    @pytest.mark.parametrize("suite", ["witness-max", "all"])
+    def test_probe_suites_exit_two_before_any_suite(self, suite):
+        proc = _run_without_numpy(f"verify --suite {suite}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("Error: suite witness-max needs numpy")
+        assert "ghzsep[probes]" in proc.stderr
+
+    @pytest.mark.parametrize("command, line", [
+        ("lp --n 6 --k 3", "tau = 9"),
+        ("threshold --n 6 --k 3", "sufficient: 9/41"),
+        ("verify --suite wident --limits L=3", '"pass": true'),
+    ])
+    def test_exact_commands_run(self, command, line):
+        proc = _run_without_numpy(command)
+        assert proc.returncode == 0, proc.stderr
+        assert line in proc.stdout
 
 
 _OPTIONS_FORMAT = """\

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ghzsep import exactmath
 from ghzsep.exactmath import (
-    binomial,
     elem_sym,
     random_unit_rationals,
     verify_appendix_inequality,
@@ -17,15 +16,6 @@ from ghzsep.exactmath import (
     verify_w_identities,
     w_coeff,
 )
-
-
-def pascal_triangle(rows):
-    """Independent oracle: the additive recurrence, no factorials."""
-    tri = [[1]]
-    for r in range(1, rows + 1):
-        prev = tri[-1]
-        tri.append([1] + [prev[i - 1] + prev[i] for i in range(1, r)] + [1])
-    return tri
 
 
 def brute_elem_sym(values):
@@ -41,26 +31,6 @@ def brute_elem_sym(values):
 small_rationals = st.fractions(
     min_value=-3, max_value=3, max_denominator=12
 )
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(6, 2) == 15
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, 7) == 0
-        assert binomial(5, -1) == 0
-
-    def test_against_pascal_recurrence(self):
-        tri = pascal_triangle(200)
-        for n in range(201):
-            for k in range(n + 1):
-                assert binomial(n, k) == tri[n][k]
-        assert binomial(11, 5) == tri[11][5] == 462
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestElemSym:
@@ -90,17 +60,17 @@ class TestElemSym:
 
 def brute_w(L, n, l):
     return sum(
-        (-1) ** j * binomial(L - l, n - j) * binomial(l, j)
+        (-1) ** j * math.comb(L - l, n - j) * math.comb(l, j)
         for j in range(max(0, n + l - L), min(n, l) + 1)
     )
 
 
 class TestWCoeff:
     def test_weight_zero_sector_is_binomial(self):
-        assert w_coeff(4, 2, 0) == 6 == binomial(4, 2)
+        assert w_coeff(4, 2, 0) == 6 == math.comb(4, 2)
 
     def test_full_sector_alternates(self):
-        assert w_coeff(3, 1, 3) == -3 == -binomial(3, 1)
+        assert w_coeff(3, 1, 3) == -3 == -math.comb(3, 1)
 
     def test_interior_value(self):
         assert w_coeff(4, 2, 2) == brute_w(4, 2, 2) == -2
@@ -172,11 +142,11 @@ def comb_appendix_sweep(n_max, l_max, comb):
 class TestAppendixInequality:
     def test_specific_values(self):
         # n=6, l=2, i=3: 26/6 <= 56/8
-        assert Fraction(binomial(6, 3) + binomial(6, 1), 6) == Fraction(13, 3)
-        assert Fraction(binomial(8, 3), 8) == 7
+        assert Fraction(math.comb(6, 3) + math.comb(6, 1), 6) == Fraction(13, 3)
+        assert Fraction(math.comb(8, 3), 8) == 7
         # n=4, l=2, i=2: 7/4 <= 5/2
-        assert Fraction(binomial(4, 2) + binomial(4, 0), 4) == Fraction(7, 4)
-        assert Fraction(binomial(6, 2), 6) == Fraction(5, 2)
+        assert Fraction(math.comb(4, 2) + math.comb(4, 0), 4) == Fraction(7, 4)
+        assert Fraction(math.comb(6, 2), 6) == Fraction(5, 2)
         report = verify_appendix_inequality(8, 4)
         assert report.passed and report.checked > 0
 

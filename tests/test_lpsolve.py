@@ -8,14 +8,13 @@ from ghzsep.lpsolve import (
     REFERENCE_TAU,
     build_problem,
     mixed_state,
-    reference_threshold,
     solve,
     table1,
     verify_solution,
 )
 from ghzsep.partitions import parse_partition
 from ghzsep.symstate import mix, pad_to_isotropic, partition_average_state
-from ghzsep.thresholds import _iff_bound, bisep_threshold, nj_threshold
+from ghzsep.thresholds import bisep_threshold, nj_threshold, threshold
 
 
 class TestBuildProblem:
@@ -46,7 +45,7 @@ class TestSolve:
     def test_six_three(self):
         sol = solve(build_problem(6, 3))
         assert sol.tau == 9 and sol.p_s == Fraction(9, 41)
-        weights = {str(p): w for p, w in sol.weights_by_partition.items() if w}
+        weights = {str(p): w for p, w in zip(sol.partitions, sol.weights) if w}
         assert weights == {"2^3": Fraction(1, 3), "1|2|3": Fraction(2, 3)}
 
     def test_eleven_three(self):
@@ -57,7 +56,7 @@ class TestSolve:
     def test_nine_four(self):
         sol = solve(build_problem(9, 4))
         assert sol.tau == 18 and sol.p_s == Fraction(9, 137)
-        weights = {str(p): w for p, w in sol.weights_by_partition.items() if w}
+        weights = {str(p): w for p, w in zip(sol.partitions, sol.weights) if w}
         assert weights == {"1|2|3^2": Fraction(1, 2), "2^3|3": Fraction(1, 2)}
 
     def test_certificates_validate(self):
@@ -172,10 +171,10 @@ class TestConsistencyWithClosedForms:
             prob = build_problem(n, k)
             sol = solve(prob)
             assert verify_solution(prob, sol), (n, k)
-            exact = _iff_bound(n, k)
-            if exact is not None:
+            bound, exact, _ = threshold(n, k)
+            if exact:
                 closed += 1
-                assert sol.p_s == exact[0], (n, k)
+                assert sol.p_s == bound, (n, k)
         assert (len(cells), closed) == (120, 84)
 
     def test_matches_exact_criterion(self):
@@ -222,7 +221,7 @@ class TestGoldenTable:
         for (n, k), tau in REFERENCE_TAU.items():
             sol = solve(build_problem(n, k))
             assert sol.tau == tau, (n, k)
-            assert sol.p_s == reference_threshold(n, k), (n, k)
+            assert sol.p_s == tau / (tau + 2 ** (n - 1)), (n, k)
 
     def test_table_covers_reference_cells(self):
         rows = {(s.n, s.k) for s in table1(range(6, 13))}

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from ghzsep import lpsolve
+from ghzsep import lpsolve, thresholds
 from ghzsep.thresholds import (
     bisep_threshold,
     classify,
     figure1_data,
     full_sep_threshold,
     nj_threshold,
+    threshold,
 )
 from ghzsep.witness import necessary_threshold
 
@@ -55,6 +56,67 @@ class TestReferenceFormulas:
             bi = bisep_threshold(n)
             for j in range(1, (n - 1) // 2 + 1):
                 assert full < nj_threshold(n, j) < bi
+
+
+def closed_form(n, k):
+    """The paper's closed form for (n, k), or None where it gives none."""
+    if k == n:
+        return full_sep_threshold(n)
+    if k == 2:
+        return bisep_threshold(n)
+    if n >= 2 * (n - k) + 1:
+        return nj_threshold(n, n - k)
+    return None
+
+
+class TestThreshold:
+    def test_closed_form_cells_are_exact(self):
+        cells = [(n, k) for n in range(2, 17) for k in range(2, n + 1)
+                 if closed_form(n, k) is not None]
+        assert len(cells) == 84
+        for n, k in cells:
+            bound, exact, _ = threshold(n, k)
+            assert exact and bound == closed_form(n, k), (n, k)
+
+    def test_lp_cells_give_the_certified_bound(self):
+        for n, k in lpsolve.REFERENCE_TAU:
+            assert closed_form(n, k) is None
+            prob = lpsolve.build_problem(n, k)
+            sol = lpsolve.solve(prob)
+            assert lpsolve.verify_solution(prob, sol)
+            assert threshold(n, k) == (sol.p_s, False, "mixed-partition linear program"), (n, k)
+
+    def test_classify_reports_the_same_bounds(self):
+        for n in range(2, 11):
+            for k in range(2, n + 1):
+                bound, exact, rule = threshold(n, k)
+                v = classify(n, k, 0)
+                assert v.sufficient_bound == bound, (n, k)
+                assert v.necessary_bound == (bound if exact else None), (n, k)
+                assert v.sufficient_rule == rule, (n, k)
+
+    def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch):
+        def fail(n, k):
+            raise AssertionError(f"built the problem for n={n}, k={k}")
+
+        monkeypatch.setattr(lpsolve, "build_problem", fail)
+        with pytest.raises(ValueError, match="limited to n <= 30"):
+            threshold(31, 10)
+
+    def test_disagreeing_closed_forms_raise(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "bisep_threshold", lambda n: Fraction(1, 2))
+        with pytest.raises(ArithmeticError, match="inconsistent exact bounds for n=3, k=2"):
+            threshold(3, 2)
+
+    def test_rejected_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
+        with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
+            threshold(6, 3)
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (4, 5)])
+    def test_domain_errors(self, n, k):
+        with pytest.raises(ValueError, match="need 2 <= k <= n"):
+            threshold(n, k)
 
 
 class TestClassify:
