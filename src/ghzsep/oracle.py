@@ -4,8 +4,10 @@ The constructions elsewhere in the package use closed forms (profiles,
 characteristic-function sums).  This module rebuilds the same objects the
 expensive way: explicit phase averaging over every placement of the
 parties on the qubits, dense witness matrices, and direct numerical
-maximization over product states (the only numpy code; those functions
-import it, so the exact checks never load numpy).  The
+maximization over product states: a sampler and an eigenvector ascent
+that runs its restarts in blocks on complex matrix products and stacked
+eigendecompositions.  Those two are the only numpy code and import it
+themselves, so the exact checks never load numpy.  The
 characteristic-function check starts from the library's dense noisy GHZ
 state; its explicit Pauli traces and the stabilizer pattern they are
 compared with are the independent part.
@@ -288,16 +290,9 @@ def _random_unit(rng, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _env_operator(qt: np.ndarray, vecs, j: int) -> np.ndarray:
-    """Contract all parties except j against their current pure states."""
-    import numpy as np
-    k = len(vecs)
-    operands = [qt, list(range(2 * k))]
-    for l, v in enumerate(vecs):
-        if l == j:
-            continue
-        operands.extend([np.conj(v), [l], v, [k + l]])
-    return np.einsum(*operands, [j, k + j])
+#: Restarts that ascend together in one block; bounds the batch arrays
+#: whatever the restart count.
+_RESTART_BLOCK = 64
 
 
 def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed) -> float:
@@ -307,37 +302,61 @@ def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed) -> f
     remaining party, so the optimal update is the top eigenvector of the
     contracted operator; sweeping the parties gives monotone convergence.
     A restart converges when one sweep moves the value by at most 1e-12
-    relative, within 500 sweeps.
+    relative, within 500 sweeps; the result is the best converged value.
+
+    Restarts ascend in blocks of ``_RESTART_BLOCK``: each party update is
+    one matrix product of Q, party j's axes first, against the other
+    parties' product vectors of every active restart, one two-operand
+    reduction and one stacked ``eigh``.  Converged restarts leave the
+    block.  Q is contracted as a complex copy, built once per party:
+    numpy multiplies float64 by the transposed complex128 batch outside
+    BLAS, about 450 times slower than complex128 by complex128 (8 ms
+    against 18 us for (128, 8) @ (8, 64)).  Start vectors are drawn
+    restart by restart, party by party, and the ascent itself draws
+    nothing, so the random stream is that of one restart at a time.
     """
     import numpy as np
 
     dims = [1 << s for s in part.parts]
     k = len(dims)
     qt = q.reshape(dims + dims)
+    qjs = []  # party j's axes first, rows (a, rest, b) by the rest's columns
+    for j in range(k):
+        others = [l for l in range(k) if l != j]
+        axes = [j] + others + [k + j] + [k + l for l in others]
+        qjs.append(np.ascontiguousarray(qt.transpose(axes), dtype=complex)
+                   .reshape(-1, q.shape[0] // dims[j]))
     rng = np.random.default_rng(seed)
     best = None
-    converged_any = False
-    for _ in range(restarts):
-        vecs = [_random_unit(rng, d) for d in dims]
+    for first in range(0, restarts, _RESTART_BLOCK):
+        size = min(_RESTART_BLOCK, restarts - first)
+        starts = [[_random_unit(rng, d) for d in dims] for _ in range(size)]
+        vecs = [np.array(v) for v in zip(*starts)]
         prev = None
-        value = None
-        ok = False
         for _ in range(500):
             for j in range(k):
-                env = _env_operator(qt, vecs, j)
-                env = (env + env.conj().T) / 2
+                phi = np.ones((size, 1), dtype=complex)
+                for l in range(k):
+                    if l != j:
+                        phi = (phi[:, :, None] * vecs[l][:, None, :]).reshape(size, -1)
+                x = (qjs[j] @ phi.T).reshape(dims[j], phi.shape[1], dims[j], size)
+                env = np.einsum("arcb,br->bac", x, phi.conj())
+                env = (env + env.conj().transpose(0, 2, 1)) / 2
                 eigvals, eigvecs = np.linalg.eigh(env)
-                vecs[j] = eigvecs[:, -1]
-                value = float(eigvals[-1])
-            if prev is not None and abs(value - prev) <= 1e-12 * max(1.0, abs(value)):
-                ok = True
-                break
+                vecs[j] = eigvecs[:, :, -1]
+                value = eigvals[:, -1]
+            if prev is not None:
+                done = np.abs(value - prev) <= 1e-12 * np.maximum(1.0, np.abs(value))
+                if done.any():
+                    top = float(value[done].max())
+                    best = top if best is None else max(best, top)
+                    vecs = [v[~done] for v in vecs]
+                    value = value[~done]
+                    size = len(value)
+                    if not size:
+                        break
             prev = value
-        if ok:
-            converged_any = True
-            if best is None or value > best:
-                best = value
-    if not converged_any:
+    if best is None:
         raise RuntimeError("product-state ascent did not converge in any restart")
     return best
 

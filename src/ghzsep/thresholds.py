@@ -10,6 +10,7 @@ lookup that decides which kind a cell gets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,9 +60,10 @@ class SeparabilityVerdict:
 def threshold(n: int, k: int) -> tuple:
     """(bound, exact, rule) for (n, k): the closed form, necessary and
     sufficient, at k = 2, k = n and n >= 2j + 1 (j = n - k), else the
-    certified linear-program bound, sufficient only.  Closed forms that
-    disagree or a rejected certificate raise ArithmeticError; a linear-program
-    cell above ``lpsolve.MAX_N`` qubits raises ValueError.
+    certified linear-program bound, sufficient only, solved once per process.
+    Closed forms that disagree or a rejected certificate raise
+    ArithmeticError; a linear-program cell above ``lpsolve.MAX_N`` qubits
+    raises ValueError.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
@@ -83,7 +85,15 @@ def threshold(n: int, k: int) -> tuple:
     if n > lpsolve.MAX_N:
         raise ValueError(f"no closed form for n={n}, k={k}, and the linear program is "
                          f"limited to n <= {lpsolve.MAX_N}")
-    return lpsolve._certified_solve(n, k).p_s, False, "mixed-partition linear program"
+    return _lp_bound(n, k), False, "mixed-partition linear program"
+
+
+@functools.cache
+def _lp_bound(n: int, k: int) -> Fraction:
+    """The certified linear-program p_s of one cell, kept for repeated lookups."""
+    from . import lpsolve
+
+    return lpsolve._certified_solve(n, k).p_s
 
 
 def classify(n: int, k: int, p) -> SeparabilityVerdict:

@@ -81,7 +81,7 @@ class TestThresholdCommand:
         assert result.exit_code == 0
         assert "iff" in result.output
 
-    def test_rejected_certificate_exits_one(self, runner, monkeypatch):
+    def test_rejected_certificate_exits_one(self, runner, monkeypatch, fresh_lp_bounds):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["threshold", "--n", "6", "--k", "3"])
         assert result.exit_code == 1

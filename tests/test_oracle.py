@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ghzsep.cli import main
+from ghzsep.cli import WITNESS_MAX_CASES, main
 from ghzsep.oracle import (
     _block_partition,
     _dense_witness_float,
     _maximize_partition,
     _phase_average_support,
+    _random_unit,
     characteristic_check,
     dense_witness,
     max_sampled_product_value,
@@ -46,6 +47,38 @@ def four_k_support(part):
             else:
                 off_entries.append((cx, cy, val))
     return diag_val, off_entries
+
+
+def per_restart_ascent(q, part, restarts, seed):
+    """The product-state ascent one restart at a time: each party update
+    contracts Q against the other parties' vectors with one einsum and
+    takes the top eigenvector; a restart converges when a sweep moves the
+    value by at most 1e-12 relative, within 500 sweeps."""
+    dims = [1 << s for s in part.parts]
+    k = len(dims)
+    qt = q.reshape(dims + dims)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        vecs = [_random_unit(rng, d) for d in dims]
+        prev = None
+        for _ in range(500):
+            for j in range(k):
+                operands = [qt, list(range(2 * k))]
+                for l, v in enumerate(vecs):
+                    if l != j:
+                        operands.extend([np.conj(v), [l], v, [k + l]])
+                env = np.einsum(*operands, [j, k + j])
+                eigvals, eigvecs = np.linalg.eigh((env + env.conj().T) / 2)
+                vecs[j] = eigvecs[:, -1]
+                value = float(eigvals[-1])
+            if prev is not None and abs(value - prev) <= 1e-12 * max(1.0, abs(value)):
+                best = value if best is None else max(best, value)
+                break
+            prev = value
+    if best is None:
+        raise RuntimeError("product-state ascent did not converge in any restart")
+    return best
 
 
 def split_monotonicity_check(n, L, finer, restarts=16, seed=42):
@@ -217,6 +250,24 @@ class TestProductStateSearch:
 
     def test_reaches_bound_5_3(self):
         assert maximize_over_product_states(5, 3, restarts=16, seed=3) == pytest.approx(2.5, abs=1e-9)
+
+    def test_zero_restarts_raise(self):
+        with pytest.raises(RuntimeError, match="did not converge in any restart"):
+            maximize_over_product_states(4, 2, restarts=0)
+
+    @pytest.mark.parametrize("n, L, part", [
+        *((n, L, _block_partition(n, L)) for n, L in WITNESS_MAX_CASES),
+        (6, 4, PartitionType.from_sizes([2, 2, 1, 1])),
+        (5, 4, PartitionType.from_sizes([2, 2, 1])),
+    ], ids=str)
+    def test_batched_ascent_matches_per_restart(self, n, L, part):
+        # 130 restarts span three blocks of restarts
+        q = _dense_witness_float(n, L)
+        for restarts in (1, 8, 130):
+            for seed in range(4):
+                want = per_restart_ascent(q, part, restarts, seed)
+                got = _maximize_partition(q, part, restarts, seed)
+                assert abs(got - want) <= 1e-12, (restarts, seed, got, want)
 
     def test_sampling_never_exceeds_bound(self):
         for n, L in [(4, 2), (5, 3)]:

@@ -95,7 +95,7 @@ class TestThreshold:
                 assert v.necessary_bound == (bound if exact else None), (n, k)
                 assert v.sufficient_rule == rule, (n, k)
 
-    def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch):
+    def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch, fresh_lp_bounds):
         def fail(n, k):
             raise AssertionError(f"built the problem for n={n}, k={k}")
 
@@ -108,7 +108,7 @@ class TestThreshold:
         with pytest.raises(ArithmeticError, match="inconsistent exact bounds for n=3, k=2"):
             threshold(3, 2)
 
-    def test_rejected_certificate_raises(self, monkeypatch):
+    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_bounds):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
             threshold(6, 3)
@@ -132,10 +132,24 @@ class TestClassify:
         assert v.sufficient_bound == Fraction(9, 41)
         assert v.necessary_bound is None
 
-    def test_rejected_certificate_raises(self, monkeypatch):
+    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_bounds):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
             classify(6, 3, 0)
+
+    def test_one_solve_per_lp_cell(self, monkeypatch, fresh_lp_bounds):
+        solves = []
+        solve = lpsolve.solve
+
+        def counted(prob):
+            solves.append((prob.n, prob.k))
+            return solve(prob)
+
+        monkeypatch.setattr(lpsolve, "solve", counted)
+        verdicts = [classify(8, 3, p).status
+                    for p in (Fraction(0), Fraction(1, 4), Fraction(1))]
+        assert verdicts == ["separable", "unknown-gap", "entangled"]
+        assert solves == [(8, 3)]
 
     def test_gap_verdicts_agree_with_biseparability(self):
         # every k-separable state is biseparable, so above the
