@@ -165,15 +165,42 @@ class Lemma1Check:
     which is checked before the record is built.  ``passed`` means a <= 0
     and a^2 - b^2 >= transverse_bound = prod(1 - z_i^2); ``tight`` means
     the second holds with equality.
+
+    The record keeps the kernel's integers: with Q the product of the
+    components' denominators and m = n - 2, ma, mb, mu and mv are a, b, u
+    and v times den = m*Q, and plus_minus is transverse_bound times
+    bound_den = Q^2.  The five scalars are built as Fractions when read.
     """
 
-    a: Fraction
-    b: Fraction
-    u: Fraction
-    v: Fraction
-    transverse_bound: Fraction
+    ma: int
+    mb: int
+    mu: int
+    mv: int
+    den: int
+    plus_minus: int
+    bound_den: int
     passed: bool
     tight: bool
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.ma, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.mb, self.den)
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.mu, self.den)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.mv, self.den)
+
+    @property
+    def transverse_bound(self) -> Fraction:
+        return Fraction(self.plus_minus, self.bound_den)
 
 
 def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
@@ -182,14 +209,15 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
     The right-hand side is the largest possible squared transverse
     magnitude c^2 + d^2 when every Bloch vector has unit norm, so this is
     the statement that the two-qubit block eigenvalue never exceeds the
-    symmetric-state value.
+    symmetric-state value.  Components may be ints, floats or Fractions;
+    each is read as its exact integer ratio.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     if len(z) != n - 2:
         raise ValueError(f"need {n - 2} components, got {len(z)}")
-    zs = tuple(Fraction(x) for x in z)
-    if any(abs(x.numerator) > x.denominator for x in zs):
+    ratios = [x.as_integer_ratio() for x in z]
+    if any(abs(p) > q for p, q in ratios):
         raise ValueError("every component must lie in [-1, 1]")
     m = n - 2
     # Everything runs on integers over one denominator: with z_j = p_j/q_j
@@ -200,9 +228,13 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
     # products, Q times prod(1 + z) and prod(1 - z).
     sym = [1]
     big_q, plus, minus, mu, mv = 1, 1, 1, 0, 0
-    for x in zs:
-        p, q = x.numerator, x.denominator
-        sym = [q * c + p * d for c, d in zip(sym + [0], [0] + sym)]
+    for p, q in ratios:
+        times, below = [], 0  # sym times (q + x p)
+        for c in sym:
+            times.append(q * c + p * below)
+            below = c
+        times.append(p * below)
+        sym = times
         mu, mv = mu * (q + p) + plus * (q - p), mv * (q - p) + minus * (q + p)
         plus, minus, big_q = plus * (q + p), minus * (q - p), big_q * q
     # S_i enters with weight (2i - m)/m: even i make up a (S_0 gives the
@@ -212,12 +244,10 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
     if 2 * ma != -(mu + mv) or 2 * mb != -(mu - mv):
         raise ArithmeticError("internal identity between (a, b) and (u, v) violated")
     # a^2 - b^2 >= prod(1 - z^2), scaled by (Q*m)^2
-    lhs, rhs = ma * ma - mb * mb, m * m * plus * minus
-    den = big_q * m
-    return Lemma1Check(
-        Fraction(ma, den), Fraction(mb, den), Fraction(mu, den), Fraction(mv, den),
-        Fraction(plus * minus, big_q * big_q), ma <= 0 and lhs >= rhs, lhs == rhs,
-    )
+    plus_minus = plus * minus
+    lhs, rhs = ma * ma - mb * mb, m * m * plus_minus
+    return Lemma1Check(ma, mb, mu, mv, m * big_q, plus_minus, big_q * big_q,
+                       ma <= 0 and lhs >= rhs, lhs == rhs)
 
 
 def random_unit_rationals(rng: random.Random, length: int) -> tuple:

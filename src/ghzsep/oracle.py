@@ -156,63 +156,79 @@ class CharacteristicReport:
         return all(r.passed for r in self.records)
 
 
-def _expected_correlation(idx, p: Fraction) -> Fraction:
-    """Stabilizer sign pattern: even all-Z strings give p (identity gives
-    1), all-X/Y strings with 2j Y factors give (-1)^j p, everything else
-    vanishes."""
-    if all(i in (0, 3) for i in idx):
-        z = idx.count(3)
-        if z == 0:
-            return Fraction(1)
-        return p if z % 2 == 0 else Fraction(0)
-    if all(i in (1, 2) for i in idx):
-        y = idx.count(2)
-        return (-1) ** (y // 2) * p if y % 2 == 0 else Fraction(0)
-    return Fraction(0)
+def _scaled_entries(rho, den: int = 1):
+    """The nonzero entries of a dense exact matrix as integers over one
+    denominator: returns ([(row, col, num)], D), entry = num/D, where D is
+    the lcm of ``den`` and the entries' denominators."""
+    entries = [(row, col, amp.as_integer_ratio())
+               for row, values in enumerate(rho) for col, amp in enumerate(values) if amp]
+    den = math.lcm(den, *(q for _, _, (_, q) in entries))
+    return [(row, col, p * (den // q)) for row, col, (p, q) in entries], den
 
 
 def characteristic_check(n: int, p) -> CharacteristicReport:
     """Evaluate every Pauli-string expectation of the dense noisy GHZ state.
 
-    Takes every trace of ``to_dense(noisy_ghz(n, p))`` in exact arithmetic.
-    A Pauli string with X mask x is a monomial matrix that pairs column y
-    with row y ^ x, so its trace reads only the entries of rho whose row
-    XOR column is x; the nonzero entries are grouped by that mask once.
-    Mismatches against the stabilizer pattern become report entries, never
+    Takes every trace of ``to_dense(noisy_ghz(n, p))`` in exact arithmetic,
+    on integers: the nonzero entries of rho are scaled once to integers
+    over their common denominator D (a multiple of p's), and each trace is
+    accumulated over D.  A Pauli string with X mask x is a monomial matrix
+    that pairs column y with row y ^ x, so its trace reads only the entries
+    of rho whose row XOR column is x; the nonzero entries are grouped by
+    that mask once.  The stabilizer pattern they are compared with comes
+    from the masks: the identity gives 1, other X-free strings p for an
+    even Z count, all-flip strings (-1)^(y/2) p for an even Y count y, and
+    every other string 0.  Mismatches become report entries, never
     exceptions.
     """
     if n > 8:
         raise ValueError(f"characteristic sweep limited to n <= 8, got n={n}")
     p = Fraction(p)
-    rho = to_dense(noisy_ghz(n, p))
+    entries, den = _scaled_entries(to_dense(noisy_ghz(n, p)), p.denominator)
     by_xmask = {}
-    for row, entries in enumerate(rho):
-        for y, amp in enumerate(entries):
-            if amp:
-                by_xmask.setdefault(row ^ y, []).append((y, amp))
+    for row, y, num in entries:
+        by_xmask.setdefault(row ^ y, []).append((y, num))
+    full = (1 << n) - 1
+    p_den = p.numerator * (den // p.denominator)
 
+    # every string with its X mask, Z mask and Y count, in the order of
+    # itertools.product(range(4), repeat=n), grown one qubit at a time:
+    # X (1) and Y (2) flip bit q, Y and Z (3) read it
+    strings = [((), 0, 0, 0)]
+    for q in range(n):
+        bit = 1 << q
+        letters = ((0, 0, 0, 0), (1, bit, 0, 0), (2, bit, bit, 1), (3, 0, bit, 0))
+        strings = [(idx + (s,), x | xb, z | zb, y + yb)
+                   for idx, x, z, y in strings for s, xb, zb, yb in letters]
+
+    zero = Fraction(0)
     values = {}
+    nonzero = 0
     mismatch = None
-    for idx in itertools.product(range(4), repeat=n):
-        xmask = zmask = ycount = 0
-        for q, s in enumerate(idx):  # X (1) and Y (2) flip bit q, Y and Z (3) read it
-            if s:
-                xmask |= (s != 3) << q
-                zmask |= (s != 1) << q
-                ycount += s == 2
-        # the parts of the trace carrying i^0 .. i^3; int zeros keep the
-        # strings that reach no entry of rho free of Fraction arithmetic
+    for idx, xmask, zmask, ycount in strings:
+        # the parts of the trace carrying i^0 .. i^3, times D
         trace = [0] * 4
-        for y, amp in by_xmask.get(xmask, ()):
-            trace[(ycount + 2 * (y & zmask).bit_count()) % 4] += amp
-        re, im = Fraction(trace[0] - trace[2]), trace[1] - trace[3]
-        values[idx] = re
-        expected = _expected_correlation(idx, p)
+        for y, num in by_xmask.get(xmask, ()):
+            trace[(ycount + 2 * (y & zmask).bit_count()) % 4] += num
+        re, im = trace[0] - trace[2], trace[1] - trace[3]
+        # the stabilizer pattern, times D
+        if xmask == 0 and zmask == 0:
+            expected = den
+        elif xmask == 0:
+            expected = 0 if zmask.bit_count() % 2 else p_den
+        elif xmask == full:
+            expected = 0 if ycount % 2 else (-1) ** (ycount // 2) * p_den
+        else:
+            expected = 0
+        if re:
+            values[idx] = Fraction(re, den)
+            nonzero += 1
+        else:
+            values[idx] = zero
         if mismatch is None and im != 0:
             mismatch = (idx, "non-real correlation")
         elif mismatch is None and re != expected:
-            mismatch = (idx, f"got {re}, expected {expected}")
-    nonzero = sum(1 for value in values.values() if value)
+            mismatch = (idx, f"got {values[idx]}, expected {Fraction(expected, den)}")
 
     expected_count = 2**n if p != 0 else 1
     records = (
@@ -232,25 +248,30 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
     return CharacteristicReport(n, p, values, nonzero, records)
 
 
-def dense_witness(n: int, L: int):
-    """Materialize the witness Q as a dense exact matrix.
+def _dense_witness_scaled(n: int, L: int):
+    """The dense witness Q as integers over one denominator: returns
+    (scale * Q as rows of ints, scale), with scale the lcm of the
+    coefficients' denominators (a divisor of n - L).
 
     Q is assembled generator by generator: each term is an all-X flip (or
     not) times a Z string, acting monomially on the computational basis.
     The construction is validated against the characteristic-function
-    value of tr(rho Q) on noisy GHZ states before being returned.
+    value of tr(rho Q) on noisy GHZ states, in integers, before being
+    returned.
     """
     if n > 8:
         raise ValueError(f"dense witness limited to n <= 8, got n={n}")
     spec = canonical_witness(n, L)
+    scale = math.lcm(*(m.denominator for m in spec.m))
+    coeffs = [m.numerator * (scale // m.denominator) for m in spec.m]
     dim = 1 << n
     full = dim - 1
-    q = [[Fraction(0)] * dim for _ in range(dim)]
+    q = [[0] * dim for _ in range(dim)]
     for kvec in range(1 << (n - 1)):
         weight = kvec.bit_count()
         zmask = (weight & 1) | (kvec << 1)
         if weight:  # the X-free identity term carries coefficient zero
-            coeff = spec.m[(weight + 1) // 2 - 1]
+            coeff = coeffs[(weight + 1) // 2 - 1]
             for x in range(dim):
                 if (zmask & x).bit_count() & 1:
                     q[x][x] -= coeff
@@ -258,19 +279,23 @@ def dense_witness(n: int, L: int):
                     q[x][x] += coeff
         for x in range(dim):
             if (zmask & x).bit_count() & 1:
-                q[x ^ full][x] -= 1
+                q[x ^ full][x] -= scale
             else:
-                q[x ^ full][x] += 1
+                q[x ^ full][x] += scale
     for p in (Fraction(0), Fraction(1)):
-        rho = to_dense(noisy_ghz(n, p))
+        entries, den = _scaled_entries(to_dense(noisy_ghz(n, p)))
         # zero entries of rho add nothing to tr(rho Q)
-        tr = sum(
-            (amp * q[y][x] for x, row in enumerate(rho) for y, amp in enumerate(row) if amp),
-            start=Fraction(0),
-        )
-        if tr != ghz_witness_value(spec, p):
+        tr = sum(num * q[y][x] for x, y, num in entries)
+        if Fraction(tr, den) != scale * ghz_witness_value(spec, p):
             raise ArithmeticError("dense witness disagrees with the closed-form trace")
-    return q
+    return q, scale
+
+
+def dense_witness(n: int, L: int):
+    """Materialize the witness Q as a dense exact matrix of Fractions."""
+    q, scale = _dense_witness_scaled(n, L)
+    zero = Fraction(0)
+    return [[Fraction(v, scale) if v else zero for v in row] for row in q]
 
 
 @functools.cache
@@ -279,7 +304,8 @@ def _dense_witness_float(n: int, L: int) -> np.ndarray:
     read-only by the product-state probes."""
     import numpy as np
 
-    q = np.array([[float(v) for v in row] for row in dense_witness(n, L)])
+    q, scale = _dense_witness_scaled(n, L)
+    q = np.array(q, dtype=float) / scale
     q.flags.writeable = False
     return q
 

@@ -349,6 +349,29 @@ class TestOutputPinned:
         assert digest.hexdigest() == self.DIGEST
 
 
+def _pinned_verify_lines():
+    """The exact verify suites, each at small limits, at seeds 0, 3 and 7."""
+    suites = [("appendix", "n=20,l=10"), ("wident", ""), ("phase-oracle", "n=6"),
+              ("charfn", "n=5"), ("lemma1", "n=6,samples=200")]
+    return [["verify", "--suite", suite, "--seed", str(seed)] + (["--limits", limits] if limits else [])
+            for seed in (0, 3, 7) for suite, limits in suites]
+
+
+class TestVerifyOutputPinned:
+    #: sha256 over each verify command line, its exit code and its output,
+    #: captured before lemma1 and charfn ran over one integer denominator.
+    DIGEST = "48368e27b14d34404ba74a415f026d30cabe986bc3955a1ecdcec193ef759cdf"
+
+    def test_exact_suites_byte_for_byte(self, runner):
+        lines = _pinned_verify_lines()
+        assert len(lines) == 15
+        digest = hashlib.sha256()
+        for args in lines:
+            result = runner.invoke(main, args)
+            digest.update(f"{' '.join(args)}\n{result.exit_code}\n{result.output}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 def _src_env(**extra):
     env = dict(os.environ, **extra)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

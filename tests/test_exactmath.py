@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsep import exactmath
+from ghzsep.cli import _resolve_limits, _suite_lemma1
 from ghzsep.exactmath import (
     elem_sym,
     random_unit_rationals,
@@ -301,6 +303,25 @@ class TestLemma1:
                 got = lemma1_fields(verify_lemma1_inequality(z, n))
                 assert got == fraction_lemma1(z, n), (n, z)
                 assert [type(x) for x in got] == [Fraction] * 5 + [bool] * 2
+
+    def test_equal_inputs_give_equal_records(self):
+        checks = [verify_lemma1_inequality((x, Fraction(-1, 3)), 4)
+                  for x in (0.5, Fraction(1, 2), Fraction(2, 4))]
+        for check in checks[1:]:
+            assert dataclasses.astuple(check) == dataclasses.astuple(checks[0])
+            assert lemma1_fields(check) == lemma1_fields(checks[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_suite_tight_cases_match_fraction_recount(self, seed):
+        limits = _resolve_limits("lemma1", {"n": 6, "samples": 300})
+        details = [record.detail for record in _suite_lemma1(seed, limits)]
+        rng = random.Random(seed)
+        want = []
+        for n in range(4, 7):
+            ties = sum(fraction_lemma1(random_unit_rationals(rng, n - 2), n)[6]
+                       for _ in range(300))
+            want.append(f"tight_cases={ties}, zero_input_tight=True")
+        assert details == want
 
     def test_equality_detected(self):
         check = verify_lemma1_inequality((Fraction(1, 2), Fraction(1, 2)), 4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ghzsep import oracle
 from ghzsep.cli import WITNESS_MAX_CASES, main
 from ghzsep.oracle import (
     _block_partition,
@@ -170,7 +171,65 @@ def per_row_correlations(n, p):
     return values
 
 
+def expected_correlation(idx, p):
+    """Stabilizer sign pattern, read off the string itself: even all-Z
+    strings give p (identity gives 1), all-X/Y strings with 2j Y factors
+    give (-1)^j p, everything else vanishes."""
+    if all(i in (0, 3) for i in idx):
+        z = idx.count(3)
+        if z == 0:
+            return Fraction(1)
+        return p if z % 2 == 0 else Fraction(0)
+    if all(i in (1, 2) for i in idx):
+        y = idx.count(2)
+        return (-1) ** (y // 2) * p if y % 2 == 0 else Fraction(0)
+    return Fraction(0)
+
+
+def perturbed_to_dense(row, col, delta):
+    """``to_dense`` with ``delta`` added to one entry."""
+    def build(state):
+        rho = to_dense(state)
+        rho[row][col] += delta
+        return rho
+    return build
+
+
 class TestCharacteristic:
+    def test_mask_pattern_matches_string_pattern(self):
+        # a passing report means every trace equals the mask-derived
+        # pattern; traces equal to the string-derived one make the two
+        # patterns agree on every string (p = 2/7 separates 1, p, -p, 0)
+        for n in range(2, 6):
+            for p in (Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(1)):
+                rep = characteristic_check(n, p)
+                assert rep.passed
+                assert len(rep.values) == 4**n
+                for idx, value in rep.values.items():
+                    assert value == expected_correlation(idx, p), (n, p, idx)
+
+    @pytest.mark.parametrize("p", [Fraction(2, 7), Fraction(5, 9)])
+    def test_six_qubit_values_are_exact_fractions(self, p):
+        rep = characteristic_check(6, p)
+        assert rep.values == per_row_correlations(6, p)
+        assert all(type(v) is Fraction for v in rep.values.values())
+        assert rep.passed and rep.nonzero_count == 64
+
+    @pytest.mark.parametrize("n,p,row,col,delta,details", [
+        (3, Fraction(1, 2), 1, 1, Fraction(1, 7),
+         ("first mismatch at (0, 0, 0): got 8/7, expected 1", "nonzero=12, expected=8")),
+        (3, Fraction(1, 2), 0, 7, Fraction(-1, 5),
+         ("first mismatch at (1, 1, 1): got 3/10, expected 1/2", "nonzero=8, expected=8")),
+        (4, Fraction(2, 7), 3, 5, Fraction(1, 3),
+         ("first mismatch at (0, 1, 1, 0): got 1/3, expected 0", "nonzero=24, expected=16")),
+    ])
+    def test_mismatch_details(self, monkeypatch, n, p, row, col, delta, details):
+        # the detail strings of the kernel that summed Fractions per string
+        monkeypatch.setattr(oracle, "to_dense", perturbed_to_dense(row, col, delta))
+        rep = characteristic_check(n, p)
+        assert not rep.records[0].passed
+        assert tuple(r.detail for r in rep.records) == details
+
     def test_values_match_per_row_sweep(self):
         for n in range(2, 6):
             for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
@@ -230,6 +289,18 @@ class TestDenseWitness:
         eigs = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in q]))
         scaled = eigs * (n - L)
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
+
+    def test_float_form_is_the_exact_form_rounded(self):
+        for n, L in WITNESS_MAX_CASES:
+            q = dense_witness(n, L)
+            assert all(type(v) is Fraction for row in q for v in row)
+            want = np.array([[float(v) for v in row] for row in q])
+            assert np.array_equal(_dense_witness_float(n, L), want)
+
+    def test_rejects_a_wrong_trace(self, monkeypatch):
+        monkeypatch.setattr(oracle, "to_dense", perturbed_to_dense(0, 7, Fraction(1, 2)))
+        with pytest.raises(ArithmeticError):
+            dense_witness(3, 2)
 
     def test_cross_check_against_symbolic_trace(self):
         for n, L in [(3, 2), (5, 3), (6, 4)]:
