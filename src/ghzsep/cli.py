@@ -81,20 +81,17 @@ def threshold(n, j, k, fmt):
         if j is not None:
             thresholds.nj_threshold(n, j)  # range check: --j needs n >= 2j + 1
             k = n - j
-        bound, exact, rule = thresholds.threshold(n, k)
+        bound, rule = thresholds.threshold(n, k)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except ArithmeticError as exc:
         raise click.ClickException(str(exc))
-    sufficient = str(bound)
-    necessary = sufficient if exact else None
-    kind = "iff" if exact else "sufficient-only"
-    human = ([f"{sufficient} (iff)"] if exact
-             else [f"sufficient: {sufficient}", "necessary: none given"])
-    _emit(fmt, human + [f"rule: {rule}"],
-          {"n": n, "k": k, "kind": kind, "rule": rule, "sufficient": sufficient,
-           "sufficient_decimal": _decimal(bound), "necessary": necessary},
-          "n,k,kind,sufficient,necessary", [(n, k, kind, sufficient, necessary or "")])
+    # schema 1 keeps its sufficient and necessary fields: both are the bound
+    text = str(bound)
+    _emit(fmt, [f"{text} (iff)", f"rule: {rule}"],
+          {"n": n, "k": k, "kind": "iff", "rule": rule, "sufficient": text,
+           "sufficient_decimal": _decimal(bound), "necessary": text},
+          "n,k,kind,sufficient,necessary", [(n, k, "iff", text, text)])
 
 
 @main.command()
@@ -169,19 +166,17 @@ def lp(n, k, fmt):
 
     if not 2 <= k <= n <= lpsolve.MAX_N:
         raise click.UsageError(f"need 2 <= k <= n <= {lpsolve.MAX_N}, got n={n}, k={k}")
-    prob = lpsolve.build_problem(n, k)
-    sol = lpsolve.solve(prob)
-    certified = lpsolve.verify_solution(prob, sol)
+    try:
+        sol = lpsolve._certified_solve(n, k)
+    except ArithmeticError as exc:
+        raise click.ClickException(str(exc))
     _emit(fmt,
           [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
            *(f"  {format_partition(p)}: {w}"
              for p, w in zip(sol.partitions, sol.weights) if w > 0),
-           f"binding rows: {list(sol.binding)}",
-           f"certificate: {'valid' if certified else 'INVALID'}"],
-          {**_lp_payload(sol), "binding": list(sol.binding), "certified": certified},
-          "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, certified)])
-    if not certified:
-        sys.exit(1)
+           f"binding rows: {list(sol.binding)}", "certificate: valid"],
+          {**_lp_payload(sol), "binding": list(sol.binding), "certified": True},
+          "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, True)])
 
 
 def _parse_limits(text):
@@ -300,9 +295,11 @@ def _suite_charfn(seed, limits):
 
 
 #: Each suite's generator and limit keys: key -> (default, smallest, largest or None).
-#: The appendix sweep's Pascal table grows with (n + l)^2 entries, hence its cap.
+#: The appendix sweep's Pascal table grows with (n + l)^2 entries and the wident
+#: sweep's time steeply with L (about 6 s at L = 100 on a shared 2-core Xeon),
+#: hence their caps.
 _SUITES = {
-    "wident": (_suite_wident, {"L": (20, 2, None)}),
+    "wident": (_suite_wident, {"L": (20, 2, 100)}),
     "appendix": (_suite_appendix, {"n": (100, 4, 500), "l": (100, 2, 500)}),
     "lemma1": (_suite_lemma1, {"n": (8, 4, None), "samples": (10000, 1, None)}),
     "phase-oracle": (_suite_phase_oracle, {"n": (8, 2, 10)}),

@@ -11,6 +11,17 @@ integers over one shared denominator (Bareiss pivoting), and weights,
 value and dual are converted to Fraction only at the end.  The dual is a
 certificate that verify_solution re-checks over integers, independently
 of the solver.
+
+The threshold p_s = 1/(1 + t 2^(n-1)) is exact, not only sufficient: a
+noisy GHZ state above it is not k-separable.  A pure product psi over a
+k-partition P, twirled onto the GHZ-symmetric states, has coherence at
+most c and at least c f_P(i) weight in Hamming sector i, so a
+k-separable state at p would give a mixture with value at most
+(1 - p)/(p 2^(n-1)) (the proof is in ``thresholds``).  The dual turns
+this into a witness: W = sum_i ybar_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| +
+h.c.) with ybar the mirror-symmetrised dual.  tr(W psi) >= c (sum_i
+ybar_i f_P(i)/C(n, i) - t) >= 0 because every column averages at least
+t, and tr(W rho_p) < 0 exactly for p > p_s.
 """
 
 from __future__ import annotations
@@ -228,6 +239,12 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     Each sum runs over the integer counts: the weights over their common
     denominator W give the rows times W C(n, i), and the values
     y_i / C(n, i) over their common denominator D give the columns times D.
+
+    The dual check is also what makes p_s necessary.  Columns and binomials
+    are mirror-symmetric, so ybar_i = (y_i + y_(n-i))/2 passes it too, and
+    every partition column averaging at least t under ybar is the
+    inequality that makes the witness built from ybar (see the module
+    docstring) nonnegative on every k-separable state.
     """
     n, m = prob.n, len(prob.partitions)
     rows = n - 1
@@ -279,7 +296,8 @@ def mixed_state(sol: LpSolution) -> SymState:
 
 
 def _certified_solve(n: int, k: int) -> LpSolution:
-    """Certified (n, k) solution for table1 and thresholds.threshold, else ArithmeticError."""
+    """Certified (n, k) solution behind every printed LP bound (``lp``,
+    ``table1`` and ``thresholds.threshold``), else ArithmeticError."""
     prob = build_problem(n, k)
     sol = solve(prob)
     if not verify_solution(prob, sol):

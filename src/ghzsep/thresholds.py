@@ -1,11 +1,45 @@
-"""Closed-form separability thresholds and the classification API.
+"""Exact separability thresholds and the classification API.
 
-For a noisy n-qubit GHZ state split into k parties the exact threshold is
-known whenever k >= ceil((n+1)/2) (equivalently n >= 2j + 1 for j = n - k),
-at the biseparability endpoint k = 2, and at the full-separability
-endpoint k = n.  Everything in between only has a sufficient bound, which
-comes from the mixed-partition linear program.  ``threshold`` is the one
-lookup that decides which kind a cell gets.
+For the noisy n-qubit GHZ state rho_p = p |GHZ><GHZ| + (1 - p) I / 2^n and
+a split into k parties, ``threshold`` gives the exact threshold of every
+cell: rho_p is k-separable if and only if p <= bound.  Closed forms cover
+k = 2, k = n and k >= ceil((n+1)/2) (n >= 2j + 1 for j = n - k); every
+other cell takes the mixed-partition linear program's p_s =
+1/(1 + t 2^(n-1)), where t is the LP optimum (see ``lpsolve``).
+
+The LP mixture is separable, so p <= p_s suffices.  It is also necessary:
+
+1. Twirl.  Average over the local phases prod_q diag(e^(i phi_q),
+   e^(-i phi_q)) with sum_q phi_q = 0, over the qubit permutations and
+   over X^(x)n.  Each is local or relabels qubits, so the average keeps
+   k-separability, and it leaves rho_p unchanged.  Of a state it keeps
+   only the Hamming-sector weights (mirror-averaged, sector i with
+   n - i) and Re<0^n|rho|1^n>.  For a pure k-product state
+   psi = (x)_a psi_a, with alpha_a = <0..0|psi_a> and
+   beta_a = <1..1|psi_a>, that coherence is at most c = prod_a
+   |alpha_a beta_a|.  This is the GHZ-symmetric reduction of Eltschka
+   and Siewert, PRL 108, 020502 (2012), taken to n qubits.
+2. Dominance.  For a set S of parties, the basis state with the parties
+   in S at 1..1 and the rest at 0..0 has weight P_S = prod_{a in S}
+   |beta_a|^2 prod_{a not in S} |alpha_a|^2, and P_S P_{S'} = c^2 for
+   the complement S'.  By AM-GM (P_S + P_S')/2 >= c, so the twirled psi
+   has at least c f_P(i) weight in sector i, where f_P(i) counts the
+   sets of parties of the partition P holding i qubits.
+3. Consequence.  Write a k-separable rho_p, p > 0, as sum_j w_j psi_j
+   with psi_j a pure product over a k-partition P_j.  rho_p is its own
+   twirl, so its coherence p/2 is at most C = sum_j w_j c_j and its
+   sector-i weight (1 - p) C(n, i) / 2^n is at least
+   sum_j w_j c_j f_{P_j}(i).  The weights q_j = w_j c_j / C, summed per
+   partition, are then a mixture whose every ratio row is at most
+   (1 - p) / (2^n C) <= (1 - p) / (p 2^(n-1)).  So t <= (1 - p) /
+   (p 2^(n-1)), that is p <= p_s.
+
+The certified dual y, mirror-symmetrised to ybar_i = (y_i + y_(n-i))/2,
+is itself a valid certificate and gives the witness
+W = sum_i ybar_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| + h.c.), with Pi_i the
+projector on Hamming weight i.  Steps 1 and 2 give tr(W rho) >= 0 on
+every k-separable rho, and tr(W rho_p) = (1 - p)/2^n - t p/2 < 0
+exactly when p > p_s.
 """
 
 from __future__ import annotations
@@ -51,16 +85,17 @@ class SeparabilityVerdict:
     n: int
     k: int
     p: Fraction
-    status: str  # "separable" | "entangled" | "unknown-gap"
-    sufficient_bound: Fraction
-    necessary_bound: Fraction  # None when no necessary bound is known
-    sufficient_rule: str
+    status: str  # "separable" | "entangled"
+    bound: Fraction
+    rule: str
 
 
 def threshold(n: int, k: int) -> tuple:
-    """(bound, exact, rule) for (n, k): the closed form, necessary and
-    sufficient, at k = 2, k = n and n >= 2j + 1 (j = n - k), else the
-    certified linear-program bound, sufficient only, solved once per process.
+    """(bound, rule) for (n, k): rho_p is k-separable iff p <= bound.
+
+    The bound is the closed form at k = 2, k = n and n >= 2j + 1
+    (j = n - k), else the certified linear-program bound, exact by its dual
+    witness (see the module docstring) and solved once per process.
     Closed forms that disagree or a rejected certificate raise
     ArithmeticError; a linear-program cell above ``lpsolve.MAX_N`` qubits
     raises ValueError.
@@ -78,14 +113,13 @@ def threshold(n: int, k: int) -> tuple:
     if candidates:
         if len({b for b, _ in candidates}) != 1:
             raise ArithmeticError(f"inconsistent exact bounds for n={n}, k={k}: {candidates}")
-        bound, rule = candidates[0]
-        return bound, True, rule
+        return candidates[0]
     from . import lpsolve
 
     if n > lpsolve.MAX_N:
         raise ValueError(f"no closed form for n={n}, k={k}, and the linear program is "
                          f"limited to n <= {lpsolve.MAX_N}")
-    return _lp_bound(n, k), False, "mixed-partition linear program"
+    return _lp_bound(n, k), "mixed-partition linear program and its dual witness"
 
 
 @functools.cache
@@ -97,20 +131,12 @@ def _lp_bound(n: int, k: int) -> Fraction:
 
 
 def classify(n: int, k: int, p) -> SeparabilityVerdict:
-    """Classify p against ``threshold(n, k)``.  Past a sufficient-only bound p
-    is entangled above the biseparability threshold (every k-separable state
-    is biseparable) and unknown-gap up to it."""
+    """Classify p against ``threshold(n, k)``: separable iff p <= bound."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    bound, exact, rule = threshold(n, k)
-    if p <= bound:
-        status = "separable"
-    elif exact or p > bisep_threshold(n):
-        status = "entangled"
-    else:
-        status = "unknown-gap"
-    return SeparabilityVerdict(n, k, p, status, bound, bound if exact else None, rule)
+    bound, rule = threshold(n, k)
+    return SeparabilityVerdict(n, k, p, "separable" if p <= bound else "entangled", bound, rule)
 
 
 def figure1_data(n_min: int, n_max: int, j_list) -> list:

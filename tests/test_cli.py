@@ -23,11 +23,17 @@ class TestThresholdCommand:
         assert result.exit_code == 0
         assert "3/7 (iff)" in result.output
 
-    def test_lp_regime_reports_gap(self, runner):
+    def test_lp_regime_reports_iff(self, runner):
         result = runner.invoke(main, ["threshold", "--n", "6", "--k", "3"])
         assert result.exit_code == 0
-        assert "sufficient: 9/41" in result.output
-        assert "necessary: none" in result.output
+        assert result.output == ("9/41 (iff)\n"
+                                 "rule: mixed-partition linear program and its dual witness\n")
+
+    def test_lp_cell_json_keeps_schema_one(self, runner):
+        result = runner.invoke(main, ["threshold", "--n", "6", "--k", "3", "--format", "json"])
+        payload = json.loads(result.output)
+        assert payload["kind"] == "iff"
+        assert payload["sufficient"] == payload["necessary"] == "9/41"
 
     def test_full_separability(self, runner):
         result = runner.invoke(main, ["threshold", "--n", "4", "--k", "4"])
@@ -221,7 +227,7 @@ class TestLpCommand:
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["lp", "--n", "6", "--k", "3"])
         assert result.exit_code == 1
-        assert "certificate: INVALID" in result.output
+        assert result.output == "Error: optimality certificate rejected for n=6, k=3\n"
 
     def test_invalid_cell_exits_two(self, runner):
         assert runner.invoke(main, ["lp", "--n", "4", "--k", "9"]).exit_code == 2
@@ -313,6 +319,15 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert result.output.startswith("Usage:")
 
+    def test_wident_above_its_cap_exits_two(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzsep", "verify", "--suite", "wident", "--limits", "L=101"],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "suite wident needs 2 <= L <= 100, got L=101" in proc.stderr
+
     def test_limits_with_all_suites_exits_two(self, runner):
         # --limits sets one suite's limits: under --suite all, n would mean
         # a different bound to each of the four suites that read it
@@ -336,8 +351,9 @@ def _pinned_command_lines():
 
 class TestOutputPinned:
     #: sha256 over each command line, its exit code and its output, captured
-    #: before the three commands shared one output path.
-    DIGEST = "6ca6ecf72229a7ec95a9d32125c9927dcefd4413f66d6010eb37971f7858228c"
+    #: when the linear-program cells of threshold became iff: only their 27
+    #: lines changed.
+    DIGEST = "bda020648f630c7a4f537c762d3f39ad466d0f597f526d3b52a61bf18f472c24"
 
     def test_every_command_byte_for_byte(self, runner):
         lines = _pinned_command_lines()
@@ -519,7 +535,7 @@ class TestWithoutNumpy:
 
     @pytest.mark.parametrize("command, line", [
         ("lp --n 6 --k 3", "tau = 9"),
-        ("threshold --n 6 --k 3", "sufficient: 9/41"),
+        ("threshold --n 6 --k 3", "9/41 (iff)"),
         ("verify --suite wident --limits L=3", '"pass": true'),
     ])
     def test_exact_commands_run(self, command, line):

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from ghzsep.lpsolve import (
     table1,
     verify_solution,
 )
-from ghzsep.partitions import parse_partition
-from ghzsep.symstate import mix, pad_to_isotropic, partition_average_state
+from ghzsep.partitions import enumerate_partitions, parse_partition
+from ghzsep.symstate import mix, noisy_ghz, pad_to_isotropic, partition_average_state
 from ghzsep.thresholds import bisep_threshold, nj_threshold, threshold
 
 
@@ -171,10 +172,9 @@ class TestConsistencyWithClosedForms:
             prob = build_problem(n, k)
             sol = solve(prob)
             assert verify_solution(prob, sol), (n, k)
-            bound, exact, _ = threshold(n, k)
-            if exact:
-                closed += 1
-                assert sol.p_s == bound, (n, k)
+            bound, rule = threshold(n, k)
+            assert sol.p_s == bound, (n, k)
+            closed += "linear program" not in rule
         assert (len(cells), closed) == (120, 84)
 
     def test_matches_exact_criterion(self):
@@ -214,6 +214,76 @@ class TestConsistencyWithClosedForms:
             sol = solve(build_problem(n, k))
             every = mix([partition_average_state(p) for p in sol.partitions], sol.weights)
             assert mixed_state(sol) == every, (n, k)
+
+
+def _mirror_dual(sol):
+    """The dual averaged with its mirror: ybar_i = (y_i + y_(n-i)) / 2."""
+    return tuple((a + b) / 2 for a, b in zip(sol.dual, reversed(sol.dual)))
+
+
+def _kron(vectors):
+    """The Kronecker product of the vectors, the first one most significant."""
+    out = [Fraction(1)]
+    for v in vectors:
+        out = [a * b for a in out for b in v]
+    return out
+
+
+def _witness_value(ybar, t, psi):
+    """<psi|W|psi> for a real vector psi on n qubits, where
+    W = sum_i ybar_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| + h.c.)."""
+    n = len(psi).bit_length() - 1
+    sector = [0] * (n + 1)
+    for x, a in enumerate(psi):
+        sector[x.bit_count()] += a * a
+    return (sum(y * sector[i] / math.comb(n, i) for i, y in enumerate(ybar, 1))
+            - t * psi[0] * psi[-1])
+
+
+class TestDualWitness:
+    """The mirror-symmetrised dual ybar gives the witness W that makes each
+    linear-program bound necessary: tr(W rho) >= 0 on k-separable states,
+    tr(W rho_p) < 0 for p above p_s (see the thresholds docstring)."""
+
+    def test_every_small_cell(self):
+        for n in range(2, 17):
+            for k in range(2, n + 1):
+                prob = build_problem(n, k)
+                sol = solve(prob)
+                ybar, t = _mirror_dual(sol), sol.t
+                assert verify_solution(prob, replace(sol, dual=ybar)), (n, k)
+                # tr(W sigma) on a symmetric state: sector i holds d[i] C(n, i)
+                traces = [sum(y * d for y, d in zip(ybar, rho.d[1:-1])) - t * rho.alpha
+                          for rho in (noisy_ghz(n, sol.p_s),
+                                      noisy_ghz(n, sol.p_s + Fraction(1, 10**9)))]
+                assert traces[0] == 0 and traces[1] < 0, (n, k)
+                for part, col in zip(prob.partitions, prob.columns):
+                    value = sum(y * f / math.comb(n, i)
+                                for i, (y, f) in enumerate(zip(ybar, col), 1))
+                    assert value >= t, (n, k, part)
+                    assert part not in sol.support or value == t, (n, k, part)
+
+    def test_nonnegative_on_product_states(self):
+        # every partition's block-GHZ product, prod_a (|0..0> + |1..1>), and
+        # seeded random rational product states; W is invariant under qubit
+        # permutations, so contiguous blocks stand for every placement
+        rng = random.Random(2012)
+        checked = 0
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                sol = solve(build_problem(n, k))
+                ybar, t = _mirror_dual(sol), sol.t
+                values = []
+                for part in enumerate_partitions(n, k):
+                    ghz_blocks = [[1] + [0] * (2**s - 2) + [1] for s in part.parts]
+                    values.append(_witness_value(ybar, t, _kron(ghz_blocks)))
+                    for _ in range(20):
+                        blocks = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                   for _ in range(2**s)] for s in part.parts]
+                        values.append(_witness_value(ybar, t, _kron(blocks)))
+                assert min(values) == 0, (n, k)
+                checked += len(values)
+        assert checked == 483  # 23 partitions, each with 1 + 20 states
 
 
 class TestGoldenTable:

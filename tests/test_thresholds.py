@@ -69,14 +69,17 @@ def closed_form(n, k):
     return None
 
 
+LP_RULE = "mixed-partition linear program and its dual witness"
+
+
 class TestThreshold:
     def test_closed_form_cells_are_exact(self):
         cells = [(n, k) for n in range(2, 17) for k in range(2, n + 1)
                  if closed_form(n, k) is not None]
         assert len(cells) == 84
         for n, k in cells:
-            bound, exact, _ = threshold(n, k)
-            assert exact and bound == closed_form(n, k), (n, k)
+            bound, rule = threshold(n, k)
+            assert bound == closed_form(n, k) and rule != LP_RULE, (n, k)
 
     def test_lp_cells_give_the_certified_bound(self):
         for n, k in lpsolve.REFERENCE_TAU:
@@ -84,16 +87,14 @@ class TestThreshold:
             prob = lpsolve.build_problem(n, k)
             sol = lpsolve.solve(prob)
             assert lpsolve.verify_solution(prob, sol)
-            assert threshold(n, k) == (sol.p_s, False, "mixed-partition linear program"), (n, k)
+            assert threshold(n, k) == (sol.p_s, LP_RULE), (n, k)
 
     def test_classify_reports_the_same_bounds(self):
         for n in range(2, 11):
             for k in range(2, n + 1):
-                bound, exact, rule = threshold(n, k)
+                bound, rule = threshold(n, k)
                 v = classify(n, k, 0)
-                assert v.sufficient_bound == bound, (n, k)
-                assert v.necessary_bound == (bound if exact else None), (n, k)
-                assert v.sufficient_rule == rule, (n, k)
+                assert (v.bound, v.rule) == (bound, rule), (n, k)
 
     def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch, fresh_lp_bounds):
         def fail(n, k):
@@ -123,14 +124,14 @@ class TestClassify:
     def test_separable_by_closed_form(self):
         v = classify(6, 5, Fraction(1, 30))
         assert v.status == "separable"
-        assert v.sufficient_bound == Fraction(3, 67)
-        assert v.necessary_bound == Fraction(3, 67)
+        assert v.bound == Fraction(3, 67)
 
     def test_gap_region_uses_lp(self):
+        # the linear-program bound is exact: above it the state is entangled
         v = classify(6, 3, Fraction(1, 4))
-        assert v.status == "unknown-gap"
-        assert v.sufficient_bound == Fraction(9, 41)
-        assert v.necessary_bound is None
+        assert v.status == "entangled"
+        assert v.bound == Fraction(9, 41)
+        assert v.rule == LP_RULE
 
     def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_bounds):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
@@ -148,46 +149,46 @@ class TestClassify:
         monkeypatch.setattr(lpsolve, "solve", counted)
         verdicts = [classify(8, 3, p).status
                     for p in (Fraction(0), Fraction(1, 4), Fraction(1))]
-        assert verdicts == ["separable", "unknown-gap", "entangled"]
+        assert verdicts == ["separable", "entangled", "entangled"]
         assert solves == [(8, 3)]
 
     def test_gap_verdicts_agree_with_biseparability(self):
-        # every k-separable state is biseparable, so above the
-        # biseparability threshold every gap cell is entangled
+        # every k-separable state is biseparable, so each linear-program
+        # bound lies below the biseparability threshold; above the bound
+        # every such cell is entangled
         for n in range(6, 11):
             bisep = bisep_threshold(n)
             for k in range(3, n // 2 + 1):
-                p_s = classify(n, k, 0).sufficient_bound
+                p_s = classify(n, k, 0).bound
                 assert p_s < bisep
-                above = classify(n, k, bisep + Fraction(1, 10**9))
-                assert (above.status, above.necessary_bound) == ("entangled", None), (n, k)
-                assert classify(n, k, (p_s + bisep) / 2).status == "unknown-gap", (n, k)
                 assert classify(n, k, p_s).status == "separable", (n, k)
+                for p in (p_s + Fraction(1, 10**9), (p_s + bisep) / 2, bisep + Fraction(1, 10**9)):
+                    assert classify(n, k, p).status == "entangled", (n, k, p)
         assert classify(6, 3, Fraction(99, 100)).status == "entangled"
 
     def test_entangled_beyond_full_separability(self):
         v = classify(4, 4, Fraction(1, 2))
         assert v.status == "entangled"
-        assert v.necessary_bound == Fraction(1, 9)
+        assert v.bound == Fraction(1, 9)
 
     def test_biseparability_endpoint(self):
         v = classify(5, 2, Fraction(1, 2))
-        assert v.necessary_bound == bisep_threshold(5)
+        assert v.bound == bisep_threshold(5)
 
     def test_three_qubit_endpoints_agree(self):
         # k = 2 is covered by both the biseparability formula and the
         # closed form; they coincide
         v = classify(3, 2, Fraction(2, 5))
-        assert v.sufficient_bound == Fraction(3, 7)
+        assert v.bound == Fraction(3, 7)
         assert v.status == "separable"
 
     def test_monotone_in_p(self):
         for k in (2, 3, 5, 6):
-            bound = classify(6, k, 0).sufficient_bound
+            bound = classify(6, k, 0).bound
             below = classify(6, k, bound)
             assert below.status == "separable"
             just_above = classify(6, k, bound + Fraction(1, 10**6))
-            assert just_above.status != "separable"
+            assert just_above.status == "entangled"
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
