@@ -213,9 +213,8 @@ def _resolve_limits(name, limits):
     values = {}
     for key, (default, lo, hi) in declared.items():
         value = limits.get(key, default)
-        if value < lo or (hi is not None and value > hi):
-            span = f"{key} >= {lo}" if hi is None else f"{lo} <= {key} <= {hi}"
-            raise click.UsageError(f"suite {name} needs {span}, got {key}={value}")
+        if not lo <= value <= hi:
+            raise click.UsageError(f"suite {name} needs {lo} <= {key} <= {hi}, got {key}={value}")
         values[key] = value
     return values
 
@@ -294,16 +293,18 @@ def _suite_charfn(seed, limits):
             yield from oracle.characteristic_check(n, p).records
 
 
-#: Each suite's generator and limit keys: key -> (default, smallest, largest or None).
-#: The appendix sweep's Pascal table grows with (n + l)^2 entries and the wident
-#: sweep's time steeply with L (about 6 s at L = 100 on a shared 2-core Xeon),
-#: hence their caps.
+#: Each suite's generator and limit keys: key -> (default, smallest, largest).
+#: Every key is capped so that no suite runs for long inside its limits.  On a
+#: shared 2-core Xeon each suite takes under 10 s at its caps: the appendix
+#: sweep's Pascal table grows with (n + l)^2 entries, the wident sweep's time
+#: steeply with L, lemma 1's like samples * n^3 and witness-max's linearly in
+#: restarts and samples.
 _SUITES = {
     "wident": (_suite_wident, {"L": (20, 2, 100)}),
     "appendix": (_suite_appendix, {"n": (100, 4, 500), "l": (100, 2, 500)}),
-    "lemma1": (_suite_lemma1, {"n": (8, 4, None), "samples": (10000, 1, None)}),
+    "lemma1": (_suite_lemma1, {"n": (8, 4, 12), "samples": (10000, 1, 20000)}),
     "phase-oracle": (_suite_phase_oracle, {"n": (8, 2, 10)}),
-    "witness-max": (_suite_witness_max, {"restarts": (64, 1, None), "samples": (10000, 1, None)}),
+    "witness-max": (_suite_witness_max, {"restarts": (64, 1, 1024), "samples": (10000, 1, 100000)}),
     "charfn": (_suite_charfn, {"n": (6, 2, 8)}),
 }
 

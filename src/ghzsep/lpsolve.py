@@ -12,26 +12,33 @@ value and dual are converted to Fraction only at the end.  The dual is a
 certificate that verify_solution re-checks over integers, independently
 of the solver.
 
+Ratio rows i and n - i are the same constraint: the complement of a set
+of parties holding i qubits holds n - i, so f_pi(i) = f_pi(n - i), and
+C(n, i) = C(n, n - i).  The tableau keeps rows 1..n/2 only.  The
+reported dual splits each kept row's multiplier evenly between rows i
+and n - i, so it is mirror-symmetric, and the problem data and the
+certificate check keep all n - 1 rows.
+
 The threshold p_s = 1/(1 + t 2^(n-1)) is exact, not only sufficient: a
 noisy GHZ state above it is not k-separable.  A pure product psi over a
 k-partition P, twirled onto the GHZ-symmetric states, has coherence at
 most c and at least c f_P(i) weight in Hamming sector i, so a
 k-separable state at p would give a mixture with value at most
 (1 - p)/(p 2^(n-1)) (the proof is in ``thresholds``).  The dual turns
-this into a witness: W = sum_i ybar_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| +
-h.c.) with ybar the mirror-symmetrised dual.  tr(W psi) >= c (sum_i
-ybar_i f_P(i)/C(n, i) - t) >= 0 because every column averages at least
-t, and tr(W rho_p) < 0 exactly for p > p_s.
+this into a witness: W = sum_i y_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| +
+h.c.) with y the certified, mirror-symmetric dual.  tr(W psi) >= c
+(sum_i y_i f_P(i)/C(n, i) - t) >= 0 because every column averages at
+least t, and tr(W rho_p) < 0 exactly for p > p_s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import enumerate_partitions, profile
-from .symstate import SymState, mix, partition_average_state
 
 #: Largest n at which the command line and ``thresholds.threshold`` solve
 #: the LP.  Every n = 30 cell solves and certifies in under a second; the
@@ -88,10 +95,12 @@ def build_problem(n: int, k: int) -> LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal mixture: weights, minimax value t, tau = 1/t, threshold p_s.
+    """Optimal mixture: weights and minimax value t, with tau = 1/t and the
+    threshold p_s = 1/(1 + t 2^(n-1)) read from t.
 
-    ``dual`` holds one multiplier per ratio row; together with the binding
-    rows it is an optimality certificate checkable by ``verify_solution``.
+    ``binding`` lists the ratio rows 1..n-1 equal to t, and ``dual`` holds
+    one multiplier per ratio row, mirror-symmetric; together they are an
+    optimality certificate checkable by ``verify_solution``.
     ``pivots`` records the simplex pivot sequence (row, column) for
     determinism tests.
     """
@@ -101,12 +110,18 @@ class LpSolution:
     partitions: tuple
     weights: tuple
     t: Fraction
-    tau: Fraction
-    p_s: Fraction
     support: tuple
     binding: tuple
     dual: tuple
     pivots: tuple
+
+    @property
+    def tau(self) -> Fraction:
+        return 1 / self.t
+
+    @property
+    def p_s(self) -> Fraction:
+        return 1 / (1 + self.t * 2 ** (self.n - 1))
 
 
 def _bland_pivot_loop(T, b, d, obj, basis, allowed, pivots):
@@ -162,12 +177,13 @@ def solve(prob: LpProblem) -> LpSolution:
     """Exact optimum of: minimize t subject to sum q_pi r_pi(i) <= t for
     every interior weight i, q >= 0, sum q = 1.
 
-    Two-phase simplex with Bland's anti-cycling rule on the epigraph form;
-    always feasible and bounded.  Deterministic: identical input yields
-    the identical pivot sequence and solution.
+    Two-phase simplex with Bland's anti-cycling rule on the epigraph form,
+    over one row per mirror pair {i, n - i}; always feasible and bounded.
+    Deterministic: identical input yields the identical pivot sequence and
+    solution.
     """
     n, m = prob.n, len(prob.partitions)
-    rows = n - 1
+    rows = n // 2
     t_col = m
     slack0 = m + 1
     art_col = slack0 + rows
@@ -199,26 +215,23 @@ def solve(prob: LpProblem) -> LpSolution:
         x[j] = b[r]
     weights = tuple(Fraction(v, d) for v in x[:m])
     t = Fraction(x[t_col], d)
-    tau = 1 / t
-    p_s = tau / (tau + 2 ** (n - 1))
     support = tuple(p for p, w in zip(prob.partitions, weights) if w > 0)
-    # ratio row i equals t exactly when its slack is zero
-    binding = tuple(i + 1 for i in range(rows) if x[slack0 + i] == 0)
+    # ratio row i (and its mirror n - i) equals t exactly when the kept
+    # row's slack is zero
+    binding = tuple(i for i in range(1, n) if x[slack0 + min(i, n - i) - 1] == 0)
     # Dual multipliers from t's row of the final tableau: the initial
-    # identity columns (one slack per ratio row) carry the basis inverse,
-    # and C(n, i) turns the scaled slack back into the original one.
+    # identity columns (one slack per kept row) carry the basis inverse,
+    # and C(n, i) turns the scaled slack back into the original one.  A
+    # kept row stands for rows i and n - i, which share its multiplier.
     cost = T[basis.index(t_col)]
-    dual = tuple(
-        Fraction(-cost[slack0 + i] * math.comb(n, i + 1), d) for i in range(rows)
-    )
+    kept = [Fraction(-cost[slack0 + i] * math.comb(n, i + 1), d) for i in range(rows)]
+    dual = tuple(kept[min(i, n - i) - 1] / (1 if 2 * i == n else 2) for i in range(1, n))
     return LpSolution(
         n=n,
         k=prob.k,
         partitions=prob.partitions,
         weights=weights,
         t=t,
-        tau=tau,
-        p_s=p_s,
         support=support,
         binding=binding,
         dual=dual,
@@ -240,10 +253,11 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     denominator W give the rows times W C(n, i), and the values
     y_i / C(n, i) over their common denominator D give the columns times D.
 
-    The dual check is also what makes p_s necessary.  Columns and binomials
-    are mirror-symmetric, so ybar_i = (y_i + y_(n-i))/2 passes it too, and
-    every partition column averaging at least t under ybar is the
-    inequality that makes the witness built from ybar (see the module
+    All n - 1 rows and the full columns are checked, so the certificate
+    does not lean on the mirror symmetry the solver exploits.  The dual
+    check is also what makes the witness sound: every partition column
+    averaging at least t under the mirror-symmetric dual y is the
+    inequality that makes the witness built from y (see the module
     docstring) nonnegative on every k-separable state.
     """
     n, m = prob.n, len(prob.partitions)
@@ -278,26 +292,26 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     big_d = math.lcm(*(v.denominator for v in z))
     e = [v.numerator * (big_d // v.denominator) for v in z]
     floor = t.numerator * big_d
-    if any(
-        sum(ei * fi for ei, fi in zip(e, col)) * t.denominator < floor
+    return all(
+        sum(ei * fi for ei, fi in zip(e, col)) * t.denominator >= floor
         for col in prob.columns
-    ):
-        return False
-    if sol.tau != 1 / t or sol.p_s != sol.tau / (sol.tau + 2 ** (n - 1)):
-        return False
-    return True
+    )
 
 
-def mixed_state(sol: LpSolution) -> SymState:
+def mixed_state(sol: LpSolution):
     """The optimal mixture as a symmetric state.  Zero weights would add
     exact zeros, so only the support's states are built."""
+    from .symstate import mix, partition_average_state
+
     support = [(p, w) for p, w in zip(sol.partitions, sol.weights) if w > 0]
     return mix([partition_average_state(p) for p, _ in support], [w for _, w in support])
 
 
+@functools.cache
 def _certified_solve(n: int, k: int) -> LpSolution:
     """Certified (n, k) solution behind every printed LP bound (``lp``,
-    ``table1`` and ``thresholds.threshold``), else ArithmeticError."""
+    ``table1`` and ``thresholds.threshold``), else ArithmeticError.
+    Solved once per process: a certified solution is kept for later lookups."""
     prob = build_problem(n, k)
     sol = solve(prob)
     if not verify_solution(prob, sol):

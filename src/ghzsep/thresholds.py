@@ -34,17 +34,17 @@ The LP mixture is separable, so p <= p_s suffices.  It is also necessary:
    (1 - p) / (2^n C) <= (1 - p) / (p 2^(n-1)).  So t <= (1 - p) /
    (p 2^(n-1)), that is p <= p_s.
 
-The certified dual y, mirror-symmetrised to ybar_i = (y_i + y_(n-i))/2,
-is itself a valid certificate and gives the witness
-W = sum_i ybar_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| + h.c.), with Pi_i the
-projector on Hamming weight i.  Steps 1 and 2 give tr(W rho) >= 0 on
-every k-separable rho, and tr(W rho_p) = (1 - p)/2^n - t p/2 < 0
-exactly when p > p_s.
+The certified dual y is mirror-symmetric, y_i = y_(n-i), because the LP
+keeps one row per mirror pair and splits its multiplier between the two
+rows.  It gives the witness
+W = sum_i y_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| + h.c.), with Pi_i the
+projector on Hamming weight i, which the twirl of step 1 leaves
+unchanged.  Steps 1 and 2 give tr(W rho) >= 0 on every k-separable rho,
+and tr(W rho_p) = (1 - p)/2^n - t p/2 < 0 exactly when p > p_s.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,15 +119,8 @@ def threshold(n: int, k: int) -> tuple:
     if n > lpsolve.MAX_N:
         raise ValueError(f"no closed form for n={n}, k={k}, and the linear program is "
                          f"limited to n <= {lpsolve.MAX_N}")
-    return _lp_bound(n, k), "mixed-partition linear program and its dual witness"
-
-
-@functools.cache
-def _lp_bound(n: int, k: int) -> Fraction:
-    """The certified linear-program p_s of one cell, kept for repeated lookups."""
-    from . import lpsolve
-
-    return lpsolve._certified_solve(n, k).p_s
+    return (lpsolve._certified_solve(n, k).p_s,
+            "mixed-partition linear program and its dual witness")
 
 
 def classify(n: int, k: int, p) -> SeparabilityVerdict:
@@ -143,12 +136,15 @@ def figure1_data(n_min: int, n_max: int, j_list) -> list:
     """Threshold curve rows (n, curve, p) over a qubit range.
 
     One row per exact (n-j) curve (for each j with n >= 2j + 1), plus the
-    biseparability and full-separability reference curves.
+    biseparability and full-separability reference curves.  A j below 1 or
+    a repeated j is a ValueError.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError(f"invalid range [{n_min}, {n_max}]")
     if j_list and min(j_list) < 1:
         raise ValueError(f"need j >= 1, got j={min(j_list)}")
+    if len(set(j_list)) != len(j_list):
+        raise ValueError(f"repeated j in {list(j_list)}; give each j once")
     rows = []
     for n in range(n_min, n_max + 1):
         for j in j_list:

@@ -1,12 +1,12 @@
 import pytest
 
-from ghzsep import thresholds
+from ghzsep import lpsolve
 
 
 @pytest.fixture
-def fresh_lp_bounds():
-    """Empty the cache of certified linear-program bounds around a test that
-    patches the LP, so the patch is reached and its result is not kept."""
-    thresholds._lp_bound.cache_clear()
+def fresh_lp_cache():
+    """Empty the cache of certified linear-program solutions around a test
+    that patches the LP, so the patch is reached and its result is not kept."""
+    lpsolve._certified_solve.cache_clear()
     yield
-    thresholds._lp_bound.cache_clear()
+    lpsolve._certified_solve.cache_clear()

@@ -87,7 +87,7 @@ class TestThresholdCommand:
         assert result.exit_code == 0
         assert "iff" in result.output
 
-    def test_rejected_certificate_exits_one(self, runner, monkeypatch, fresh_lp_bounds):
+    def test_rejected_certificate_exits_one(self, runner, monkeypatch, fresh_lp_cache):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["threshold", "--n", "6", "--k", "3"])
         assert result.exit_code == 1
@@ -129,7 +129,7 @@ class TestTableCommand:
         assert result.exit_code == 1
         assert "golden mismatch at rows: [(6, 3)]" in result.output
 
-    def test_rejected_certificate_exits_one_with_no_rows(self, runner, monkeypatch):
+    def test_rejected_certificate_exits_one_with_no_rows(self, runner, monkeypatch, fresh_lp_cache):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["table1", "--check"])
         assert result.exit_code == 1
@@ -187,6 +187,14 @@ class TestFigureCommand:
         assert result.exit_code == 2
         assert result.output.startswith("Usage:")
 
+    def test_repeated_j_exits_two_and_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "curves.csv"
+        result = runner.invoke(main, ["figure", "--j", "1", "--j", "1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert "repeated j in [1, 1]" in result.output
+        assert not out.exists()
+
     def test_out_in_a_missing_directory_exits_two(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         result = runner.invoke(main, ["figure", "--nmax", "5", "--out", str(out)])
@@ -223,7 +231,7 @@ class TestLpCommand:
         assert result.exit_code == 0
         assert result.output == "n,k,tau,p_s,certified\n6,3,9,9/41,True\n"
 
-    def test_rejected_certificate_exits_one(self, runner, monkeypatch):
+    def test_rejected_certificate_exits_one(self, runner, monkeypatch, fresh_lp_cache):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["lp", "--n", "6", "--k", "3"])
         assert result.exit_code == 1
@@ -327,6 +335,20 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "suite wident needs 2 <= L <= 100, got L=101" in proc.stderr
+
+    @pytest.mark.parametrize("suite, limits, span", [
+        ("lemma1", "n=13", "4 <= n <= 12"),
+        ("witness-max", "restarts=1025", "1 <= restarts <= 1024"),
+    ])
+    def test_formerly_unbounded_suite_above_its_cap_exits_two(self, suite, limits, span):
+        # without a cap these suites' run time grows without bound
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzsep", "verify", "--suite", suite, "--limits", limits],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"suite {suite} needs {span}, got {limits}" in proc.stderr
 
     def test_limits_with_all_suites_exits_two(self, runner):
         # --limits sets one suite's limits: under --suite all, n would mean
@@ -468,7 +490,7 @@ atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(
 runpy.run_module("ghzsep", run_name="__main__")
 """
 
-_LP = ["cli", "lpsolve", "partitions", "symstate"]
+_LP = ["cli", "lpsolve", "partitions"]
 _ORACLE = ["cli", "exactmath", "oracle", "partitions", "symstate", "witness"]
 
 #: command line -> (the ghzsep submodules it loads, whether it loads numpy)

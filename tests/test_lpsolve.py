@@ -78,9 +78,9 @@ class TestSolve:
     @pytest.mark.parametrize(
         "n, k, pivots",
         [
-            (6, 3, ((0, 0), (0, 1), (1, 2), (5, 3))),
-            (10, 4, ((0, 0), (0, 1), (0, 3), (1, 6), (0, 5), (0, 7), (1, 8), (9, 9))),
-            (11, 5, ((0, 0), (0, 1), (0, 3), (0, 6), (1, 9), (0, 7), (0, 8), (10, 10))),
+            (6, 3, ((0, 0), (0, 1), (1, 2), (3, 3))),
+            (10, 4, ((0, 0), (0, 1), (0, 3), (1, 6), (0, 5), (0, 7), (1, 8), (5, 9))),
+            (11, 5, ((0, 0), (0, 1), (0, 3), (0, 6), (1, 9), (0, 7), (0, 8), (5, 10))),
         ],
     )
     def test_pivot_sequence_pinned(self, n, k, pivots):
@@ -98,8 +98,7 @@ class TestVerifierRejectsBadCertificates:
     def test_wrong_objective(self):
         prob = build_problem(6, 3)
         sol = solve(prob)
-        forged = replace(sol, t=sol.t / 2, tau=2 * sol.tau,
-                         p_s=(2 * sol.tau) / (2 * sol.tau + 2**5))
+        forged = replace(sol, t=sol.t / 2)
         assert not verify_solution(prob, forged)
 
     def test_suboptimal_single_column(self):
@@ -108,41 +107,27 @@ class TestVerifierRejectsBadCertificates:
         # put all weight on the first partition (4+1+1): feasible but not optimal
         t = max(Fraction(f, math.comb(6, i + 1)) for i, f in enumerate(prob.columns[0]))
         assert t > sol.t
-        forged = replace(
-            sol,
-            weights=(Fraction(1), Fraction(0), Fraction(0)),
-            t=t,
-            tau=1 / t,
-            p_s=(1 / t) / (1 / t + 2**5),
-        )
+        forged = replace(sol, weights=(Fraction(1), Fraction(0), Fraction(0)), t=t)
         assert not verify_solution(prob, forged)
 
 
-def _with_t(sol, t):
-    """The solution with t replaced and tau, p_s kept consistent with it."""
-    tau = 1 / t
-    return replace(sol, t=t, tau=tau, p_s=tau / (tau + 2 ** (sol.n - 1)))
-
-
 # Forgeries of the (7, 3) optimum: weights (0, 0, 2/5, 3/5), t = 2/35 and
-# dual (2/5, 3/5, 0, 0, 0, 0).  All but short-weights and t-raised fail
-# exactly one check of verify_solution, so each of its checks has a
-# forgery that only it rejects.  Rows 3 and 4 are mirrors (f(3) = f(4),
+# dual (1/5, 3/10, 0, 0, 3/10, 1/5).  All but short-weights, short-dual and
+# t-raised fail exactly one check of verify_solution, so each of its checks
+# has a forgery that only it rejects.  Rows 3 and 4 are mirrors (f(3) = f(4),
 # C(7, 3) = C(7, 4)), so negative-dual leaves every column sum as it was.
 FORGERIES = {
     "negative-weight": lambda s: replace(
         s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
-    "weights-sum-below-one": lambda s: _with_t(
-        replace(s, weights=tuple(w / 2 for w in s.weights)), s.t / 2),
+    "weights-sum-below-one": lambda s: replace(
+        s, weights=tuple(w / 2 for w in s.weights), t=s.t / 2),
     "short-weights": lambda s: replace(s, weights=s.weights[:-1]),
-    "t-lowered": lambda s: _with_t(s, s.t * Fraction(9, 10)),
-    "t-raised": lambda s: _with_t(s, s.t * Fraction(11, 10)),
+    "t-lowered": lambda s: replace(s, t=s.t * Fraction(9, 10)),
+    "t-raised": lambda s: replace(s, t=s.t * Fraction(11, 10)),
     "negative-dual": lambda s: replace(
         s, dual=s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:]),
     "dual-sum-above-one": lambda s: replace(s, dual=tuple(2 * y for y in s.dual)),
     "short-dual": lambda s: replace(s, dual=s.dual[:-1]),
-    "tau-off": lambda s: replace(s, tau=s.tau + 1),
-    "p_s-off": lambda s: replace(s, p_s=s.p_s + Fraction(1, 10**6)),
     "dual-on-slack-row": lambda s: replace(
         s, dual=(0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:]),
     "weight-on-zero-column": lambda s: replace(
@@ -155,7 +140,7 @@ class TestVerifierRejectsForgeries:
         prob = build_problem(7, 3)
         sol = solve(prob)
         assert sol.weights == (0, 0, Fraction(2, 5), Fraction(3, 5))
-        assert sol.dual == (Fraction(2, 5), Fraction(3, 5), 0, 0, 0, 0)
+        assert sol.dual == (Fraction(1, 5), Fraction(3, 10), 0, 0, Fraction(3, 10), Fraction(1, 5))
         assert verify_solution(prob, sol)
 
     @pytest.mark.parametrize("name", sorted(FORGERIES))
@@ -216,11 +201,6 @@ class TestConsistencyWithClosedForms:
             assert mixed_state(sol) == every, (n, k)
 
 
-def _mirror_dual(sol):
-    """The dual averaged with its mirror: ybar_i = (y_i + y_(n-i)) / 2."""
-    return tuple((a + b) / 2 for a, b in zip(sol.dual, reversed(sol.dual)))
-
-
 def _kron(vectors):
     """The Kronecker product of the vectors, the first one most significant."""
     out = [Fraction(1)]
@@ -229,37 +209,38 @@ def _kron(vectors):
     return out
 
 
-def _witness_value(ybar, t, psi):
+def _witness_value(y, t, psi):
     """<psi|W|psi> for a real vector psi on n qubits, where
-    W = sum_i ybar_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| + h.c.)."""
+    W = sum_i y_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| + h.c.)."""
     n = len(psi).bit_length() - 1
     sector = [0] * (n + 1)
     for x, a in enumerate(psi):
         sector[x.bit_count()] += a * a
-    return (sum(y * sector[i] / math.comb(n, i) for i, y in enumerate(ybar, 1))
+    return (sum(yi * sector[i] / math.comb(n, i) for i, yi in enumerate(y, 1))
             - t * psi[0] * psi[-1])
 
 
 class TestDualWitness:
-    """The mirror-symmetrised dual ybar gives the witness W that makes each
-    linear-program bound necessary: tr(W rho) >= 0 on k-separable states,
-    tr(W rho_p) < 0 for p above p_s (see the thresholds docstring)."""
+    """The certified dual y is mirror-symmetric and gives the witness W that
+    makes each linear-program bound necessary: tr(W rho) >= 0 on k-separable
+    states, tr(W rho_p) < 0 for p above p_s (see the thresholds docstring)."""
 
     def test_every_small_cell(self):
         for n in range(2, 17):
             for k in range(2, n + 1):
                 prob = build_problem(n, k)
                 sol = solve(prob)
-                ybar, t = _mirror_dual(sol), sol.t
-                assert verify_solution(prob, replace(sol, dual=ybar)), (n, k)
+                y, t = sol.dual, sol.t
+                assert y == y[::-1], (n, k)
+                assert verify_solution(prob, sol), (n, k)
                 # tr(W sigma) on a symmetric state: sector i holds d[i] C(n, i)
-                traces = [sum(y * d for y, d in zip(ybar, rho.d[1:-1])) - t * rho.alpha
+                traces = [sum(yi * d for yi, d in zip(y, rho.d[1:-1])) - t * rho.alpha
                           for rho in (noisy_ghz(n, sol.p_s),
                                       noisy_ghz(n, sol.p_s + Fraction(1, 10**9)))]
                 assert traces[0] == 0 and traces[1] < 0, (n, k)
                 for part, col in zip(prob.partitions, prob.columns):
-                    value = sum(y * f / math.comb(n, i)
-                                for i, (y, f) in enumerate(zip(ybar, col), 1))
+                    value = sum(yi * f / math.comb(n, i)
+                                for i, (yi, f) in enumerate(zip(y, col), 1))
                     assert value >= t, (n, k, part)
                     assert part not in sol.support or value == t, (n, k, part)
 
@@ -272,15 +253,15 @@ class TestDualWitness:
         for n in range(2, 7):
             for k in range(2, n + 1):
                 sol = solve(build_problem(n, k))
-                ybar, t = _mirror_dual(sol), sol.t
+                y, t = sol.dual, sol.t
                 values = []
                 for part in enumerate_partitions(n, k):
                     ghz_blocks = [[1] + [0] * (2**s - 2) + [1] for s in part.parts]
-                    values.append(_witness_value(ybar, t, _kron(ghz_blocks)))
+                    values.append(_witness_value(y, t, _kron(ghz_blocks)))
                     for _ in range(20):
                         blocks = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                                    for _ in range(2**s)] for s in part.parts]
-                        values.append(_witness_value(ybar, t, _kron(blocks)))
+                        values.append(_witness_value(y, t, _kron(blocks)))
                 assert min(values) == 0, (n, k)
                 checked += len(values)
         assert checked == 483  # 23 partitions, each with 1 + 20 states

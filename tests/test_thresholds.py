@@ -96,7 +96,7 @@ class TestThreshold:
                 v = classify(n, k, 0)
                 assert (v.bound, v.rule) == (bound, rule), (n, k)
 
-    def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch, fresh_lp_bounds):
+    def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch, fresh_lp_cache):
         def fail(n, k):
             raise AssertionError(f"built the problem for n={n}, k={k}")
 
@@ -109,7 +109,7 @@ class TestThreshold:
         with pytest.raises(ArithmeticError, match="inconsistent exact bounds for n=3, k=2"):
             threshold(3, 2)
 
-    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_bounds):
+    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_cache):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
             threshold(6, 3)
@@ -133,12 +133,12 @@ class TestClassify:
         assert v.bound == Fraction(9, 41)
         assert v.rule == LP_RULE
 
-    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_bounds):
+    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_cache):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
             classify(6, 3, 0)
 
-    def test_one_solve_per_lp_cell(self, monkeypatch, fresh_lp_bounds):
+    def test_one_solve_per_lp_cell(self, monkeypatch, fresh_lp_cache):
         solves = []
         solve = lpsolve.solve
 
@@ -221,3 +221,7 @@ class TestFigureData:
     def test_rejects_j_below_one(self, j_list):
         with pytest.raises(ValueError, match="need j >= 1"):
             figure1_data(3, 6, j_list)
+
+    def test_rejects_repeated_j(self):
+        with pytest.raises(ValueError, match="repeated j"):
+            figure1_data(3, 6, (1, 2, 1))
