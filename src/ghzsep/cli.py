@@ -77,10 +77,9 @@ def threshold(n, j, k, fmt):
         raise click.UsageError("provide exactly one of --j or --k")
     if n > _CLOSED_FORM_MAX_N:
         raise click.UsageError(f"need n <= {_CLOSED_FORM_MAX_N}, got n={n}")
+    if j is not None:
+        k = n - j
     try:
-        if j is not None:
-            thresholds.nj_threshold(n, j)  # range check: --j needs n >= 2j + 1
-            k = n - j
         bound, rule = thresholds.threshold(n, k)
     except ValueError as exc:
         raise click.UsageError(str(exc))

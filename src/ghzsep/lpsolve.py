@@ -19,16 +19,9 @@ reported dual splits each kept row's multiplier evenly between rows i
 and n - i, so it is mirror-symmetric, and the problem data and the
 certificate check keep all n - 1 rows.
 
-The threshold p_s = 1/(1 + t 2^(n-1)) is exact, not only sufficient: a
-noisy GHZ state above it is not k-separable.  A pure product psi over a
-k-partition P, twirled onto the GHZ-symmetric states, has coherence at
-most c and at least c f_P(i) weight in Hamming sector i, so a
-k-separable state at p would give a mixture with value at most
-(1 - p)/(p 2^(n-1)) (the proof is in ``thresholds``).  The dual turns
-this into a witness: W = sum_i y_i / C(n, i) Pi_i - (t/2)(|0^n><1^n| +
-h.c.) with y the certified, mirror-symmetric dual.  tr(W psi) >= c
-(sum_i y_i f_P(i)/C(n, i) - t) >= 0 because every column averages at
-least t, and tr(W rho_p) < 0 exactly for p > p_s.
+The threshold p_s = 1/(1 + t 2^(n-1)) is exact, not only sufficient, and
+the certified dual is its entanglement witness; the proof is in
+``thresholds``.
 """
 
 from __future__ import annotations
@@ -255,10 +248,7 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
 
     All n - 1 rows and the full columns are checked, so the certificate
     does not lean on the mirror symmetry the solver exploits.  The dual
-    check is also what makes the witness sound: every partition column
-    averaging at least t under the mirror-symmetric dual y is the
-    inequality that makes the witness built from y (see the module
-    docstring) nonnegative on every k-separable state.
+    check also makes the witness built from y sound (see ``thresholds``).
     """
     n, m = prob.n, len(prob.partitions)
     rows = n - 1

@@ -22,6 +22,8 @@ class PartitionType:
     parts: tuple
 
     def __post_init__(self):
+        if not isinstance(self.parts, tuple):
+            raise ValueError(f"parts must be a tuple, got {type(self.parts).__name__}")
         if not self.parts:
             raise ValueError("a partition needs at least one part")
         for s in self.parts:

@@ -3,7 +3,7 @@
 For the noisy n-qubit GHZ state rho_p = p |GHZ><GHZ| + (1 - p) I / 2^n and
 a split into k parties, ``threshold`` gives the exact threshold of every
 cell: rho_p is k-separable if and only if p <= bound.  Closed forms cover
-k = 2, k = n and k >= ceil((n+1)/2) (n >= 2j + 1 for j = n - k); every
+k = n, k = 2 and 2k > n (the paper's n >= 2j + 1 for j = n - k); every
 other cell takes the mixed-partition linear program's p_s =
 1/(1 + t 2^(n-1)), where t is the LP optimum (see ``lpsolve``).
 
@@ -49,35 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def nj_threshold(n: int, j: int) -> Fraction:
-    """Exact (n - j)-separability threshold 1/(1 + (n-2j)/n * 2^(n-1)).
-
-    Valid for n >= 2j + 1; this is both necessary and sufficient, realized
-    by the partition with j qubit pairs and n - 2j singles.
-    """
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
-    if n < 2 * j + 1:
-        raise ValueError(
-            f"closed form needs n >= 2j + 1, got n={n}, j={j}; use the linear program"
-        )
-    return Fraction(n, n + (n - 2 * j) * 2 ** (n - 1))
-
-
-def full_sep_threshold(n: int) -> Fraction:
-    """Full-separability threshold 1/(1 + 2^(n-1)) (known exact bound)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return Fraction(1, 1 + 2 ** (n - 1))
-
-
-def bisep_threshold(n: int) -> Fraction:
-    """Biseparability threshold (2^(n-1) - 1)/(2^n - 1) (known exact bound)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return Fraction(2 ** (n - 1) - 1, 2**n - 1)
-
-
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     """Classification of a noisy GHZ state for k-party separability."""
@@ -93,27 +64,22 @@ class SeparabilityVerdict:
 def threshold(n: int, k: int) -> tuple:
     """(bound, rule) for (n, k): rho_p is k-separable iff p <= bound.
 
-    The bound is the closed form at k = 2, k = n and n >= 2j + 1
-    (j = n - k), else the certified linear-program bound, exact by its dual
-    witness (see the module docstring) and solved once per process.
-    Closed forms that disagree or a rejected certificate raise
-    ArithmeticError; a linear-program cell above ``lpsolve.MAX_N`` qubits
-    raises ValueError.
+    The bound is a closed form at k = n, at k = 2 and at 2k > n (the
+    paper's n >= 2j + 1 with j = n - k), tested in that order, else the
+    certified linear-program bound, exact by its dual witness (see the
+    module docstring) and solved once per process.  A rejected certificate
+    raises ArithmeticError; a linear-program cell above ``lpsolve.MAX_N``
+    qubits raises ValueError.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
-    candidates = []
     if k == n:
-        candidates.append((full_sep_threshold(n), "full-separability formula"))
+        return Fraction(1, 1 + 2 ** (n - 1)), "full-separability formula"
     if k == 2:
-        candidates.append((bisep_threshold(n), "biseparability formula"))
-    j = n - k
-    if j >= 1 and n >= 2 * j + 1:
-        candidates.append((nj_threshold(n, j), f"exact (n-j)-separability criterion, j={j}"))
-    if candidates:
-        if len({b for b, _ in candidates}) != 1:
-            raise ArithmeticError(f"inconsistent exact bounds for n={n}, k={k}: {candidates}")
-        return candidates[0]
+        return Fraction(2 ** (n - 1) - 1, 2**n - 1), "biseparability formula"
+    if 2 * k > n:
+        return (Fraction(n, n + (2 * k - n) * 2 ** (n - 1)),
+                f"exact (n-j)-separability criterion, j={n - k}")
     from . import lpsolve
 
     if n > lpsolve.MAX_N:
@@ -149,7 +115,7 @@ def figure1_data(n_min: int, n_max: int, j_list) -> list:
     for n in range(n_min, n_max + 1):
         for j in j_list:
             if n >= 2 * j + 1:
-                rows.append((n, f"j={j}", nj_threshold(n, j)))
-        rows.append((n, "bisep", bisep_threshold(n)))
-        rows.append((n, "full", full_sep_threshold(n)))
+                rows.append((n, f"j={j}", threshold(n, n - j)[0]))
+        rows.append((n, "bisep", threshold(n, 2)[0]))
+        rows.append((n, "full", threshold(n, n)[0]))
     return rows

@@ -38,7 +38,7 @@ from ghzsep.oracle import (
 )
 from ghzsep.partitions import PartitionType, enumerate_partitions, parse_partition
 from ghzsep.symstate import noisy_ghz, pad_to_isotropic, partition_average_state, to_dense
-from ghzsep.thresholds import bisep_threshold, nj_threshold
+from ghzsep.thresholds import threshold
 from ghzsep.witness import sep_max
 
 
@@ -162,14 +162,14 @@ def test_ac1_certified_table_within_time_budget():
 # --- AC-2: closed-form pair-ladder thresholds -----------------------------
 
 def test_ac2_pair_ladder_closed_form():
-    assert nj_threshold(3, 1) == Fraction(3, 7)
+    assert threshold(3, 2)[0] == Fraction(3, 7)
     cases = 0
     for n in range(3, 15):
         for j in range(1, (n - 1) // 2 + 1):
             part = PartitionType.from_sizes([2] * j + [1] * (n - 2 * j))
             res = pad_to_isotropic(partition_average_state(part))
             expected = Fraction(1, 1 + Fraction(n - 2 * j, n) * 2 ** (n - 1))
-            assert res.p_s == expected == nj_threshold(n, j), (n, j)
+            assert res.p_s == expected == threshold(n, n - j)[0], (n, j)
             cases += 1
     report(f"AC-2 PASS: pair-ladder threshold exact for {cases} (n, j) cases, n <= 14")
 
@@ -181,15 +181,15 @@ def test_ac3_lp_consistency():
     for n in range(3, 13):
         for j in range(1, (n - 1) // 2 + 1):
             sol = solve(build_problem(n, n - j))
-            assert sol.p_s == nj_threshold(n, j), (n, j)
+            assert sol.p_s == threshold(n, n - j)[0], (n, j)
             checked += 1
     for n in range(2, 13):
         assert solve(build_problem(n, n)).p_s == Fraction(1, 1 + 2 ** (n - 1))
     gaps = []
     for n in range(2, 13):
-        ps = solve(build_problem(n, 2)).p_s
-        assert ps <= bisep_threshold(n)
-        if ps < bisep_threshold(n):
+        ps, bisep = solve(build_problem(n, 2)).p_s, threshold(n, 2)[0]
+        assert ps <= bisep
+        if ps < bisep:
             gaps.append(n)
     report(
         f"AC-3 PASS: LP equals the exact criterion on {checked} cells, "

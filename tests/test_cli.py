@@ -48,17 +48,18 @@ class TestThresholdCommand:
         assert payload["kind"] == "iff"
 
     def test_invalid_range_exits_two(self, runner):
-        result = runner.invoke(main, ["threshold", "--n", "6", "--j", "3"])
-        assert result.exit_code == 2
-        assert "2j + 1" in result.output
+        # --j J is --k n-J: j = 5 gives k = 1 and j = -1 gives k = 7
+        for j in ("5", "-1"):
+            result = runner.invoke(main, ["threshold", "--n", "6", "--j", j])
+            assert result.exit_code == 2
+            assert result.output.startswith("Usage:")
+            assert "need 2 <= k <= n" in result.output
 
     def test_requires_exactly_one_mode(self, runner):
         assert runner.invoke(main, ["threshold", "--n", "5"]).exit_code == 2
         assert runner.invoke(main, ["threshold", "--n", "5", "--j", "1", "--k", "2"]).exit_code == 2
 
-    @pytest.mark.parametrize(
-        "n,j", [(n, j) for n in range(3, 9) for j in range(1, (n - 1) // 2 + 1)]
-    )
+    @pytest.mark.parametrize("n,j", [(n, j) for n in range(3, 11) for j in range(n - 1)])
     def test_j_and_k_print_the_same_cell(self, runner, n, j):
         for fmt in ("human", "json", "csv"):
             by_j = runner.invoke(main, ["threshold", "--n", str(n), "--j", str(j), "--format", fmt])
@@ -434,7 +435,7 @@ assert "numpy" not in sys.modules
     def test_public_names_are_the_submodule_objects(self):
         import ghzsep
 
-        assert len(ghzsep.__all__) == 39
+        assert len(ghzsep.__all__) == 36
         for name in ghzsep.__all__:
             obj = getattr(ghzsep, name)
             assert obj is getattr(sys.modules[obj.__module__], name)

@@ -15,7 +15,7 @@ from ghzsep.lpsolve import (
 )
 from ghzsep.partitions import enumerate_partitions, parse_partition
 from ghzsep.symstate import mix, noisy_ghz, pad_to_isotropic, partition_average_state
-from ghzsep.thresholds import bisep_threshold, nj_threshold, threshold
+from ghzsep.thresholds import threshold
 
 
 class TestBuildProblem:
@@ -167,7 +167,7 @@ class TestConsistencyWithClosedForms:
             for j in range(1, (n - 1) // 2 + 1):
                 k = n - j
                 sol = solve(build_problem(n, k))
-                assert sol.p_s == nj_threshold(n, j), (n, k)
+                assert sol.p_s == threshold(n, k)[0], (n, k)
 
     def test_full_separability(self):
         for n in range(2, 13):
@@ -178,9 +178,10 @@ class TestConsistencyWithClosedForms:
     def test_biseparability(self):
         for n in range(2, 13):
             sol = solve(build_problem(n, 2))
-            assert sol.p_s <= bisep_threshold(n)
+            bisep = threshold(n, 2)[0]
+            assert sol.p_s <= bisep
             # the construction reaches the known boundary at every n here
-            assert sol.p_s == bisep_threshold(n)
+            assert sol.p_s == bisep
 
     def test_pad_agrees_with_lp(self):
         for n, k in [(6, 3), (8, 4), (9, 3), (11, 5), (12, 4)]:

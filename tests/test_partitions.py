@@ -51,6 +51,12 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             PartitionType(())
 
+    def test_rejects_a_list(self):
+        # a list would compare unequal to the parsed tuple and not hash
+        with pytest.raises(ValueError, match="must be a tuple"):
+            PartitionType([2, 1])
+        assert PartitionType((2, 1)) == parse_partition("1|2")
+
     def test_from_sizes_sorts(self):
         assert PartitionType.from_sizes([1, 3, 2]).parts == (3, 2, 1)
 

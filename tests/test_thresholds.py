@@ -2,71 +2,84 @@ from fractions import Fraction
 
 import pytest
 
-from ghzsep import lpsolve, thresholds
-from ghzsep.thresholds import (
-    bisep_threshold,
-    classify,
-    figure1_data,
-    full_sep_threshold,
-    nj_threshold,
-    threshold,
-)
+from ghzsep import lpsolve
+from ghzsep.thresholds import classify, figure1_data, threshold
 from ghzsep.witness import necessary_threshold
+
+
+# The paper's three closed forms, written out independently of ``threshold``.
+
+def full_sep(n):
+    return Fraction(1, 1 + 2 ** (n - 1))
+
+
+def bisep(n):
+    return Fraction(2 ** (n - 1) - 1, 2**n - 1)
+
+
+def n_minus_j(n, j):
+    assert j >= 1 and n >= 2 * j + 1
+    return Fraction(n, n + (n - 2 * j) * 2 ** (n - 1))
+
+
+def closed_form(n, k):
+    """The paper's closed form for (n, k), or None where it gives none."""
+    if k == n:
+        return full_sep(n)
+    if k == 2:
+        return bisep(n)
+    if n >= 2 * (n - k) + 1:
+        return n_minus_j(n, n - k)
+    return None
+
+
+def nj_bound(n, j):
+    return threshold(n, n - j)[0]
 
 
 class TestNjThreshold:
     def test_three_qubits(self):
-        assert nj_threshold(3, 1) == Fraction(3, 7)
+        assert nj_bound(3, 1) == Fraction(3, 7)
 
     def test_six_qubits_two_pairs(self):
-        assert nj_threshold(6, 2) == Fraction(3, 35)
+        assert nj_bound(6, 2) == Fraction(3, 35)
+        assert threshold(6, 4)[1] == "exact (n-j)-separability criterion, j=2"
 
     def test_boundary_case(self):
         for j in range(1, 7):
             n = 2 * j + 1
-            assert nj_threshold(n, j) == Fraction(1, 1 + Fraction(2 ** (n - 1), n))
+            assert nj_bound(n, j) == Fraction(1, 1 + Fraction(2 ** (n - 1), n))
 
-    def test_rejects_uncovered_regime(self):
-        with pytest.raises(ValueError):
-            nj_threshold(6, 3)
-        with pytest.raises(ValueError):
-            nj_threshold(5, 0)
+    def test_uncovered_regime_goes_to_the_lp(self):
+        # at n = 2j the (n-j) formula would give 1; the cell is the LP's
+        assert threshold(6, 3) == (Fraction(9, 41), LP_RULE)
+        # j = 0 is full separability
+        assert threshold(5, 5) == (Fraction(1, 17), "full-separability formula")
 
     def test_increasing_in_j(self):
         for n in range(4, 15):
-            values = [nj_threshold(n, j) for j in range(1, (n - 1) // 2 + 1)]
+            values = [nj_bound(n, j) for j in range(1, (n - 1) // 2 + 1)]
             assert values == sorted(values)
             assert len(set(values)) == len(values)
 
     def test_matches_witness_bound_at_block_two_j(self):
         for n in range(3, 15):
             for j in range(1, (n - 1) // 2 + 1):
-                assert nj_threshold(n, j) == necessary_threshold(n, 2 * j)
+                assert nj_bound(n, j) == necessary_threshold(n, 2 * j)
 
 
 class TestReferenceFormulas:
     def test_values(self):
-        assert full_sep_threshold(3) == Fraction(1, 5)
-        assert bisep_threshold(3) == Fraction(3, 7)
-        assert bisep_threshold(4) == Fraction(7, 15)
+        assert threshold(3, 3)[0] == full_sep(3) == Fraction(1, 5)
+        assert threshold(3, 2)[0] == bisep(3) == Fraction(3, 7)
+        assert threshold(4, 2)[0] == bisep(4) == Fraction(7, 15)
 
     def test_nesting(self):
         for n in range(4, 15):
-            full = full_sep_threshold(n)
-            bi = bisep_threshold(n)
+            full = threshold(n, n)[0]
+            bi = threshold(n, 2)[0]
             for j in range(1, (n - 1) // 2 + 1):
-                assert full < nj_threshold(n, j) < bi
-
-
-def closed_form(n, k):
-    """The paper's closed form for (n, k), or None where it gives none."""
-    if k == n:
-        return full_sep_threshold(n)
-    if k == 2:
-        return bisep_threshold(n)
-    if n >= 2 * (n - k) + 1:
-        return nj_threshold(n, n - k)
-    return None
+                assert full < nj_bound(n, j) < bi
 
 
 LP_RULE = "mixed-partition linear program and its dual witness"
@@ -104,10 +117,15 @@ class TestThreshold:
         with pytest.raises(ValueError, match="limited to n <= 30"):
             threshold(31, 10)
 
-    def test_disagreeing_closed_forms_raise(self, monkeypatch):
-        monkeypatch.setattr(thresholds, "bisep_threshold", lambda n: Fraction(1, 2))
-        with pytest.raises(ArithmeticError, match="inconsistent exact bounds for n=3, k=2"):
-            threshold(3, 2)
+    def test_overlap_cells_take_the_first_formula(self):
+        # only (2, 2) and (3, 2) match two closed forms, and the forms agree
+        overlaps = [(n, k) for n in range(2, 41) for k in range(2, n + 1)
+                    if (k == n) + (k == 2) + (2 * k > n and k < n) > 1]
+        assert overlaps == [(2, 2), (3, 2)]
+        assert full_sep(2) == bisep(2)
+        assert bisep(3) == n_minus_j(3, 1)
+        assert threshold(2, 2) == (Fraction(1, 3), "full-separability formula")
+        assert threshold(3, 2) == (Fraction(3, 7), "biseparability formula")
 
     def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_cache):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
@@ -157,12 +175,12 @@ class TestClassify:
         # bound lies below the biseparability threshold; above the bound
         # every such cell is entangled
         for n in range(6, 11):
-            bisep = bisep_threshold(n)
+            bi = threshold(n, 2)[0]
             for k in range(3, n // 2 + 1):
                 p_s = classify(n, k, 0).bound
-                assert p_s < bisep
+                assert p_s < bi
                 assert classify(n, k, p_s).status == "separable", (n, k)
-                for p in (p_s + Fraction(1, 10**9), (p_s + bisep) / 2, bisep + Fraction(1, 10**9)):
+                for p in (p_s + Fraction(1, 10**9), (p_s + bi) / 2, bi + Fraction(1, 10**9)):
                     assert classify(n, k, p).status == "entangled", (n, k, p)
         assert classify(6, 3, Fraction(99, 100)).status == "entangled"
 
@@ -173,7 +191,7 @@ class TestClassify:
 
     def test_biseparability_endpoint(self):
         v = classify(5, 2, Fraction(1, 2))
-        assert v.bound == bisep_threshold(5)
+        assert v.bound == bisep(5)
 
     def test_three_qubit_endpoints_agree(self):
         # k = 2 is covered by both the biseparability formula and the
