@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from contextlib import contextmanager
 from decimal import Context
 from fractions import Fraction
 from importlib.util import find_spec
@@ -28,6 +29,15 @@ _CLOSED_FORM_MAX_N = 10_000
 _DECIMAL_CONTEXT = Context(prec=12)
 
 
+@contextmanager
+def _writing():
+    """Turn a failed write inside into a one-line error that exits 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write output: {exc.strerror or exc}")
+
+
 def _emit(fmt, human, payload, header, rows, file=None):
     """Print one result as human lines, a JSON object or CSV rows."""
     if fmt == "human":
@@ -36,7 +46,8 @@ def _emit(fmt, human, payload, header, rows, file=None):
         lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True)]
     else:
         lines = [header, *(",".join(map(str, row)) for row in rows)]
-    click.echo("\n".join(lines), file=file)
+    with _writing():
+        click.echo("\n".join(lines), file=file)
 
 
 def _decimal(q):
@@ -49,8 +60,7 @@ def _lp_payload(sol):
     from .partitions import format_partition
 
     return {"n": sol.n, "k": sol.k, "tau": str(sol.tau), "p_s": str(sol.p_s),
-            "weights": {format_partition(p): str(w)
-                        for p, w in zip(sol.partitions, sol.weights) if w > 0}}
+            "weights": {format_partition(p): str(w) for p, w in sol.support}}
 
 
 format_option = click.option(
@@ -102,22 +112,20 @@ def table1(nmax, check, fmt):
     from . import lpsolve
     from .partitions import format_partition
 
-    if not 6 <= nmax <= lpsolve.MAX_N:
-        raise click.UsageError(f"need 6 <= --nmax <= {lpsolve.MAX_N}, got {nmax}")
+    if nmax < 6:
+        raise click.UsageError(f"need --nmax >= 6, got {nmax}")
     try:
         rows = lpsolve.table1(range(6, nmax + 1))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--nmax'")
     except ArithmeticError as exc:
         raise click.ClickException(str(exc))
     human = ["n  k  partitions (tau*weight)            tau        p_s"]
     for sol in rows:
-        supp = ", ".join(
-            f"{format_partition(p)}:{w * sol.tau}"
-            for p, w in zip(sol.partitions, sol.weights)
-            if w > 0
-        )
+        supp = ", ".join(f"{format_partition(p)}:{w * sol.tau}" for p, w in sol.support)
         human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{str(sol.tau):<11}{sol.p_s}")
     _emit(fmt, human, {"rows": [_lp_payload(sol) for sol in rows]}, "n,k,tau,p_s,support",
-          [(sol.n, sol.k, sol.tau, sol.p_s, " ".join(format_partition(p) for p in sol.support))
+          [(sol.n, sol.k, sol.tau, sol.p_s, " ".join(format_partition(p) for p, _ in sol.support))
            for sol in rows])
     if check:
         golden = [sol for sol in rows if (sol.n, sol.k) in lpsolve.REFERENCE_TAU]
@@ -149,7 +157,8 @@ def figure(nmin, nmax, j_list, out):
         fh = click.open_file(out, "w")
     except OSError as exc:
         raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'")
-    with fh:
+    # closing the file flushes it, so a full disk can fail there too
+    with _writing(), fh:
         _emit("csv", None, None, "n,curve,p_exact,p_decimal",
               [(n, curve, p, _decimal(p)) for n, curve, p in rows], file=fh)
 
@@ -163,47 +172,41 @@ def lp(n, k, fmt):
     from . import lpsolve
     from .partitions import format_partition
 
-    if not 2 <= k <= n <= lpsolve.MAX_N:
-        raise click.UsageError(f"need 2 <= k <= n <= {lpsolve.MAX_N}, got n={n}, k={k}")
     try:
         sol = lpsolve._certified_solve(n, k)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=["--n", "--k"])
     except ArithmeticError as exc:
         raise click.ClickException(str(exc))
     _emit(fmt,
           [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
-           *(f"  {format_partition(p)}: {w}"
-             for p, w in zip(sol.partitions, sol.weights) if w > 0),
+           *(f"  {format_partition(p)}: {w}" for p, w in sol.support),
            f"binding rows: {list(sol.binding)}", "certificate: valid"],
           {**_lp_payload(sol), "binding": list(sol.binding), "certified": True},
           "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, True)])
 
 
-def _parse_limits(text):
-    limits = {}
-    if not text:
-        return limits
-    for piece in text.split(","):
+def _suite_limits(name, text):
+    """One suite's limits: the ``key=value`` overrides in ``text`` on top of
+    its defaults, validated.
+
+    A malformed or repeated entry, a key the suite does not declare, or a
+    value outside its range is a usage error raised before the suite runs.
+    """
+    overrides = {}
+    for piece in text.split(",") if text else ():
         key, _, value = piece.partition("=")
         key = key.strip()
         if not key or not value:
             raise click.UsageError(f"bad --limits entry {piece!r}; expected key=value")
-        if key in limits:
+        if key in overrides:
             raise click.UsageError(f"duplicate --limits key {key!r}")
         try:
-            limits[key] = int(value)
+            overrides[key] = int(value)
         except ValueError:
             raise click.UsageError(f"bad --limits value in {piece!r}")
-    return limits
-
-
-def _resolve_limits(name, limits):
-    """One suite's limits: overrides on top of its defaults, validated.
-
-    A key the suite does not declare, or a value outside its range, is a
-    usage error raised before the suite runs.
-    """
     declared = _SUITES[name][1]
-    unknown = sorted(set(limits) - set(declared))
+    unknown = sorted(set(overrides) - set(declared))
     if unknown:
         raise click.UsageError(
             f"unknown --limits key(s) {', '.join(unknown)}; "
@@ -211,7 +214,7 @@ def _resolve_limits(name, limits):
         )
     values = {}
     for key, (default, lo, hi) in declared.items():
-        value = limits.get(key, default)
+        value = overrides.get(key, default)
         if not lo <= value <= hi:
             raise click.UsageError(f"suite {name} needs {lo} <= {key} <= {hi}, got {key}={value}")
         values[key] = value
@@ -289,7 +292,7 @@ def _suite_charfn(seed, limits):
 
     for n in range(2, limits["n"] + 1):
         for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            yield from oracle.characteristic_check(n, p).records
+            yield from oracle.characteristic_check(n, p)
 
 
 #: Each suite's generator and limit keys: key -> (default, smallest, largest).
@@ -320,8 +323,7 @@ def verify(suite, seed, limits):
         raise click.UsageError(
             "--limits sets one suite's limits; --suite all runs each suite at its defaults")
     names = sorted(_SUITES) if suite == "all" else [suite]
-    overrides = _parse_limits(limits)
-    limits = {name: _resolve_limits(name, overrides) for name in names}
+    limits = {name: _suite_limits(name, limits) for name in names}
     if "witness-max" in names and find_spec("numpy") is None:
         error = click.ClickException("suite witness-max needs numpy, from the probes "
                                      "extra: pip install 'ghzsep[probes]'")
@@ -331,9 +333,10 @@ def verify(suite, seed, limits):
     for name in names:
         for record in _SUITES[name][0](seed, limits[name]):
             all_ok = all_ok and record.passed
-            click.echo(json.dumps({"check": record.check, "params": record.params,
-                                   "pass": record.passed, "detail": record.detail},
-                                  sort_keys=True))
+            with _writing():
+                click.echo(json.dumps({"check": record.check, "params": record.params,
+                                       "pass": record.passed, "detail": record.detail},
+                                      sort_keys=True))
     sys.exit(0 if all_ok else 1)
 
 

@@ -33,9 +33,10 @@ from fractions import Fraction
 
 from .partitions import enumerate_partitions, profile
 
-#: Largest n at which the command line and ``thresholds.threshold`` solve
-#: the LP.  Every n = 30 cell solves and certifies in under a second; the
-#: column count, the partitions of n into k parts, keeps growing past it.
+#: Largest n at which ``_certified_solve`` and ``table1`` solve the LP, and
+#: so ``lp``, ``table1`` and ``thresholds.threshold``.  Every n = 30 cell
+#: solves and certifies in under a second; the column count, the partitions
+#: of n into k parts, keeps growing past it.
 MAX_N = 30
 
 #: Certified optimal tau values for the k-separability mixtures with
@@ -89,7 +90,8 @@ def build_problem(n: int, k: int) -> LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """Optimal mixture: weights and minimax value t, with tau = 1/t and the
-    threshold p_s = 1/(1 + t 2^(n-1)) read from t.
+    threshold p_s = 1/(1 + t 2^(n-1)) read from t, and the support read
+    from the weights.
 
     ``binding`` lists the ratio rows 1..n-1 equal to t, and ``dual`` holds
     one multiplier per ratio row, mirror-symmetric; together they are an
@@ -103,10 +105,14 @@ class LpSolution:
     partitions: tuple
     weights: tuple
     t: Fraction
-    support: tuple
     binding: tuple
     dual: tuple
     pivots: tuple
+
+    @property
+    def support(self) -> tuple:
+        """The (partition, weight) pairs of positive weight."""
+        return tuple((p, w) for p, w in zip(self.partitions, self.weights) if w > 0)
 
     @property
     def tau(self) -> Fraction:
@@ -208,7 +214,6 @@ def solve(prob: LpProblem) -> LpSolution:
         x[j] = b[r]
     weights = tuple(Fraction(v, d) for v in x[:m])
     t = Fraction(x[t_col], d)
-    support = tuple(p for p, w in zip(prob.partitions, weights) if w > 0)
     # ratio row i (and its mirror n - i) equals t exactly when the kept
     # row's slack is zero
     binding = tuple(i for i in range(1, n) if x[slack0 + min(i, n - i) - 1] == 0)
@@ -225,7 +230,6 @@ def solve(prob: LpProblem) -> LpSolution:
         partitions=prob.partitions,
         weights=weights,
         t=t,
-        support=support,
         binding=binding,
         dual=dual,
         pivots=tuple(pivots),
@@ -293,15 +297,22 @@ def mixed_state(sol: LpSolution):
     exact zeros, so only the support's states are built."""
     from .symstate import mix, partition_average_state
 
-    support = [(p, w) for p, w in zip(sol.partitions, sol.weights) if w > 0]
-    return mix([partition_average_state(p) for p, _ in support], [w for _, w in support])
+    parts, weights = zip(*sol.support)
+    return mix([partition_average_state(p) for p in parts], weights)
+
+
+def _check_cap(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"the linear program is limited to n <= {MAX_N}, got n={n}")
 
 
 @functools.cache
 def _certified_solve(n: int, k: int) -> LpSolution:
     """Certified (n, k) solution behind every printed LP bound (``lp``,
-    ``table1`` and ``thresholds.threshold``), else ArithmeticError.
+    ``table1`` and ``thresholds.threshold``), else ArithmeticError; a cell
+    above ``MAX_N`` qubits is a ValueError before anything is built.
     Solved once per process: a certified solution is kept for later lookups."""
+    _check_cap(n)
     prob = build_problem(n, k)
     sol = solve(prob)
     if not verify_solution(prob, sol):
@@ -313,5 +324,9 @@ def table1(n_values) -> list:
     """Solve and certify every (n, k) cell with 3 <= k <= n/2 over the given
     n values: the cells no closed form covers.  For n = 6..12 they reproduce
     the sixteen reference rows; a rejected certificate is an ArithmeticError.
+    An n above ``MAX_N`` is a ValueError before any cell is solved.
     """
+    n_values = list(n_values)
+    for n in n_values:
+        _check_cap(n)
     return [_certified_solve(n, k) for n in n_values for k in range(3, n // 2 + 1)]

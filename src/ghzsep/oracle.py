@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import CheckRecord
@@ -141,21 +140,6 @@ def phase_average_oracle(part: PartitionType) -> SymState:
     return SymState(n, Fraction(lo, total), d)
 
 
-@dataclass(frozen=True)
-class CharacteristicReport:
-    """All Pauli-string expectation values of a dense noisy GHZ state."""
-
-    n: int
-    p: Fraction
-    values: dict
-    nonzero_count: int
-    records: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-
 def _scaled_entries(rho, den: int = 1):
     """The nonzero entries of a dense exact matrix as integers over one
     denominator: returns ([(row, col, num)], D), entry = num/D, where D is
@@ -166,8 +150,8 @@ def _scaled_entries(rho, den: int = 1):
     return [(row, col, p * (den // q)) for row, col, (p, q) in entries], den
 
 
-def characteristic_check(n: int, p) -> CharacteristicReport:
-    """Evaluate every Pauli-string expectation of the dense noisy GHZ state.
+def characteristic_check(n: int, p) -> tuple:
+    """Check every Pauli-string expectation of the dense noisy GHZ state.
 
     Takes every trace of ``to_dense(noisy_ghz(n, p))`` in exact arithmetic,
     on integers: the nonzero entries of rho are scaled once to integers
@@ -178,8 +162,10 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
     that mask once.  The stabilizer pattern they are compared with comes
     from the masks: the identity gives 1, other X-free strings p for an
     even Z count, all-flip strings (-1)^(y/2) p for an even Y count y, and
-    every other string 0.  Mismatches become report entries, never
-    exceptions.
+    every other string 0.
+
+    Returns the (correlation-pattern, nonzero-count) check records; a
+    mismatch is a failed record, never an exception.
     """
     if n > 8:
         raise ValueError(f"characteristic sweep limited to n <= 8, got n={n}")
@@ -191,26 +177,26 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
     full = (1 << n) - 1
     p_den = p.numerator * (den // p.denominator)
 
-    # every string with its X mask, Z mask and Y count, in the order of
+    # every string's X mask, Z mask and Y count, in the order of
     # itertools.product(range(4), repeat=n), grown one qubit at a time:
     # X (1) and Y (2) flip bit q, Y and Z (3) read it
-    strings = [((), 0, 0, 0)]
+    strings = [(0, 0, 0)]
     for q in range(n):
         bit = 1 << q
-        letters = ((0, 0, 0, 0), (1, bit, 0, 0), (2, bit, bit, 1), (3, 0, bit, 0))
-        strings = [(idx + (s,), x | xb, z | zb, y + yb)
-                   for idx, x, z, y in strings for s, xb, zb, yb in letters]
+        letters = ((0, 0, 0), (bit, 0, 0), (bit, bit, 1), (0, bit, 0))
+        strings = [(x | xb, z | zb, y + yb) for x, z, y in strings for xb, zb, yb in letters]
 
-    zero = Fraction(0)
-    values = {}
     nonzero = 0
     mismatch = None
-    for idx, xmask, zmask, ycount in strings:
+    for xmask, zmask, ycount in strings:
         # the parts of the trace carrying i^0 .. i^3, times D
         trace = [0] * 4
         for y, num in by_xmask.get(xmask, ()):
             trace[(ycount + 2 * (y & zmask).bit_count()) % 4] += num
         re, im = trace[0] - trace[2], trace[1] - trace[3]
+        nonzero += re != 0
+        if mismatch is not None:
+            continue
         # the stabilizer pattern, times D
         if xmask == 0 and zmask == 0:
             expected = den
@@ -220,32 +206,22 @@ def characteristic_check(n: int, p) -> CharacteristicReport:
             expected = 0 if ycount % 2 else (-1) ** (ycount // 2) * p_den
         else:
             expected = 0
-        if re:
-            values[idx] = Fraction(re, den)
-            nonzero += 1
-        else:
-            values[idx] = zero
-        if mismatch is None and im != 0:
-            mismatch = (idx, "non-real correlation")
-        elif mismatch is None and re != expected:
-            mismatch = (idx, f"got {values[idx]}, expected {Fraction(expected, den)}")
+        if im:
+            mismatch = xmask, zmask, "non-real correlation"
+        elif re != expected:
+            mismatch = xmask, zmask, f"got {Fraction(re, den)}, expected {Fraction(expected, den)}"
 
+    detail = ""
+    if mismatch is not None:
+        xmask, zmask, what = mismatch
+        # qubit q's letter: I, X, Z or Y for its X bit plus twice its Z bit
+        idx = tuple((0, 1, 3, 2)[(xmask >> q & 1) + 2 * (zmask >> q & 1)] for q in range(n))
+        detail = f"first mismatch at {idx}: {what}"
     expected_count = 2**n if p != 0 else 1
-    records = (
-        CheckRecord(
-            "correlation-pattern",
-            {"n": n, "p": str(p)},
-            mismatch is None,
-            "" if mismatch is None else f"first mismatch at {mismatch[0]}: {mismatch[1]}",
-        ),
-        CheckRecord(
-            "nonzero-count",
-            {"n": n, "p": str(p)},
-            nonzero == expected_count,
-            f"nonzero={nonzero}, expected={expected_count}",
-        ),
-    )
-    return CharacteristicReport(n, p, values, nonzero, records)
+    params = {"n": n, "p": str(p)}
+    return (CheckRecord("correlation-pattern", params, mismatch is None, detail),
+            CheckRecord("nonzero-count", params, nonzero == expected_count,
+                        f"nonzero={nonzero}, expected={expected_count}"))
 
 
 def _dense_witness_scaled(n: int, L: int):
@@ -301,7 +277,7 @@ def dense_witness(n: int, L: int):
 @functools.cache
 def _dense_witness_float(n: int, L: int) -> np.ndarray:
     """The exact dense witness in floats, built once per (n, L) and shared
-    read-only by the product-state probes."""
+    read-only by the product-state probes; its size guard is theirs."""
     import numpy as np
 
     q, scale = _dense_witness_scaled(n, L)
@@ -395,8 +371,6 @@ def maximize_over_product_states(n: int, L: int, restarts: int = 64,
                                  seed: int = 42) -> float:
     """Best tr(rho Q) found over pure product states of the partition with
     one L-qubit party and n - L singles."""
-    if n > 8:
-        raise ValueError(f"product-state search limited to n <= 8, got n={n}")
     q = _dense_witness_float(n, L)
     return _maximize_partition(q, _block_partition(n, L), restarts, seed)
 
@@ -407,8 +381,6 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
     1^(n-L)|L partition; a soundness probe for the separability bound."""
     import numpy as np
 
-    if n > 8:
-        raise ValueError(f"product-state sampling limited to n <= 8, got n={n}")
     q = _dense_witness_float(n, L)
     part = _block_partition(n, L)
     rng = np.random.default_rng(seed)

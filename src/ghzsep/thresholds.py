@@ -68,8 +68,8 @@ def threshold(n: int, k: int) -> tuple:
     paper's n >= 2j + 1 with j = n - k), tested in that order, else the
     certified linear-program bound, exact by its dual witness (see the
     module docstring) and solved once per process.  A rejected certificate
-    raises ArithmeticError; a linear-program cell above ``lpsolve.MAX_N``
-    qubits raises ValueError.
+    raises ArithmeticError; a linear-program cell past the solver's size
+    cap raises ValueError.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
@@ -82,9 +82,6 @@ def threshold(n: int, k: int) -> tuple:
                 f"exact (n-j)-separability criterion, j={n - k}")
     from . import lpsolve
 
-    if n > lpsolve.MAX_N:
-        raise ValueError(f"no closed form for n={n}, k={k}, and the linear program is "
-                         f"limited to n <= {lpsolve.MAX_N}")
     return (lpsolve._certified_solve(n, k).p_s,
             "mixed-partition linear program and its dual witness")
 

@@ -293,10 +293,10 @@ def test_ac9_characteristic_function():
     start = time.time()
     for n in range(2, 7):
         for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            rep = characteristic_check(n, p)
-            assert rep.passed, (n, p)
+            pattern, count = characteristic_check(n, p)
+            assert pattern.passed and count.passed, (n, p)
             if p != 0:
-                assert rep.nonzero_count == 2**n, (n, p)
+                assert count.detail == f"nonzero={2**n}, expected={2**n}", (n, p)
     report(
         f"AC-9 PASS: characteristic function matches the stabilizer pattern with "
         f"exactly 2^n nonzero correlations for n <= 6 ({time.time()-start:.1f}s)"

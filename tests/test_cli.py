@@ -139,7 +139,18 @@ class TestTableCommand:
     def test_above_the_cap_exits_two(self, runner):
         result = runner.invoke(main, ["table1", "--nmax", "31"])
         assert result.exit_code == 2
-        assert "--nmax <= 30" in result.output
+        assert "Invalid value for '--nmax'" in result.output
+        assert "limited to n <= 30, got n=31" in result.output
+
+    def test_above_the_cap_solves_nothing(self, runner, monkeypatch, fresh_lp_cache):
+        def fail(prob):
+            raise AssertionError(f"solved n={prob.n}, k={prob.k}")
+
+        monkeypatch.setattr(lpsolve, "solve", fail)
+        result = runner.invoke(main, ["table1", "--nmax", "31"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "limited to n <= 30" in result.output
 
 
 class TestFigureCommand:
@@ -251,7 +262,8 @@ class TestLpCommand:
     def test_above_the_cap_exits_two(self, runner):
         result = runner.invoke(main, ["lp", "--n", "31", "--k", "8"])
         assert result.exit_code == 2
-        assert "n <= 30" in result.output
+        assert "Invalid value for '--n' / '--k'" in result.output
+        assert "limited to n <= 30, got n=31" in result.output
 
 
 class TestVerifyCommand:
@@ -416,6 +428,49 @@ def _src_env(**extra):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+class TestLpSizeCap:
+    """The LP's size cap is checked in lpsolve; each command that reaches it
+    reports a usage error."""
+
+    @pytest.mark.parametrize("command, option", [
+        ("lp --n 31 --k 5", "'--n' / '--k'"),
+        ("table1 --nmax 31", "'--nmax'"),
+        ("threshold --n 31 --k 5", None),
+    ])
+    def test_exits_two_with_empty_stdout(self, command, option):
+        proc = subprocess.run([sys.executable, "-m", "ghzsep", *command.split()],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("Usage:")
+        assert "limited to n <= 30, got n=31" in proc.stderr
+        if option:
+            assert f"Invalid value for {option}" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedWrite:
+    """A write that fails (here on a full device) is one error line and
+    exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        "threshold --n 6 --k 3",
+        "lp --n 6 --k 3 --format json",
+        "table1 --nmax 6 --format csv",
+        "verify --suite charfn --limits n=2",
+        "figure --nmin 3 --nmax 5",
+        "figure --nmin 3 --nmax 5 --out /dev/full",
+    ])
+    def test_exits_one_with_one_line(self, command):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ghzsep", *command.split()],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=_src_env(), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Error: cannot write output: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestModuleEntryPoint:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsep import exactmath
-from ghzsep.cli import _resolve_limits, _suite_lemma1
+from ghzsep.cli import _suite_lemma1, _suite_limits
 from ghzsep.exactmath import (
     elem_sym,
     random_unit_rationals,
@@ -313,7 +313,7 @@ class TestLemma1:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_suite_tight_cases_match_fraction_recount(self, seed):
-        limits = _resolve_limits("lemma1", {"n": 6, "samples": 300})
+        limits = _suite_limits("lemma1", "n=6,samples=300")
         details = [record.detail for record in _suite_lemma1(seed, limits)]
         rng = random.Random(seed)
         want = []

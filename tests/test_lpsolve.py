@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from dataclasses import replace
@@ -5,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from ghzsep import lpsolve
 from ghzsep.lpsolve import (
+    MAX_N,
     REFERENCE_TAU,
     build_problem,
     mixed_state,
@@ -92,6 +95,15 @@ class TestSolve:
         sol = solve(build_problem(6, 3))
         assert sol.binding
         assert all(1 <= i <= 5 for i in sol.binding)
+
+    def test_support_is_read_from_the_weights(self):
+        sol = solve(build_problem(6, 3))
+        assert "support" not in {f.name for f in dataclasses.fields(sol)}
+        assert [(str(p), w) for p, w in sol.support] == [
+            ("1|2|3", Fraction(2, 3)), ("2^3", Fraction(1, 3))]
+        # a replaced weight vector carries its own support
+        moved = replace(sol, weights=(Fraction(0),) * (len(sol.weights) - 1) + (Fraction(1),))
+        assert moved.support == ((sol.partitions[-1], Fraction(1)),)
 
 
 class TestVerifierRejectsBadCertificates:
@@ -232,6 +244,8 @@ class TestDualWitness:
                 prob = build_problem(n, k)
                 sol = solve(prob)
                 y, t = sol.dual, sol.t
+                support = [p for p, _ in sol.support]
+                assert support, (n, k)
                 assert y == y[::-1], (n, k)
                 assert verify_solution(prob, sol), (n, k)
                 # tr(W sigma) on a symmetric state: sector i holds d[i] C(n, i)
@@ -243,7 +257,7 @@ class TestDualWitness:
                     value = sum(yi * f / math.comb(n, i)
                                 for i, (yi, f) in enumerate(zip(y, col), 1))
                     assert value >= t, (n, k, part)
-                    assert part not in sol.support or value == t, (n, k, part)
+                    assert part not in support or value == t, (n, k, part)
 
     def test_nonnegative_on_product_states(self):
         # every partition's block-GHZ product, prod_a (|0..0> + |1..1>), and
@@ -286,7 +300,23 @@ class TestGoldenTable:
         sol = solve(prob)
         assert sol.tau == Fraction(77, 4)
         assert verify_solution(prob, sol)
-        assert parse_partition("1|2^2|3^2") in sol.support
+        assert parse_partition("1|2^2|3^2") in [p for p, _ in sol.support]
+
+
+def _no_call(*args):
+    raise AssertionError(f"called with {args}")
+
+
+class TestSizeCap:
+    def test_certified_solve_builds_nothing_above_the_cap(self, monkeypatch, fresh_lp_cache):
+        monkeypatch.setattr(lpsolve, "build_problem", _no_call)
+        with pytest.raises(ValueError, match=f"limited to n <= {MAX_N}, got n={MAX_N + 1}"):
+            lpsolve._certified_solve(MAX_N + 1, 5)
+
+    def test_table1_solves_nothing_above_the_cap(self, monkeypatch, fresh_lp_cache):
+        monkeypatch.setattr(lpsolve, "solve", _no_call)
+        with pytest.raises(ValueError, match=f"limited to n <= {MAX_N}, got n={MAX_N + 1}"):
+            table1(range(6, MAX_N + 2))
 
 
 class TestScale:

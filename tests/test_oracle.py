@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -154,10 +155,12 @@ class TestPhaseAverage:
         assert all(r["pass"] for r in records)
 
 
-def per_row_correlations(n, p):
-    """Every Pauli-string trace of the dense noisy GHZ state, each one a
-    sweep over all 2^n basis states."""
-    rho = to_dense(noisy_ghz(n, Fraction(p)))
+def per_row_correlations(n, p, rho=None):
+    """Every Pauli-string trace of the dense noisy GHZ state, or of ``rho``,
+    as (real part, imaginary part), each one a sweep over all 2^n basis
+    states, in the order of itertools.product."""
+    if rho is None:
+        rho = to_dense(noisy_ghz(n, Fraction(p)))
     values = {}
     for idx in itertools.product(range(4), repeat=n):
         xmask = sum(1 << q for q, s in enumerate(idx) if s in (1, 2))
@@ -166,8 +169,7 @@ def per_row_correlations(n, p):
         trace = [Fraction(0)] * 4  # coefficients of 1, i, -1, -i
         for y in range(1 << n):
             trace[(ycount + 2 * (y & zmask).bit_count()) % 4] += rho[y ^ xmask][y]
-        assert trace[1] == trace[3]
-        values[idx] = trace[0] - trace[2]
+        values[idx] = (trace[0] - trace[2], trace[1] - trace[3])
     return values
 
 
@@ -186,34 +188,64 @@ def expected_correlation(idx, p):
     return Fraction(0)
 
 
-def perturbed_to_dense(row, col, delta):
-    """``to_dense`` with ``delta`` added to one entry."""
+def reference_details(n, p, rho=None):
+    """The details of the two charfn records, from the per-row traces and
+    the string pattern: the first string whose trace is non-real or off
+    the pattern, and the count of nonzero real parts."""
+    p = Fraction(p)
+    values = per_row_correlations(n, p, rho)
+    mismatch = ""
+    for idx, (re, im) in values.items():
+        want = expected_correlation(idx, p)
+        if im:
+            mismatch = f"first mismatch at {idx}: non-real correlation"
+        elif re != want:
+            mismatch = f"first mismatch at {idx}: got {re}, expected {want}"
+        if mismatch:
+            break
+    nonzero = sum(1 for re, _ in values.values() if re)
+    return mismatch, f"nonzero={nonzero}, expected={2**n if p else 1}"
+
+
+def perturbed_to_dense(row, col, delta, mirror=0):
+    """``to_dense`` with ``delta`` added to one entry and ``mirror`` to its
+    transpose."""
     def build(state):
         rho = to_dense(state)
         rho[row][col] += delta
+        rho[col][row] += mirror
         return rho
     return build
 
 
+def details(records):
+    return tuple(r.detail for r in records)
+
+
 class TestCharacteristic:
     def test_mask_pattern_matches_string_pattern(self):
-        # a passing report means every trace equals the mask-derived
-        # pattern; traces equal to the string-derived one make the two
+        # passing records mean every trace equals the mask-derived pattern;
+        # the per-row traces equal the string-derived one, so the two
         # patterns agree on every string (p = 2/7 separates 1, p, -p, 0)
         for n in range(2, 6):
             for p in (Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(1)):
-                rep = characteristic_check(n, p)
-                assert rep.passed
-                assert len(rep.values) == 4**n
-                for idx, value in rep.values.items():
-                    assert value == expected_correlation(idx, p), (n, p, idx)
+                values = per_row_correlations(n, p)
+                for idx, value in values.items():
+                    assert value == (expected_correlation(idx, p), 0), (n, p, idx)
+                nonzero = sum(1 for re, _ in values.values() if re)
+                records = characteristic_check(n, p)
+                assert all(r.passed for r in records), (n, p)
+                assert records[1].detail == f"nonzero={nonzero}, expected={nonzero}"
 
     @pytest.mark.parametrize("p", [Fraction(2, 7), Fraction(5, 9)])
     def test_six_qubit_values_are_exact_fractions(self, p):
-        rep = characteristic_check(6, p)
-        assert rep.values == per_row_correlations(6, p)
-        assert all(type(v) is Fraction for v in rep.values.values())
-        assert rep.passed and rep.nonzero_count == 64
+        values = per_row_correlations(6, p)
+        assert all(type(v) is Fraction for value in values.values() for v in value)
+        for idx, value in values.items():
+            assert value == (expected_correlation(idx, p), 0), idx
+        records = characteristic_check(6, p)
+        assert all(r.passed for r in records)
+        assert details(records) == ("", "nonzero=64, expected=64")
 
     @pytest.mark.parametrize("n,p,row,col,delta,details", [
         (3, Fraction(1, 2), 1, 1, Fraction(1, 7),
@@ -226,49 +258,72 @@ class TestCharacteristic:
     def test_mismatch_details(self, monkeypatch, n, p, row, col, delta, details):
         # the detail strings of the kernel that summed Fractions per string
         monkeypatch.setattr(oracle, "to_dense", perturbed_to_dense(row, col, delta))
-        rep = characteristic_check(n, p)
-        assert not rep.records[0].passed
-        assert tuple(r.detail for r in rep.records) == details
+        records = characteristic_check(n, p)
+        assert not records[0].passed
+        assert tuple(r.detail for r in records) == details
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_perturbations_match_per_row_reference(self, monkeypatch, n):
+        # n = 3: every entry; n = 4: the diagonal, the corners and a seeded
+        # sample.  Each entry gets 1/7 or -1/5 alone, or 1/7 against -1/7
+        # on its transpose: that antisymmetric part leaves the first
+        # strings of its X mask real and shows as a non-real correlation.
+        dim = 1 << n
+        if n == 3:
+            cells = list(itertools.product(range(dim), repeat=2))
+        else:
+            rng = random.Random(4)
+            cells = [(x, x) for x in range(dim)] + [(0, dim - 1), (dim - 1, 0)]
+            cells += rng.sample(list(itertools.product(range(dim), repeat=2)), 24)
+        p = Fraction(2, 7)
+        seen = set()
+        for row, col in cells:
+            for delta, mirror in ((Fraction(1, 7), 0), (Fraction(-1, 5), 0),
+                                  (Fraction(1, 7), Fraction(-1, 7))):
+                build = perturbed_to_dense(row, col, delta, mirror)
+                monkeypatch.setattr(oracle, "to_dense", build)
+                got = details(characteristic_check(n, p))
+                want = reference_details(n, p, build(noisy_ghz(n, p)))
+                assert got == want, (row, col, delta, mirror)
+                seen.add(want[0].split(": ")[-1].split(" ")[0])
+        assert {"got", "non-real"} <= seen
 
     def test_values_match_per_row_sweep(self):
         for n in range(2, 6):
             for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-                rep = characteristic_check(n, p)
-                want = per_row_correlations(n, p)
-                assert rep.values == want
-                assert rep.nonzero_count == sum(1 for v in want.values() if v)
+                assert details(characteristic_check(n, p)) == reference_details(n, p), (n, p)
 
     def test_three_qubit_pure_values(self):
-        rep = characteristic_check(3, 1)
-        assert rep.passed
-        assert rep.values[(0, 3, 3)] == 1
-        assert rep.values[(1, 2, 2)] == -1
-        assert rep.values[(1, 1, 1)] == 1
+        values = per_row_correlations(3, 1)
+        assert values[(0, 3, 3)] == (1, 0)
+        assert values[(1, 2, 2)] == (-1, 0)
+        assert values[(1, 1, 1)] == (1, 0)
+        assert all(r.passed for r in characteristic_check(3, 1))
 
     def test_two_qubit_pattern(self):
         p = Fraction(2, 5)
-        rep = characteristic_check(2, p)
-        assert rep.passed
-        assert rep.values[(0, 0)] == 1
-        assert rep.values[(3, 3)] == p
-        assert rep.values[(1, 1)] == p
-        assert rep.values[(2, 2)] == -p
-        assert rep.values[(0, 3)] == 0
+        values = per_row_correlations(2, p)
+        assert values[(0, 0)] == (1, 0)
+        assert values[(3, 3)] == (p, 0)
+        assert values[(1, 1)] == (p, 0)
+        assert values[(2, 2)] == (-p, 0)
+        assert values[(0, 3)] == (0, 0)
+        assert all(r.passed for r in characteristic_check(2, p))
 
     def test_nonzero_count(self):
-        rep = characteristic_check(4, Fraction(1, 2))
-        assert rep.nonzero_count == 16
-        assert rep.passed
+        pattern, count = characteristic_check(4, Fraction(1, 2))
+        assert count.detail == "nonzero=16, expected=16"
+        assert pattern.passed and count.passed
 
     def test_noise_only_state(self):
-        rep = characteristic_check(3, 0)
-        assert rep.passed
-        assert rep.nonzero_count == 1
+        pattern, count = characteristic_check(3, 0)
+        assert pattern.passed and count.passed
+        assert count.detail == "nonzero=1, expected=1"
 
     def test_small_sweep(self):
         for n in (2, 3, 4, 5):
             for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-                assert characteristic_check(n, p).passed
+                assert all(r.passed for r in characteristic_check(n, p))
 
 
 class TestDenseWitness:
@@ -321,6 +376,11 @@ class TestProductStateSearch:
 
     def test_reaches_bound_5_3(self):
         assert maximize_over_product_states(5, 3, restarts=16, seed=3) == pytest.approx(2.5, abs=1e-9)
+
+    @pytest.mark.parametrize("probe", [maximize_over_product_states, max_sampled_product_value])
+    def test_size_guard_is_the_dense_witness(self, probe):
+        with pytest.raises(ValueError, match="dense witness limited to n <= 8, got n=9"):
+            probe(9, 2)
 
     def test_zero_restarts_raise(self):
         with pytest.raises(RuntimeError, match="did not converge in any restart"):

@@ -117,6 +117,10 @@ class TestThreshold:
         with pytest.raises(ValueError, match="limited to n <= 30"):
             threshold(31, 10)
 
+    def test_classify_above_the_cap_raises(self):
+        with pytest.raises(ValueError, match="limited to n <= 30"):
+            classify(31, 5, 0)
+
     def test_overlap_cells_take_the_first_formula(self):
         # only (2, 2) and (3, 2) match two closed forms, and the forms agree
         overlaps = [(n, k) for n in range(2, 41) for k in range(2, n + 1)
