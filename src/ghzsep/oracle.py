@@ -12,12 +12,22 @@ characteristic-function check starts from the library's dense noisy GHZ
 state; its explicit Pauli traces and the stabilizer pattern they are
 compared with are the independent part.
 
-Phase averages are exact.  Every matrix entry of the pre-average state is
-a Fourier polynomial of degree between -2 and 2 in each free phase, and a
-four-point average over the fourth roots of unity annihilates every
-nonzero degree of magnitude at most 3, so averaging each phase over
-{1, i, -1, -i} reproduces the continuous average exactly.  The sums of
-the roots are integers, so nothing is ever rounded.
+Phase averages are exact and constant.  Every matrix entry of the
+pre-average state is a Fourier polynomial of degree between -2 and 2 in
+each free phase, and a four-point average over the fourth roots of unity
+annihilates every nonzero degree of magnitude at most 3, so averaging each
+phase over {1, i, -1, -i} reproduces the continuous average exactly.  With
+one free phase per party and the last party carrying minus their sum, the
+entry between block configurations cx and cy (bit j set when party j's
+block is flipped) has degree d_j - d_last in free phase j, where
+d_j = cx_j - cy_j is the flip difference in {-1, 0, 1}; its average
+vanishes unless every flip difference is equal.  So the support is the
+2^k diagonal configurations and the two all-flip corners, and on each the
+degrees are all zero: the four-point sums give 4^(k-1) everywhere, out of
+a normalization of 2^k 4^(k-1).  Every configuration therefore carries
+weight 1/2^k and each corner coherence is 1/2^k, whatever the partition,
+and the oracle's independent work is the placement walk and its symmetry
+check.  The 4^k-pair brute force of the tests confirms the support.
 """
 
 from __future__ import annotations
@@ -32,33 +42,6 @@ from .exactmath import CheckRecord
 from .partitions import PartitionType
 from .symstate import SymState, noisy_ghz, to_dense
 from .witness import canonical_witness, ghz_witness_value
-
-
-def _phase_average_support(part: PartitionType):
-    """Exact phase average of the block product state, unnormalized.
-
-    Returns (diag_val, off_entries) over block configurations: the value
-    attached to configuration pair (cx, cy) is 2^k 4^(k-1) times the
-    averaged matrix entry.  Each free phase is averaged over the four
-    fourth roots of unity.  Free phase j carries degree d_j - d_last, with
-    d_j = cx_j - cy_j in {-1, 0, 1}, so the average vanishes unless every
-    flip difference is equal: only the diagonal and the two all-flip
-    corners are walked.
-    """
-    k = part.k
-    full = (1 << k) - 1
-    # sum of i^(t*deg) over t = 0..3: 4 when 4 divides deg, else 0
-    four_point = {deg: 4 if deg % 4 == 0 else 0 for deg in range(-2, 3)}
-
-    def average(cx, cy):
-        delta_last = ((cx >> (k - 1)) & 1) - ((cy >> (k - 1)) & 1)
-        return math.prod(
-            four_point[((cx >> j) & 1) - ((cy >> j) & 1) - delta_last] for j in range(k - 1)
-        )
-
-    diag_val = [average(c, c) for c in range(full + 1)]
-    off_entries = [(cx, cy, average(cx, cy)) for cx, cy in ((0, full), (full, 0))]
-    return diag_val, off_entries
 
 
 def _placements(free: int, sizes: tuple):
@@ -82,36 +65,35 @@ def _placements(free: int, sizes: tuple):
 def phase_average_oracle(part: PartitionType) -> SymState:
     """Rebuild the partition's separable state by explicit averaging.
 
-    One free phase per party (the last party carries minus their sum);
-    each phase is averaged over the fourth roots of unity exactly, then
-    the resulting sparse matrix is placed on every split of the n qubits
-    into blocks of the party sizes and averaged.  This equals the average
-    over all n! qubit relabelings: each split is reached by equally many
-    of them, and the phase average is symmetric under swapping parties,
-    so equal-size parties need no order.  The result must be permutation
-    symmetric (a non-symmetric residue is a hard internal fault) and is
-    returned in symmetric-state form.
+    The phase average of the block product state gives each of the 2^k
+    block configurations weight 1/2^k and each all-flip corner coherence
+    1/2^k (see the module docstring).  It is placed on every split of the
+    n qubits into blocks of the party sizes, counting each configuration's
+    image (the union of its flipped parties' blocks), and averaged.  This
+    equals the average over all n! qubit relabelings: each split is
+    reached by equally many of them, and the phase average is symmetric
+    under swapping parties, so equal-size parties need no order.  Every
+    placement sends the two corners to the basis states 0 and 2^n - 1 and
+    must cover all n qubits; the result must be permutation symmetric (a
+    non-symmetric residue is a hard internal fault) and is returned in
+    symmetric-state form.
     """
     n = part.n
     if n > 10:
         raise ValueError(f"phase averaging limited to n <= 10, got n={n}")
-    k = part.k
     dim = 1 << n
 
-    diag_val, off_entries = _phase_average_support(part)
-
     acc = [0] * dim
-    off_acc = Counter()
     placements = 0
     for blocks in _placements(dim - 1, part.parts):
         placements += 1
-        imgs = [0]  # configuration c -> OR of the blocks of c's set bits
-        for block in sorted(blocks, key=int.bit_count, reverse=True):
+        imgs = [0]  # the union of every subset of the blocks
+        for block in blocks:
             imgs += [img | block for img in imgs]
-        for img, v in zip(imgs, diag_val):
-            acc[img] += v
-        for cx, cy, v in off_entries:
-            off_acc[imgs[cx], imgs[cy]] += v
+        if imgs[-1] != dim - 1:
+            raise ArithmeticError("placement leaves a qubit outside every block")
+        for img in imgs:
+            acc[img] += 1
     expected = math.factorial(n) // (
         math.prod(math.factorial(s) for s in part.parts)
         * math.prod(math.factorial(m) for m in Counter(part.parts).values())
@@ -119,7 +101,7 @@ def phase_average_oracle(part: PartitionType) -> SymState:
     if placements != expected:
         raise ArithmeticError("placement enumeration incomplete")
 
-    total = placements * (2**k) * (4 ** (k - 1))
+    total = placements << part.k
     by_weight = {}
     for x in range(dim):
         by_weight.setdefault(x.bit_count(), set()).add(acc[x])
@@ -131,13 +113,7 @@ def phase_average_oracle(part: PartitionType) -> SymState:
     d = tuple(
         Fraction(next(iter(by_weight[w])), total) for w in range(n + 1)
     )
-    full = dim - 1
-    if not {key for key, v in off_acc.items() if v} <= {(0, full), (full, 0)}:
-        raise ArithmeticError("phase averaging left off-diagonal weight off the corners")
-    lo, hi = off_acc[0, full], off_acc[full, 0]
-    if lo != hi:
-        raise ArithmeticError("phase averaging broke Hermiticity of the corners")
-    return SymState(n, Fraction(lo, total), d)
+    return SymState(n, Fraction(1, 1 << part.k), d)
 
 
 def _scaled_entries(rho, den: int = 1):

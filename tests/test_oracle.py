@@ -13,7 +13,6 @@ from ghzsep.oracle import (
     _block_partition,
     _dense_witness_float,
     _maximize_partition,
-    _phase_average_support,
     _random_unit,
     characteristic_check,
     dense_witness,
@@ -105,9 +104,11 @@ class TestPhaseAverage:
         parts += [part for n in range(2, 9) for k in range(2, min(n, 7) + 1)
                   for part in enumerate_partitions(n, k)]
         for part in parts:
-            diag_val, off_entries = _phase_average_support(part)
-            want_diag, want_off = four_k_support(part)
-            assert (diag_val, set(off_entries)) == (want_diag, set(want_off)), part
+            # the constant support the oracle's placement count stands on
+            k, full = part.k, (1 << part.k) - 1
+            diag_val, off_entries = four_k_support(part)
+            assert diag_val == [4 ** (k - 1)] * (full + 1), part
+            assert set(off_entries) == {(0, full, 4 ** (k - 1)), (full, 0, 4 ** (k - 1))}, part
 
     def test_equals_closed_form_small(self):
         for n in range(2, 7):
@@ -144,6 +145,19 @@ class TestPhaseAverage:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             phase_average_oracle(PartitionType((11,)))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda real: real[1:], "placement enumeration incomplete"),
+        (lambda real: [real[0][:-1] + (real[0][-1] & (real[0][-1] - 1),)] + real[1:],
+         "placement leaves a qubit outside every block"),
+        (lambda real: [real[0], real[0]] + real[2:], "non-symmetric residue at weight 1"),
+    ], ids=["dropped", "uncovered-qubit", "repeated"])
+    def test_faulty_placements_raise(self, monkeypatch, edit, match):
+        part = parse_partition("1^2|2")
+        real = list(oracle._placements((1 << part.n) - 1, part.parts))
+        monkeypatch.setattr(oracle, "_placements", lambda free, sizes: iter(edit(real)))
+        with pytest.raises(ArithmeticError, match=match):
+            phase_average_oracle(part)
 
     def test_verify_suite_finishes_at_the_guard(self):
         result = CliRunner().invoke(main, ["verify", "--suite", "phase-oracle", "--limits", "n=10"])
