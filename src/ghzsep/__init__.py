@@ -8,6 +8,10 @@ and brute-force oracles that re-derive everything from dense matrices.
 
 Public names resolve on first use (PEP 562): a process loads only the
 submodules it touches.
+
+Bad input raises ``ValueError``; a rejected certificate or an internal
+fault raises ``ArithmeticError``.  The command line maps the first to a
+usage error (exit 2) and the second to one error line (exit 1).
 """
 
 import importlib

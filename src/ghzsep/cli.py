@@ -1,7 +1,9 @@
 """Command-line interface: thresholds, the LP table, curve data, and the
 verification suites.  Each command and suite imports the modules it runs
 below its docstring (click's help text), so numpy loads only for witness-max.
-The library returns exact values; this module alone turns them into text.
+The library returns exact values; this module alone turns them into text,
+and ``_exit_codes`` alone maps the library's errors and failed writes to
+exit codes.
 """
 
 from __future__ import annotations
@@ -30,10 +32,19 @@ _DECIMAL_CONTEXT = Context(prec=12)
 
 
 @contextmanager
-def _writing():
-    """Turn a failed write inside into a one-line error that exits 1."""
+def _exit_codes(param_hint=None):
+    """Map the library's errors inside to exit codes: a ValueError (bad
+    input) is a usage error that exits 2, naming ``param_hint`` when given;
+    an ArithmeticError (a rejected certificate or an internal fault) and an
+    OSError (a failed write) are one ``Error:`` line that exits 1."""
     try:
         yield
+    except ValueError as exc:
+        if param_hint:
+            raise click.BadParameter(str(exc), param_hint=param_hint)
+        raise click.UsageError(str(exc))
+    except ArithmeticError as exc:
+        raise click.ClickException(str(exc))
     except OSError as exc:
         raise click.ClickException(f"cannot write output: {exc.strerror or exc}")
 
@@ -46,8 +57,7 @@ def _emit(fmt, human, payload, header, rows, file=None):
         lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True)]
     else:
         lines = [header, *(",".join(map(str, row)) for row in rows)]
-    with _writing():
-        click.echo("\n".join(lines), file=file)
+    click.echo("\n".join(lines), file=file)
 
 
 def _decimal(q):
@@ -89,18 +99,14 @@ def threshold(n, j, k, fmt):
         raise click.UsageError(f"need n <= {_CLOSED_FORM_MAX_N}, got n={n}")
     if j is not None:
         k = n - j
-    try:
+    with _exit_codes():
         bound, rule = thresholds.threshold(n, k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except ArithmeticError as exc:
-        raise click.ClickException(str(exc))
-    # schema 1 keeps its sufficient and necessary fields: both are the bound
-    text = str(bound)
-    _emit(fmt, [f"{text} (iff)", f"rule: {rule}"],
-          {"n": n, "k": k, "kind": "iff", "rule": rule, "sufficient": text,
-           "sufficient_decimal": _decimal(bound), "necessary": text},
-          "n,k,kind,sufficient,necessary", [(n, k, "iff", text, text)])
+        # schema 1 keeps its sufficient and necessary fields: both are the bound
+        text = str(bound)
+        _emit(fmt, [f"{text} (iff)", f"rule: {rule}"],
+              {"n": n, "k": k, "kind": "iff", "rule": rule, "sufficient": text,
+               "sufficient_decimal": _decimal(bound), "necessary": text},
+              "n,k,kind,sufficient,necessary", [(n, k, "iff", text, text)])
 
 
 @main.command()
@@ -114,19 +120,15 @@ def table1(nmax, check, fmt):
 
     if nmax < 6:
         raise click.UsageError(f"need --nmax >= 6, got {nmax}")
-    try:
+    with _exit_codes("'--nmax'"):
         rows = lpsolve.table1(range(6, nmax + 1))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--nmax'")
-    except ArithmeticError as exc:
-        raise click.ClickException(str(exc))
-    human = ["n  k  partitions (tau*weight)            tau        p_s"]
-    for sol in rows:
-        supp = ", ".join(f"{format_partition(p)}:{w * sol.tau}" for p, w in sol.support)
-        human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{str(sol.tau):<11}{sol.p_s}")
-    _emit(fmt, human, {"rows": [_lp_payload(sol) for sol in rows]}, "n,k,tau,p_s,support",
-          [(sol.n, sol.k, sol.tau, sol.p_s, " ".join(format_partition(p) for p, _ in sol.support))
-           for sol in rows])
+        human = ["n  k  partitions (tau*weight)            tau        p_s"]
+        for sol in rows:
+            supp = ", ".join(f"{format_partition(p)}:{w * sol.tau}" for p, w in sol.support)
+            human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{str(sol.tau):<11}{sol.p_s}")
+        _emit(fmt, human, {"rows": [_lp_payload(sol) for sol in rows]}, "n,k,tau,p_s,support",
+              [(sol.n, sol.k, sol.tau, sol.p_s, " ".join(format_partition(p) for p, _ in sol.support))
+               for sol in rows])
     if check:
         golden = [sol for sol in rows if (sol.n, sol.k) in lpsolve.REFERENCE_TAU]
         # every row is certified, which ties p_s to tau
@@ -149,18 +151,16 @@ def figure(nmin, nmax, j_list, out):
 
     if nmax > _CLOSED_FORM_MAX_N:
         raise click.UsageError(f"need --nmax <= {_CLOSED_FORM_MAX_N}, got {nmax}")
-    try:
+    with _exit_codes():
         rows = thresholds.figure1_data(nmin, nmax, j_list)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        fh = click.open_file(out, "w")
-    except OSError as exc:
-        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'")
-    # closing the file flushes it, so a full disk can fail there too
-    with _writing(), fh:
-        _emit("csv", None, None, "n,curve,p_exact,p_decimal",
-              [(n, curve, p, _decimal(p)) for n, curve, p in rows], file=fh)
+        try:
+            fh = click.open_file(out, "w")
+        except OSError as exc:
+            raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'")
+        # closing the file flushes it, so a full disk can fail there too
+        with fh:
+            _emit("csv", None, None, "n,curve,p_exact,p_decimal",
+                  [(n, curve, p, _decimal(p)) for n, curve, p in rows], file=fh)
 
 
 @main.command()
@@ -172,18 +172,14 @@ def lp(n, k, fmt):
     from . import lpsolve
     from .partitions import format_partition
 
-    try:
+    with _exit_codes(["--n", "--k"]):
         sol = lpsolve._certified_solve(n, k)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint=["--n", "--k"])
-    except ArithmeticError as exc:
-        raise click.ClickException(str(exc))
-    _emit(fmt,
-          [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
-           *(f"  {format_partition(p)}: {w}" for p, w in sol.support),
-           f"binding rows: {list(sol.binding)}", "certificate: valid"],
-          {**_lp_payload(sol), "binding": list(sol.binding), "certified": True},
-          "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, True)])
+        _emit(fmt,
+              [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
+               *(f"  {format_partition(p)}: {w}" for p, w in sol.support),
+               f"binding rows: {list(sol.binding)}", "certificate: valid"],
+              {**_lp_payload(sol), "binding": list(sol.binding), "certified": True},
+              "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, True)])
 
 
 def _suite_limits(name, text):
@@ -330,10 +326,10 @@ def verify(suite, seed, limits):
         error.exit_code = 2
         raise error
     all_ok = True
-    for name in names:
-        for record in _SUITES[name][0](seed, limits[name]):
-            all_ok = all_ok and record.passed
-            with _writing():
+    with _exit_codes():
+        for name in names:
+            for record in _SUITES[name][0](seed, limits[name]):
+                all_ok = all_ok and record.passed
                 click.echo(json.dumps({"check": record.check, "params": record.params,
                                        "pass": record.passed, "detail": record.detail},
                                       sort_keys=True))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from ghzsep import lpsolve
+from ghzsep import lpsolve, oracle
 from ghzsep.cli import _CLOSED_FORM_MAX_N, main
 
 
@@ -141,6 +141,12 @@ class TestTableCommand:
         assert result.exit_code == 2
         assert "Invalid value for '--nmax'" in result.output
         assert "limited to n <= 30, got n=31" in result.output
+
+    def test_below_the_first_row_exits_two(self, runner):
+        result = runner.invoke(main, ["table1", "--nmax", "5"])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert "need --nmax >= 6, got 5" in result.output
 
     def test_above_the_cap_solves_nothing(self, runner, monkeypatch, fresh_lp_cache):
         def fail(prob):
@@ -312,6 +318,32 @@ class TestVerifyCommand:
     def test_bad_limits_exit_two(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "wident", "--limits", "L"])
         assert result.exit_code == 2
+
+    def test_non_integer_limit_exits_two(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "lemma1", "--limits", "n=abc"])
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage:")
+        assert "bad --limits value in 'n=abc'" in result.output
+
+    def test_internal_fault_is_one_error_line(self, runner, monkeypatch):
+        # drop one placement of the three qubits: the n = 2 records stream,
+        # then the oracle's placement count fails
+        real = oracle._placements
+
+        def dropped(free, sizes):
+            placements = real(free, sizes)
+            if free == 0b111:
+                next(placements)
+            return placements
+
+        monkeypatch.setattr(oracle, "_placements", dropped)
+        result = runner.invoke(main, ["verify", "--suite", "phase-oracle", "--limits", "n=3"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        *records, last = result.output.splitlines()
+        assert last == "Error: placement enumeration incomplete"
+        assert [json.loads(line)["params"]["n"] for line in records] == [2]
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("suite", ["witness-max", "all"])
     def test_negative_seed_exits_two_before_any_suite(self, runner, suite):

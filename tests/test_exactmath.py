@@ -125,6 +125,10 @@ class TestWIdentities:
         for L in range(2, 21):
             assert all(r.passed for r in verify_w_identities(L))
 
+    def test_rejects_a_one_qubit_block(self):
+        with pytest.raises(ValueError, match="need L >= 2, got L=1"):
+            verify_w_identities(1)
+
 
 def comb_appendix_sweep(n_max, l_max, comb):
     """The appendix sweep with one binomial call per term: the number of
@@ -334,6 +338,8 @@ class TestLemma1:
             verify_lemma1_inequality((Fraction(3, 2),), 3)
         with pytest.raises(ValueError):
             verify_lemma1_inequality((0, 0), 3)
+        with pytest.raises(ValueError, match="need n >= 3, got n=2"):
+            verify_lemma1_inequality((), 2)
 
 
 class TestFormatting:

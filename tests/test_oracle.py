@@ -334,6 +334,10 @@ class TestCharacteristic:
         assert pattern.passed and count.passed
         assert count.detail == "nonzero=1, expected=1"
 
+    def test_size_guard(self):
+        with pytest.raises(ValueError, match="characteristic sweep limited to n <= 8, got n=9"):
+            characteristic_check(9, 0)
+
     def test_small_sweep(self):
         for n in (2, 3, 4, 5):
             for p in (Fraction(0), Fraction(1, 2), Fraction(1)):

@@ -44,6 +44,16 @@ class TestNoisyGhz:
         with pytest.raises(ValueError):
             noisy_ghz(3, Fraction(8, 7))
 
+    def test_rejects_a_single_qubit(self):
+        with pytest.raises(ValueError, match="need n >= 2, got 1"):
+            noisy_ghz(1, 0)
+
+    def test_state_shape_is_checked(self):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            SymState(0, Fraction(0), (Fraction(1),))
+        with pytest.raises(ValueError, match="need 3 diagonal coefficients, got 2"):
+            SymState(2, Fraction(0), (Fraction(1, 2), Fraction(1, 2)))
+
 
 class TestPartitionAverage:
     def test_pair_plus_singles(self):
@@ -100,6 +110,8 @@ class TestMix:
             mix([s, s], [Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(ValueError):
             mix([s, s], [Fraction(3, 2), Fraction(-1, 2)])
+        with pytest.raises(ValueError, match="need one weight per state"):
+            mix([s], [Fraction(1, 2), Fraction(1, 2)])
 
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError):
@@ -142,6 +154,11 @@ class TestPadToIsotropic:
     def test_rejects_states_without_coherence(self):
         with pytest.raises(ValueError):
             pad_to_isotropic(noisy_ghz(4, 0))
+
+    def test_rejects_states_without_interior_weight(self):
+        # the pure GHZ state has nothing between its corners to pad against
+        with pytest.raises(ValueError, match="no interior diagonal weight to pad against"):
+            pad_to_isotropic(noisy_ghz(4, 1))
 
     def test_rejects_negative_padding(self):
         # endpoint weight above alpha + t cannot be padded away

@@ -217,6 +217,9 @@ class TestClassify:
             classify(4, 1, Fraction(1, 2))
         with pytest.raises(ValueError):
             classify(4, 5, Fraction(1, 2))
+        for p in (Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError, match=f"need 0 <= p <= 1, got {p}"):
+                classify(6, 3, p)
 
 
 class TestFigureData:

@@ -8,6 +8,7 @@ import pytest
 from ghzsep.exactmath import elem_sym, random_unit_rationals, w_coeff
 from ghzsep.oracle import dense_witness
 from ghzsep.witness import (
+    MMatrixParams,
     canonical_witness,
     gamma_diagonal,
     ghz_witness_value,
@@ -126,6 +127,11 @@ class TestGhzValue:
         w = canonical_witness(6, 4)
         assert ghz_witness_value(w, Fraction(3, 35)) == 3 == sep_max(6, 4)
 
+    @pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_weight_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=f"need 0 <= p <= 1, got {p}"):
+            ghz_witness_value(canonical_witness(5, 2), p)
+
 
 class TestBounds:
     def test_sep_max_values(self):
@@ -137,6 +143,13 @@ class TestBounds:
         assert necessary_threshold(3, 2) == Fraction(3, 7)
         assert necessary_threshold(6, 4) == Fraction(3, 35)
         assert necessary_threshold(5, 4) == Fraction(5, 21)
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_block_range_enforced(self, L):
+        with pytest.raises(ValueError, match=f"need 2 <= L <= n - 1, got n=4, L={L}"):
+            sep_max(4, L)
+        with pytest.raises(ValueError, match=f"need 2 <= L <= n - 1, got n=4, L={L}"):
+            gamma_diagonal(4, L, (Fraction(0),) * (4 - L))
 
     def test_threshold_closed_form(self):
         for n in range(3, 16):
@@ -283,6 +296,13 @@ class TestSectorDiagonal:
         for n, L in [(4, 2), (5, 3), (6, 4)]:
             g = gamma_diagonal(n, L, (Fraction(0),) * (n - L))
             assert g.corner_reaches(sep_max(n, L))
+
+    def test_sector_above_the_bound_fails(self):
+        # the corner block alone would pass: (1 - 0)(1 - 0) >= 0
+        g = MMatrixParams(4, 2, (Fraction(0), Fraction(2), Fraction(0)),
+                          Fraction(0), Fraction(0), Fraction(0))
+        assert g.max_eig_at_most(2)
+        assert not g.max_eig_at_most(1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
