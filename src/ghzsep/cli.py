@@ -9,6 +9,7 @@ exit codes.
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 from contextlib import contextmanager
@@ -36,7 +37,8 @@ def _exit_codes(param_hint=None):
     """Map the library's errors inside to exit codes: a ValueError (bad
     input) is a usage error that exits 2, naming ``param_hint`` when given;
     an ArithmeticError (a rejected certificate or an internal fault) and an
-    OSError (a failed write) are one ``Error:`` line that exits 1."""
+    OSError (a failed write) are one ``Error:`` line that exits 1, except a
+    write into a pipe whose reader has gone, which exits 1 silently."""
     try:
         yield
     except ValueError as exc:
@@ -45,6 +47,11 @@ def _exit_codes(param_hint=None):
         raise click.UsageError(str(exc))
     except ArithmeticError as exc:
         raise click.ClickException(str(exc))
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit 1 without a message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except OSError as exc:
         raise click.ClickException(f"cannot write output: {exc.strerror or exc}")
 
@@ -74,8 +81,8 @@ def _lp_payload(sol):
 
 
 format_option = click.option(
-    "--format", "fmt", type=click.Choice(_FORMATS), default="human", envvar="GHZSEP_FORMAT",
-    help="Output format (default: human, or $GHZSEP_FORMAT).",
+    "--format", "fmt", type=click.Choice(_FORMATS), default="human",
+    help="Output format (default: human).",
 )
 
 

@@ -240,8 +240,9 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     """Certify optimality independently of the solver, over integers.
 
     Primal: weights form a distribution and every ratio row is at most t,
-    with t attained.  Dual: the multipliers are a distribution over rows
-    under which every partition column averages at least t.  Weak duality
+    with t attained, and ``binding`` lists exactly the rows equal to t.
+    Dual: the multipliers are a distribution over rows under which every
+    partition column averages at least t.  Weak duality
     then pins t as the exact optimum.  Complementary slackness needs no
     check of its own: sum_j w_j col_j = sum_i y_i row_i is at least t and
     at most t, so every weighted column and every weighted row equals t.
@@ -277,6 +278,8 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
         for i in range(rows)
     ]
     if any(v > 0 for v in row_excess) or max(row_excess) != 0:
+        return False
+    if tuple(sol.binding) != tuple(i for i, v in enumerate(row_excess, 1) if v == 0):
         return False
     if len(y) != rows or any(v < 0 for v in y):
         return False

@@ -335,7 +335,7 @@ def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed) -> f
                         break
             prev = value
     if best is None:
-        raise RuntimeError("product-state ascent did not converge in any restart")
+        raise ArithmeticError("product-state ascent did not converge in any restart")
     return best
 
 
@@ -347,6 +347,8 @@ def maximize_over_product_states(n: int, L: int, restarts: int = 64,
                                  seed: int = 42) -> float:
     """Best tr(rho Q) found over pure product states of the partition with
     one L-qubit party and n - L singles."""
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got restarts={restarts}")
     q = _dense_witness_float(n, L)
     return _maximize_partition(q, _block_partition(n, L), restarts, seed)
 
@@ -357,6 +359,8 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
     1^(n-L)|L partition; a soundness probe for the separability bound."""
     import numpy as np
 
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got samples={samples}")
     q = _dense_witness_float(n, L)
     part = _block_partition(n, L)
     rng = np.random.default_rng(seed)

@@ -505,6 +505,29 @@ class TestFailedWrite:
         assert proc.stderr.count("\n") == 1
 
 
+class TestClosedPipe:
+    """A write into a pipe whose reader has gone ends the command quietly
+    with exit 1: no ``Error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("command", [
+        "threshold --n 6 --k 3",
+        "lp --n 6 --k 3",
+        "table1 --nmax 6",
+        "verify --suite charfn --limits n=2",
+        "figure --nmin 3 --nmax 5",
+    ])
+    def test_exits_one_with_empty_stderr(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ghzsep", *command.split()],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=_src_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+
 class TestModuleEntryPoint:
     def test_import_does_not_load_numpy(self):
         script = """
@@ -544,29 +567,22 @@ assert "numpy" not in sys.modules
         assert proc.returncode == 0
         assert "3/7 (iff)" in proc.stdout
 
-    def test_format_env_variable(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ghzsep", "threshold", "--n", "3", "--j", "1"],
-            capture_output=True,
-            text=True,
-            env=_src_env(GHZSEP_FORMAT="json"),
-            timeout=60,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["sufficient"] == "3/7"
+    @pytest.mark.parametrize("command", ["lp --n 6 --k 3", "threshold --n 6 --k 3"])
+    def test_format_environment_variable_is_ignored(self, command):
+        """``--format`` alone chooses the output: an exported GHZSEP_FORMAT,
+        valid or not, leaves the human output as it is."""
+        env = _src_env()
+        env.pop("GHZSEP_FORMAT", None)
 
-    def test_invalid_format_env_variable_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ghzsep", "threshold", "--n", "3", "--j", "1"],
-            capture_output=True,
-            text=True,
-            env=_src_env(GHZSEP_FORMAT="bogus"),
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("Usage:")
-        assert "Traceback" not in proc.stderr
+        def run(**extra):
+            return subprocess.run([sys.executable, "-m", "ghzsep", *command.split()],
+                                  capture_output=True, text=True, env={**env, **extra}, timeout=60)
+
+        human = run()
+        assert human.returncode == 0
+        for value in ("json", "bogus"):
+            proc = run(GHZSEP_FORMAT=value)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, human.stdout, "")
 
 
 # Runs the CLI as ``python -m ghzsep`` would and, at exit, writes the loaded
@@ -655,8 +671,7 @@ class TestWithoutNumpy:
 
 
 _OPTIONS_FORMAT = """\
-  --format [human|json|csv]  Output format (default: human, or
-                             $GHZSEP_FORMAT).
+  --format [human|json|csv]  Output format (default: human).
   --help                     Show this message and exit.
 """
 

@@ -123,18 +123,20 @@ class TestVerifierRejectsBadCertificates:
         assert not verify_solution(prob, forged)
 
 
-# Forgeries of the (7, 3) optimum: weights (0, 0, 2/5, 3/5), t = 2/35 and
-# dual (1/5, 3/10, 0, 0, 3/10, 1/5).  All but short-weights, short-dual and
-# t-raised fail exactly one check of verify_solution, so each of its checks
-# has a forgery that only it rejects.  Rows 3 and 4 are mirrors (f(3) = f(4),
-# C(7, 3) = C(7, 4)), so negative-dual leaves every column sum as it was.
+# Forgeries of the (7, 3) optimum: weights (0, 0, 2/5, 3/5), t = 2/35,
+# binding rows (1, 2, 5, 6) and dual (1/5, 3/10, 0, 0, 3/10, 1/5).  A forgery
+# that moves the weights or t lists as binding the rows its own weights put
+# at its t.  All but short-weights, short-dual and t-raised fail exactly one
+# check of verify_solution, so each of its checks has a forgery that only it
+# rejects.  Rows 3 and 4 are mirrors (f(3) = f(4), C(7, 3) = C(7, 4)), so
+# negative-dual leaves every column sum as it was.
 FORGERIES = {
     "negative-weight": lambda s: replace(
-        s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
+        s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20)), binding=(2, 5)),
     "weights-sum-below-one": lambda s: replace(
         s, weights=tuple(w / 2 for w in s.weights), t=s.t / 2),
     "short-weights": lambda s: replace(s, weights=s.weights[:-1]),
-    "t-lowered": lambda s: replace(s, t=s.t * Fraction(9, 10)),
+    "t-lowered": lambda s: replace(s, t=s.t * Fraction(9, 10), binding=()),
     "t-raised": lambda s: replace(s, t=s.t * Fraction(11, 10)),
     "negative-dual": lambda s: replace(
         s, dual=s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:]),
@@ -143,7 +145,9 @@ FORGERIES = {
     "dual-on-slack-row": lambda s: replace(
         s, dual=(0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:]),
     "weight-on-zero-column": lambda s: replace(
-        s, weights=s.weights[2:3] + (0, 0) + s.weights[3:]),
+        s, weights=s.weights[2:3] + (0, 0) + s.weights[3:], binding=()),
+    "binding-dropped": lambda s: replace(s, binding=(2, 5, 6)),
+    "binding-extra": lambda s: replace(s, binding=(1, 2, 3, 5, 6)),
 }
 
 
@@ -153,6 +157,7 @@ class TestVerifierRejectsForgeries:
         sol = solve(prob)
         assert sol.weights == (0, 0, Fraction(2, 5), Fraction(3, 5))
         assert sol.dual == (Fraction(1, 5), Fraction(3, 10), 0, 0, Fraction(3, 10), Fraction(1, 5))
+        assert sol.binding == (1, 2, 5, 6)
         assert verify_solution(prob, sol)
 
     @pytest.mark.parametrize("name", sorted(FORGERIES))

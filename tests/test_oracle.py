@@ -401,8 +401,25 @@ class TestProductStateSearch:
             probe(9, 2)
 
     def test_zero_restarts_raise(self):
-        with pytest.raises(RuntimeError, match="did not converge in any restart"):
+        with pytest.raises(ValueError, match="need restarts >= 1, got restarts=0"):
             maximize_over_product_states(4, 2, restarts=0)
+
+    def test_zero_samples_raise(self):
+        # n = 9 would fail the dense witness's size guard: the count is checked first
+        with pytest.raises(ValueError, match="need samples >= 1, got samples=0"):
+            max_sampled_product_value(9, 2, samples=0)
+
+    def test_no_converged_restart_is_an_arithmetic_error(self, monkeypatch):
+        # each eigensolve returns a value 1 above the last, so no sweep settles
+        eigh, calls = np.linalg.eigh, itertools.count()
+
+        def drifting(a):
+            vals, vecs = eigh(a)
+            return vals + next(calls), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", drifting)
+        with pytest.raises(ArithmeticError, match="did not converge in any restart"):
+            maximize_over_product_states(3, 2, restarts=1)
 
     @pytest.mark.parametrize("n, L, part", [
         *((n, L, _block_partition(n, L)) for n, L in WITNESS_MAX_CASES),
