@@ -7,10 +7,11 @@ max_i sum_pi q_pi f_pi(i)/C(n,i).  That minimax problem is solved here as
 an epigraph LP by an exact simplex with Bland's rule (so the pivot sequence
 is deterministic and cycling is impossible).  The problem data are the
 integer subset-sum counts f_pi(i); the tableau is held in fraction-free
-integers over one shared denominator (Bareiss pivoting), and weights,
-value and dual are converted to Fraction only at the end.  The dual is a
-certificate that verify_solution re-checks over integers, independently
-of the solver.
+integers over one shared denominator (Bareiss pivoting), and the weights
+and dual are converted to Fraction only at the end.  The value t is not
+read from the tableau: it is the largest ratio row of the weights,
+computed exactly from them.  The dual is a certificate that
+verify_solution re-checks over integers, independently of the solver.
 
 Ratio rows i and n - i are the same constraint: the complement of a set
 of parties holding i qubits holds n - i, so f_pi(i) = f_pi(n - i), and
@@ -89,25 +90,59 @@ def build_problem(n: int, k: int) -> LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal mixture: weights and minimax value t, with tau = 1/t and the
-    threshold p_s = 1/(1 + t 2^(n-1)) read from t, and the support read
-    from the weights.
+    """Optimal mixture of ``problem``'s partitions: its weights, the dual
+    multipliers (one per ratio row, mirror-symmetric) that certify it, and
+    the simplex pivot sequence (row, column) for determinism tests.
 
-    ``binding`` lists the ratio rows 1..n-1 equal to t, and ``dual`` holds
-    one multiplier per ratio row, mirror-symmetric; together they are an
-    optimality certificate checkable by ``verify_solution``.
-    ``pivots`` records the simplex pivot sequence (row, column) for
-    determinism tests.
+    Everything else is read from these.  ``n``, ``k`` and ``partitions``
+    are the problem's.  The minimax value t is the largest ratio row of the
+    weights and ``binding`` the rows 1..n-1 equal to it, computed once over
+    integers; tau = 1/t, the threshold p_s = 1/(1 + t 2^(n-1)) and the
+    support follow.  ``verify_solution`` checks that t is optimal.
     """
 
-    n: int
-    k: int
-    partitions: tuple
+    problem: LpProblem
     weights: tuple
-    t: Fraction
-    binding: tuple
     dual: tuple
     pivots: tuple
+
+    @property
+    def n(self) -> int:
+        return self.problem.n
+
+    @property
+    def k(self) -> int:
+        return self.problem.k
+
+    @property
+    def partitions(self) -> tuple:
+        return self.problem.partitions
+
+    @functools.cached_property
+    def _peak(self) -> tuple:
+        """(t, binding), over integers.  With W the weights' common
+        denominator and L = lcm_i C(n, i), ratio row i over the one
+        denominator W L has the numerator s_i L / C(n, i), where
+        s_i = sum_j W w_j f_j(i) sums integer counts."""
+        n = self.n
+        binom = [math.comb(n, i) for i in range(1, n)]
+        big_w, big_l = math.lcm(*(w.denominator for w in self.weights)), math.lcm(*binom)
+        support = [
+            (w.numerator * (big_w // w.denominator), col)
+            for w, col in zip(self.weights, self.problem.columns)
+            if w
+        ]
+        rows = [sum(a * col[i] for a, col in support) * (big_l // c) for i, c in enumerate(binom)]
+        top = max(rows)
+        return Fraction(top, big_w * big_l), tuple(i for i, v in enumerate(rows, 1) if v == top)
+
+    @property
+    def t(self) -> Fraction:
+        return self._peak[0]
+
+    @property
+    def binding(self) -> tuple:
+        return self._peak[1]
 
     @property
     def support(self) -> tuple:
@@ -209,14 +244,8 @@ def solve(prob: LpProblem) -> LpSolution:
     # pivot on a b = 0 row keeps b, so a basic artificial would hold 1 above.
     d = _bland_pivot_loop(T, b, d, t_col, basis, range(art_col), pivots)
 
-    x = [0] * (art_col + 1)
-    for r, j in enumerate(basis):
-        x[j] = b[r]
-    weights = tuple(Fraction(v, d) for v in x[:m])
-    t = Fraction(x[t_col], d)
-    # ratio row i (and its mirror n - i) equals t exactly when the kept
-    # row's slack is zero
-    binding = tuple(i for i in range(1, n) if x[slack0 + min(i, n - i) - 1] == 0)
+    x = dict(zip(basis, b))
+    weights = tuple(Fraction(x.get(j, 0), d) for j in range(m))
     # Dual multipliers from t's row of the final tableau: the initial
     # identity columns (one slack per kept row) carry the basis inverse,
     # and C(n, i) turns the scaled slack back into the original one.  A
@@ -224,68 +253,44 @@ def solve(prob: LpProblem) -> LpSolution:
     cost = T[basis.index(t_col)]
     kept = [Fraction(-cost[slack0 + i] * math.comb(n, i + 1), d) for i in range(rows)]
     dual = tuple(kept[min(i, n - i) - 1] / (1 if 2 * i == n else 2) for i in range(1, n))
-    return LpSolution(
-        n=n,
-        k=prob.k,
-        partitions=prob.partitions,
-        weights=weights,
-        t=t,
-        binding=binding,
-        dual=dual,
-        pivots=tuple(pivots),
-    )
+    return LpSolution(prob, weights, dual, tuple(pivots))
 
 
 def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     """Certify optimality independently of the solver, over integers.
 
-    Primal: weights form a distribution and every ratio row is at most t,
-    with t attained, and ``binding`` lists exactly the rows equal to t.
-    Dual: the multipliers are a distribution over rows under which every
-    partition column averages at least t.  Weak duality
-    then pins t as the exact optimum.  Complementary slackness needs no
-    check of its own: sum_j w_j col_j = sum_i y_i row_i is at least t and
-    at most t, so every weighted column and every weighted row equals t.
+    The solution must be of ``prob``.  Primal: the weights form a
+    distribution, so they are a feasible mixture whose largest ratio row,
+    ``sol.t``, they attain by definition.  Dual: the multipliers are a
+    distribution over rows under which every partition column averages at
+    least t.  Weak duality then pins t as the exact optimum.  Complementary
+    slackness needs no check of its own: sum_j w_j col_j = sum_i y_i row_i
+    is at least t and at most t, so every weighted column and every
+    weighted row equals t.
 
-    Each sum runs over the integer counts: the weights over their common
-    denominator W give the rows times W C(n, i), and the values
-    y_i / C(n, i) over their common denominator D give the columns times D.
+    The column sums run over the integer counts: the values y_i / C(n, i)
+    over their common denominator D give the columns times D.
 
-    All n - 1 rows and the full columns are checked, so the certificate
-    does not lean on the mirror symmetry the solver exploits.  The dual
-    check also makes the witness built from y sound (see ``thresholds``).
+    t is read from all n - 1 rows and the dual is checked on the full
+    columns, so the certificate does not lean on the mirror symmetry the
+    solver exploits.  The dual check also makes the witness built from y
+    sound (see ``thresholds``).
     """
+    if sol.problem != prob:
+        return False
     n, m = prob.n, len(prob.partitions)
-    rows = n - 1
     w = [Fraction(v) for v in sol.weights]
     y = [Fraction(v) for v in sol.dual]
-    t = Fraction(sol.t)
     if len(w) != m or any(v < 0 for v in w):
         return False
     if sum(w) != 1:
         return False
-    binom = [math.comb(n, i) for i in range(1, n)]
-    big_w = math.lcm(*(v.denominator for v in w))
-    support = [
-        (v.numerator * (big_w // v.denominator), col)
-        for v, col in zip(w, prob.columns)
-        if v
-    ]
-    # row i against t: sum_j a_j f_j(i) / (W C(n, i)) <= t, cross-multiplied
-    row_excess = [
-        sum(a * col[i] for a, col in support) * t.denominator
-        - t.numerator * big_w * binom[i]
-        for i in range(rows)
-    ]
-    if any(v > 0 for v in row_excess) or max(row_excess) != 0:
-        return False
-    if tuple(sol.binding) != tuple(i for i, v in enumerate(row_excess, 1) if v == 0):
-        return False
-    if len(y) != rows or any(v < 0 for v in y):
+    if len(y) != n - 1 or any(v < 0 for v in y):
         return False
     if sum(y) != 1:
         return False
-    z = [v / c for v, c in zip(y, binom)]
+    t = sol.t
+    z = [v / math.comb(n, i) for i, v in enumerate(y, 1)]
     big_d = math.lcm(*(v.denominator for v in z))
     e = [v.numerator * (big_d // v.denominator) for v in z]
     floor = t.numerator * big_d

@@ -10,6 +10,7 @@ from ghzsep import lpsolve
 from ghzsep.lpsolve import (
     MAX_N,
     REFERENCE_TAU,
+    LpSolution,
     build_problem,
     mixed_state,
     solve,
@@ -105,39 +106,68 @@ class TestSolve:
         moved = replace(sol, weights=(Fraction(0),) * (len(sol.weights) - 1) + (Fraction(1),))
         assert moved.support == ((sol.partitions[-1], Fraction(1)),)
 
+    def test_stored_fields_are_problem_weights_dual_pivots(self):
+        prob = build_problem(8, 3)
+        sol = solve(prob)
+        assert [f.name for f in dataclasses.fields(LpSolution)] == [
+            "problem", "weights", "dual", "pivots"]
+        assert sol.problem is prob
+        assert (sol.n, sol.k, sol.partitions) == (8, 3, prob.partitions)
+        # what is read from the problem or the weights cannot be set beside them
+        for name, value in (("t", sol.t / 2), ("binding", ()), ("n", 9)):
+            with pytest.raises(TypeError):
+                replace(sol, **{name: value})
+
+
+def _ratio_rows(prob, weights):
+    """Ratio rows 1..n-1 of a weight vector, as Fractions."""
+    return [
+        sum(Fraction(w) * col[i] for w, col in zip(weights, prob.columns)) / math.comb(prob.n, i + 1)
+        for i in range(prob.n - 1)
+    ]
+
+
+class TestValueReadFromWeights:
+    def test_every_small_cell(self):
+        # the reference for t and binding: the largest Fraction ratio row of
+        # the weights and the rows at it, for the solver's weights and for
+        # the uniform mixture put in their place
+        for n in range(4, 15):
+            for k in range(2, n + 1):
+                prob = build_problem(n, k)
+                sol = solve(prob)
+                m = len(prob.partitions)
+                for s in (sol, replace(sol, weights=(Fraction(1, m),) * m)):
+                    rows = _ratio_rows(prob, s.weights)
+                    assert s.t == max(rows), (n, k)
+                    assert s.binding == tuple(i for i, r in enumerate(rows, 1) if r == s.t), (n, k)
+
 
 class TestVerifierRejectsBadCertificates:
-    def test_wrong_objective(self):
-        prob = build_problem(6, 3)
-        sol = solve(prob)
-        forged = replace(sol, t=sol.t / 2)
-        assert not verify_solution(prob, forged)
-
     def test_suboptimal_single_column(self):
         prob = build_problem(6, 3)
         sol = solve(prob)
         # put all weight on the first partition (4+1+1): feasible but not optimal
-        t = max(Fraction(f, math.comb(6, i + 1)) for i, f in enumerate(prob.columns[0]))
-        assert t > sol.t
-        forged = replace(sol, weights=(Fraction(1), Fraction(0), Fraction(0)), t=t)
+        forged = replace(sol, weights=(Fraction(1), Fraction(0), Fraction(0)))
+        assert forged.t == max(_ratio_rows(prob, forged.weights)) > sol.t
         assert not verify_solution(prob, forged)
 
 
-# Forgeries of the (7, 3) optimum: weights (0, 0, 2/5, 3/5), t = 2/35,
-# binding rows (1, 2, 5, 6) and dual (1/5, 3/10, 0, 0, 3/10, 1/5).  A forgery
-# that moves the weights or t lists as binding the rows its own weights put
-# at its t.  All but short-weights, short-dual and t-raised fail exactly one
-# check of verify_solution, so each of its checks has a forgery that only it
-# rejects.  Rows 3 and 4 are mirrors (f(3) = f(4), C(7, 3) = C(7, 4)), so
-# negative-dual leaves every column sum as it was.
+# Forgeries of the (7, 3) optimum: weights (0, 0, 2/5, 3/5), so t = 2/35 at
+# binding rows (1, 2, 5, 6), and dual (1/5, 3/10, 0, 0, 3/10, 1/5).  t and
+# binding are read from the weights, so a forgery that moves the weights
+# moves them too: negative-weight keeps t = 2/35 (at rows 2 and 5),
+# weights-sum-below-one halves it and weight-on-zero-column doubles it.  All
+# but short-weights and short-dual fail exactly one check of verify_solution,
+# so each of its checks has a forgery that only it rejects.  Rows 3 and 4 are
+# mirrors (f(3) = f(4), C(7, 3) = C(7, 4)), so negative-dual leaves every
+# column sum as it was.
 FORGERIES = {
+    "problem-swapped": lambda s: replace(s, problem=build_problem(7, 4)),
     "negative-weight": lambda s: replace(
-        s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20)), binding=(2, 5)),
-    "weights-sum-below-one": lambda s: replace(
-        s, weights=tuple(w / 2 for w in s.weights), t=s.t / 2),
+        s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
+    "weights-sum-below-one": lambda s: replace(s, weights=tuple(w / 2 for w in s.weights)),
     "short-weights": lambda s: replace(s, weights=s.weights[:-1]),
-    "t-lowered": lambda s: replace(s, t=s.t * Fraction(9, 10), binding=()),
-    "t-raised": lambda s: replace(s, t=s.t * Fraction(11, 10)),
     "negative-dual": lambda s: replace(
         s, dual=s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:]),
     "dual-sum-above-one": lambda s: replace(s, dual=tuple(2 * y for y in s.dual)),
@@ -145,9 +175,7 @@ FORGERIES = {
     "dual-on-slack-row": lambda s: replace(
         s, dual=(0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:]),
     "weight-on-zero-column": lambda s: replace(
-        s, weights=s.weights[2:3] + (0, 0) + s.weights[3:], binding=()),
-    "binding-dropped": lambda s: replace(s, binding=(2, 5, 6)),
-    "binding-extra": lambda s: replace(s, binding=(1, 2, 3, 5, 6)),
+        s, weights=s.weights[2:3] + (0, 0) + s.weights[3:]),
 }
 
 
