@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import enumerate_partitions, profile
@@ -67,25 +67,39 @@ REFERENCE_TAU = {
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Minimax problem data: one column of subset-sum counts per partition
-    of n into k parts.  Ratio row i of column j is f_j(i) / C(n, i)."""
+    """Minimax problem data: the partitions that may be mixed, all of n
+    into k parts, and one column of subset-sum counts per partition.  Ratio
+    row i of column j is f_j(i) / C(n, i).
 
-    n: int
-    k: int
+    The partitions are the one stored value: n and k are theirs, and the
+    count columns are computed from them at construction.
+    """
+
     partitions: tuple
-    columns: tuple  # columns[j][i-1] = f_j(i) for i = 1..n-1
+    columns: tuple = field(init=False, compare=False, repr=False)  # columns[j][i-1] = f_j(i)
+
+    def __post_init__(self):
+        if len({(p.n, p.k) for p in self.partitions}) != 1:
+            raise ValueError("need one or more partitions, all of one n into one k parts")
+        object.__setattr__(self, "columns", tuple(profile(p)[1:-1] for p in self.partitions))
+
+    @property
+    def n(self) -> int:
+        return self.partitions[0].n
+
+    @property
+    def k(self) -> int:
+        return self.partitions[0].k
 
 
 def build_problem(n: int, k: int) -> LpProblem:
-    """Enumerate all partitions of n into k parts and their count columns.
+    """All partitions of n into k parts, with their count columns.
 
     No pre-filtering: the solver decides which partitions carry weight.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
-    parts = enumerate_partitions(n, k)
-    columns = tuple(profile(p)[1:n] for p in parts)
-    return LpProblem(n, k, tuple(parts), columns)
+    return LpProblem(tuple(enumerate_partitions(n, k)))
 
 
 @dataclass(frozen=True)
@@ -259,14 +273,15 @@ def solve(prob: LpProblem) -> LpSolution:
 def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     """Certify optimality independently of the solver, over integers.
 
-    The solution must be of ``prob``.  Primal: the weights form a
-    distribution, so they are a feasible mixture whose largest ratio row,
-    ``sol.t``, they attain by definition.  Dual: the multipliers are a
-    distribution over rows under which every partition column averages at
-    least t.  Weak duality then pins t as the exact optimum.  Complementary
-    slackness needs no check of its own: sum_j w_j col_j = sum_i y_i row_i
-    is at least t and at most t, so every weighted column and every
-    weighted row equals t.
+    The solution must be of ``prob``, and exact: every weight and dual
+    entry an int or a Fraction, checked before t is read.  Primal: the
+    weights form a distribution, so they are a feasible mixture whose
+    largest ratio row, ``sol.t``, they attain by definition.  Dual: the
+    multipliers are a distribution over rows under which every partition
+    column averages at least t.  Weak duality then pins t as the exact
+    optimum.  Complementary slackness needs no check of its own:
+    sum_j w_j col_j = sum_i y_i row_i is at least t and at most t, so
+    every weighted column and every weighted row equals t.
 
     The column sums run over the integer counts: the values y_i / C(n, i)
     over their common denominator D give the columns times D.
@@ -276,11 +291,10 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     solver exploits.  The dual check also makes the witness built from y
     sound (see ``thresholds``).
     """
-    if sol.problem != prob:
+    w, y = sol.weights, sol.dual
+    if sol.problem != prob or not all(isinstance(v, (int, Fraction)) for v in (*w, *y)):
         return False
     n, m = prob.n, len(prob.partitions)
-    w = [Fraction(v) for v in sol.weights]
-    y = [Fraction(v) for v in sol.dual]
     if len(w) != m or any(v < 0 for v in w):
         return False
     if sum(w) != 1:
@@ -290,7 +304,7 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     if sum(y) != 1:
         return False
     t = sol.t
-    z = [v / math.comb(n, i) for i, v in enumerate(y, 1)]
+    z = [Fraction(v, math.comb(n, i)) for i, v in enumerate(y, 1)]
     big_d = math.lcm(*(v.denominator for v in z))
     e = [v.numerator * (big_d // v.denominator) for v in z]
     floor = t.numerator * big_d

@@ -113,7 +113,7 @@ def phase_average_oracle(part: PartitionType) -> SymState:
     d = tuple(
         Fraction(next(iter(by_weight[w])), total) for w in range(n + 1)
     )
-    return SymState(n, Fraction(1, 1 << part.k), d)
+    return SymState(Fraction(1, 1 << part.k), d)
 
 
 def _scaled_entries(rho, den: int = 1):
@@ -251,7 +251,7 @@ def dense_witness(n: int, L: int):
 
 
 @functools.cache
-def _dense_witness_float(n: int, L: int) -> np.ndarray:
+def _dense_witness_float(n: int, L: int):
     """The exact dense witness in floats, built once per (n, L) and shared
     read-only by the product-state probes; its size guard is theirs."""
     import numpy as np
@@ -262,7 +262,7 @@ def _dense_witness_float(n: int, L: int) -> np.ndarray:
     return q
 
 
-def _random_unit(rng, dim: int) -> np.ndarray:
+def _random_unit(rng, dim: int):
     import numpy as np
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -273,7 +273,7 @@ def _random_unit(rng, dim: int) -> np.ndarray:
 _RESTART_BLOCK = 64
 
 
-def _maximize_partition(q: np.ndarray, part: PartitionType, restarts, seed) -> float:
+def _maximize_partition(q, part: PartitionType, restarts, seed) -> float:
     """Multistart alternating eigenvector ascent over product states.
 
     With every party but one frozen, the value is a quadratic form in the

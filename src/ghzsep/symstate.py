@@ -6,7 +6,8 @@ representation keeps one coefficient ``alpha`` for that pair and, for each
 Hamming weight i, the coefficient ``d[i]`` of EACH individual weight-i
 basis projector (so the weight-i sector contributes d[i] * C(n, i) to the
 trace).  Storing per-projector weights makes the padding step read off the
-threshold directly, with no binomial bookkeeping.
+threshold directly, with no binomial bookkeeping.  These two are all a
+state stores: its qubit count n is read from d, which holds d[0..n].
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ from .partitions import PartitionType, profile
 
 @dataclass(frozen=True)
 class SymState:
-    """Symmetric state: GHZ coherence alpha plus per-projector diagonal d."""
+    """Symmetric state: GHZ coherence alpha plus per-projector diagonal
+    d[0..n]; n is read from d."""
 
-    n: int
     alpha: Fraction
     d: tuple
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if len(self.d) != self.n + 1:
-            raise ValueError(
-                f"need {self.n + 1} diagonal coefficients, got {len(self.d)}"
-            )
+
+    @property
+    def n(self) -> int:
+        return len(self.d) - 1
 
     def trace(self) -> Fraction:
         return sum(
@@ -60,7 +61,7 @@ def noisy_ghz(n: int, p) -> SymState:
     d = [noise] * (n + 1)
     d[0] += p / 2
     d[n] += p / 2
-    return SymState(n, p / 2, tuple(d))
+    return SymState(p / 2, tuple(d))
 
 
 def partition_average_state(p: PartitionType) -> SymState:
@@ -78,7 +79,7 @@ def partition_average_state(p: PartitionType) -> SymState:
     f = profile(p)
     scale = 2**p.k
     d = tuple(Fraction(f[i], scale * math.comb(p.n, i)) for i in range(p.n + 1))
-    return SymState(p.n, Fraction(1, scale), d)
+    return SymState(Fraction(1, scale), d)
 
 
 def mix(states, weights) -> SymState:
@@ -96,7 +97,7 @@ def mix(states, weights) -> SymState:
         sum((w * s.d[i] for w, s in zip(ws, states)), start=Fraction(0))
         for i in range(n + 1)
     )
-    return SymState(n, alpha, d)
+    return SymState(alpha, d)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def pad_to_isotropic(s: SymState) -> PadResult:
     d = [t / total] * (s.n + 1)
     d[0] = (s.alpha + t) / total
     d[s.n] = (s.alpha + t) / total
-    padded = SymState(s.n, s.alpha / total, tuple(d))
+    padded = SymState(s.alpha / total, tuple(d))
     return PadResult(padded, tau, p_s)
 
 

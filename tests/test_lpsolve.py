@@ -10,6 +10,7 @@ from ghzsep import lpsolve
 from ghzsep.lpsolve import (
     MAX_N,
     REFERENCE_TAU,
+    LpProblem,
     LpSolution,
     build_problem,
     mixed_state,
@@ -44,6 +45,51 @@ class TestBuildProblem:
             build_problem(5, 1)
         with pytest.raises(ValueError):
             build_problem(5, 6)
+
+
+class TestProblemIsItsPartitions:
+    def test_stored_fields_are_the_partitions(self):
+        prob = build_problem(8, 3)
+        assert [f.name for f in dataclasses.fields(LpProblem)] == ["partitions", "columns"]
+        assert not next(f for f in dataclasses.fields(LpProblem) if f.name == "columns").init
+        assert LpProblem(prob.partitions) == prob
+        assert (prob.n, prob.k) == (8, 3)
+        # what is read from the partitions cannot be set beside them
+        for name, value in (("n", 9), ("k", 5)):
+            with pytest.raises(TypeError):
+                replace(prob, **{name: value})
+        with pytest.raises(ValueError):
+            replace(prob, columns=prob.columns[::-1])
+
+    @pytest.mark.parametrize(
+        "partitions",
+        [(), (parse_partition("1^2|5"), parse_partition("1^2|6")),
+         (parse_partition("1^2|6"), parse_partition("1^3|5"))],
+        ids=["empty", "mixed-n", "mixed-k"],
+    )
+    def test_partitions_must_share_n_and_k(self, partitions):
+        with pytest.raises(ValueError, match="one n into one k parts"):
+            LpProblem(partitions)
+
+    def test_any_column_set(self):
+        # the support of the (8, 3) optimum alone: the solver and the
+        # certificate take any same-(n, k) partitions, not only all of them
+        support = [p for p, _ in solve(build_problem(8, 3)).support]
+        prob = LpProblem(tuple(support))
+        sol = solve(prob)
+        assert sol.tau == 34
+        assert verify_solution(prob, sol)
+
+    def test_reordered_partitions_carry_their_columns(self):
+        prob = build_problem(8, 3)
+        sol = solve(prob)
+        rev = replace(prob, partitions=prob.partitions[::-1])
+        assert rev.columns == prob.columns[::-1]
+        rsol = solve(rev)
+        assert verify_solution(rev, rsol)
+        assert rsol.tau == sol.tau == 34
+        assert set(rsol.support) == set(sol.support)
+        assert pad_to_isotropic(mixed_state(rsol)).p_s == rsol.p_s == sol.p_s
 
 
 class TestSolve:
@@ -161,9 +207,13 @@ class TestVerifierRejectsBadCertificates:
 # but short-weights and short-dual fail exactly one check of verify_solution,
 # so each of its checks has a forgery that only it rejects.  Rows 3 and 4 are
 # mirrors (f(3) = f(4), C(7, 3) = C(7, 4)), so negative-dual leaves every
-# column sum as it was.
+# column sum as it was.  The three inexact forgeries carry the optimum's
+# values as floats or strings, which pass every other check or break it.
 FORGERIES = {
     "problem-swapped": lambda s: replace(s, problem=build_problem(7, 4)),
+    "float-weights": lambda s: replace(s, weights=tuple(float(w) for w in s.weights)),
+    "string-weights": lambda s: replace(s, weights=tuple(str(w) for w in s.weights)),
+    "string-dual": lambda s: replace(s, dual=tuple(str(y) for y in s.dual)),
     "negative-weight": lambda s: replace(
         s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
     "weights-sum-below-one": lambda s: replace(s, weights=tuple(w / 2 for w in s.weights)),

@@ -1,3 +1,5 @@
+import dataclasses
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,9 +52,14 @@ class TestNoisyGhz:
 
     def test_state_shape_is_checked(self):
         with pytest.raises(ValueError, match="need n >= 1, got 0"):
-            SymState(0, Fraction(0), (Fraction(1),))
-        with pytest.raises(ValueError, match="need 3 diagonal coefficients, got 2"):
-            SymState(2, Fraction(0), (Fraction(1, 2), Fraction(1, 2)))
+            SymState(Fraction(0), (Fraction(1),))
+
+    def test_qubit_count_is_read_from_the_diagonal(self):
+        assert [f.name for f in dataclasses.fields(SymState)] == ["alpha", "d"]
+        s = SymState(Fraction(0), (Fraction(1, 2), Fraction(1, 2)))
+        assert s.n == 1 and s.trace() == 1
+        with pytest.raises(TypeError):
+            replace(noisy_ghz(3, 0), n=4)
 
 
 class TestPartitionAverage:
@@ -162,8 +169,8 @@ class TestPadToIsotropic:
 
     def test_rejects_negative_padding(self):
         # endpoint weight above alpha + t cannot be padded away
-        s = SymState(3, Fraction(1, 8), (Fraction(1, 2), Fraction(1, 100),
-                                         Fraction(1, 100), Fraction(1, 2)))
+        s = SymState(Fraction(1, 8), (Fraction(1, 2), Fraction(1, 100),
+                                      Fraction(1, 100), Fraction(1, 2)))
         with pytest.raises(ValueError):
             pad_to_isotropic(s)
 
@@ -193,4 +200,4 @@ class TestToDense:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            to_dense(SymState(13, Fraction(1, 2), (Fraction(0),) * 14))
+            to_dense(SymState(Fraction(1, 2), (Fraction(0),) * 14))
