@@ -26,7 +26,7 @@ _EXPORTS = {
                    "format_partition", "parse_partition", "profile"),
     "symstate": ("PadResult", "SymState", "mix", "noisy_ghz", "pad_to_isotropic",
                  "partition_average_state", "to_dense"),
-    "thresholds": ("SeparabilityVerdict", "classify", "figure1_data", "threshold"),
+    "thresholds": ("classify", "figure1_data", "threshold"),
     "witness": ("MMatrixParams", "WitnessSpec", "canonical_witness", "gamma_diagonal",
                 "ghz_witness_value", "necessary_threshold", "sep_max", "witness_sum"),
 }

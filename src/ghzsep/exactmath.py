@@ -158,49 +158,56 @@ def verify_appendix_inequality(n_max: int, l_max: int) -> SweepReport:
 
 @dataclass(frozen=True)
 class Lemma1Check:
-    """Lemma 1's scalars for n - 2 longitudinal components, and its verdict.
+    """Lemma 1's scalars for m = n - 2 longitudinal components, and its verdict.
 
     a and b are the symmetric-polynomial sums, u and v the averaged sign
     flip products; they satisfy a = -(u+v)/2 and b = -(u-v)/2 exactly,
-    which is checked before the record is built.  ``passed`` means a <= 0
-    and a^2 - b^2 >= transverse_bound = prod(1 - z_i^2); ``tight`` means
-    the second holds with equality.
+    which the kernel checks before the record is built.  ``passed`` means
+    a <= 0 and a^2 - b^2 >= transverse_bound = prod(1 - z_i^2); ``tight``
+    means the second holds with equality.
 
-    The record keeps the kernel's integers: with Q the product of the
-    components' denominators and m = n - 2, ma, mb, mu and mv are a, b, u
-    and v times den = m*Q, and plus_minus is transverse_bound times
-    bound_den = Q^2.  The five scalars are built as Fractions when read.
+    The record keeps five integers: m, q = Q the product of the
+    components' denominators, ma and mb, which are a and b times m*Q, and
+    plus_minus, which is transverse_bound times Q^2.  Everything else is
+    read from them when asked for: u and v through the identity, the
+    verdict by comparing ma^2 - mb^2 with m^2 plus_minus, and a Fraction
+    only for a, b, u, v or transverse_bound.
     """
 
     ma: int
     mb: int
-    mu: int
-    mv: int
-    den: int
+    m: int
+    q: int
     plus_minus: int
-    bound_den: int
-    passed: bool
-    tight: bool
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self.ma, self.den)
+        return Fraction(self.ma, self.m * self.q)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self.mb, self.den)
+        return Fraction(self.mb, self.m * self.q)
 
     @property
     def u(self) -> Fraction:
-        return Fraction(self.mu, self.den)
+        return Fraction(-self.ma - self.mb, self.m * self.q)
 
     @property
     def v(self) -> Fraction:
-        return Fraction(self.mv, self.den)
+        return Fraction(self.mb - self.ma, self.m * self.q)
 
     @property
     def transverse_bound(self) -> Fraction:
-        return Fraction(self.plus_minus, self.bound_den)
+        return Fraction(self.plus_minus, self.q * self.q)
+
+    @property
+    def passed(self) -> bool:
+        ma, mb, m = self.ma, self.mb, self.m
+        return ma <= 0 and ma * ma - mb * mb >= m * m * self.plus_minus
+
+    @property
+    def tight(self) -> bool:
+        return self.ma * self.ma - self.mb * self.mb == self.m * self.m * self.plus_minus
 
 
 def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
@@ -216,7 +223,10 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
         raise ValueError(f"need n >= 3, got n={n}")
     if len(z) != n - 2:
         raise ValueError(f"need {n - 2} components, got {len(z)}")
-    ratios = [x.as_integer_ratio() for x in z]
+    try:
+        ratios = [x.as_integer_ratio() for x in z]
+    except OverflowError:  # an infinite float
+        raise ValueError("every component must lie in [-1, 1]") from None
     if any(abs(p) > q for p, q in ratios):
         raise ValueError("every component must lie in [-1, 1]")
     m = n - 2
@@ -243,11 +253,7 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
     ma, mb = sum(weighted[0::2]), sum(weighted[1::2])
     if 2 * ma != -(mu + mv) or 2 * mb != -(mu - mv):
         raise ArithmeticError("internal identity between (a, b) and (u, v) violated")
-    # a^2 - b^2 >= prod(1 - z^2), scaled by (Q*m)^2
-    plus_minus = plus * minus
-    lhs, rhs = ma * ma - mb * mb, m * m * plus_minus
-    return Lemma1Check(ma, mb, mu, mv, m * big_q, plus_minus, big_q * big_q,
-                       ma <= 0 and lhs >= rhs, lhs == rhs)
+    return Lemma1Check(ma, mb, m, big_q, plus * minus)
 
 
 def random_unit_rationals(rng: random.Random, length: int) -> tuple:

@@ -79,6 +79,8 @@ class LpProblem:
     columns: tuple = field(init=False, compare=False, repr=False)  # columns[j][i-1] = f_j(i)
 
     def __post_init__(self):
+        if not isinstance(self.partitions, tuple):
+            raise ValueError(f"partitions must be a tuple, got {type(self.partitions).__name__}")
         if len({(p.n, p.k) for p in self.partitions}) != 1:
             raise ValueError("need one or more partitions, all of one n into one k parts")
         object.__setattr__(self, "columns", tuple(profile(p)[1:-1] for p in self.partitions))

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .exactmath import CheckRecord
 from .partitions import PartitionType
-from .symstate import SymState, noisy_ghz, to_dense
+from .symstate import SymState, _probability, noisy_ghz, to_dense
 from .witness import canonical_witness, ghz_witness_value
 
 
@@ -145,7 +145,7 @@ def characteristic_check(n: int, p) -> tuple:
     """
     if n > 8:
         raise ValueError(f"characteristic sweep limited to n <= 8, got n={n}")
-    p = Fraction(p)
+    p = _probability(p)
     entries, den = _scaled_entries(to_dense(noisy_ghz(n, p)), p.denominator)
     by_xmask = {}
     for row, y, num in entries:

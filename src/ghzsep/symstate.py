@@ -7,7 +7,9 @@ Hamming weight i, the coefficient ``d[i]`` of EACH individual weight-i
 basis projector (so the weight-i sector contributes d[i] * C(n, i) to the
 trace).  Storing per-projector weights makes the padding step read off the
 threshold directly, with no binomial bookkeeping.  These two are all a
-state stores: its qubit count n is read from d, which holds d[0..n].
+state stores: its qubit count n is read from d, a tuple holding d[0..n].
+Likewise a padding result stores only its padded state, and its tau and
+p_s are read from it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ class SymState:
     d: tuple
 
     def __post_init__(self):
+        if not isinstance(self.d, tuple):
+            raise ValueError(f"d must be a tuple, got {type(self.d).__name__}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
 
@@ -50,13 +54,23 @@ class SymState:
         )
 
 
+def _probability(p) -> Fraction:
+    """p as an exact Fraction in [0, 1].  Anything else, an infinite or
+    non-numeric p included, is a ValueError."""
+    try:
+        p = Fraction(p)
+    except (OverflowError, TypeError):
+        raise ValueError(f"need a finite number for p, got {p!r}") from None
+    if not 0 <= p <= 1:
+        raise ValueError(f"need 0 <= p <= 1, got {p}")
+    return p
+
+
 def noisy_ghz(n: int, p) -> SymState:
     """The n-qubit GHZ state mixed with white noise of weight 1 - p."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
+    p = _probability(p)
     noise = (1 - p) / 2**n
     d = [noise] * (n + 1)
     d[0] += p / 2
@@ -102,11 +116,27 @@ def mix(states, weights) -> SymState:
 
 @dataclass(frozen=True)
 class PadResult:
-    """Outcome of isotropic padding: the padded state and its threshold."""
+    """Outcome of isotropic padding: the padded state, ``noisy_ghz(n, p_s)``
+    with 0 < p_s < 1.
+
+    The padded state is the one stored value.  The threshold p_s is its
+    GHZ weight, twice its coherence, and tau is its coherence over an
+    interior diagonal coefficient: padding keeps alpha / t.
+    """
 
     padded: SymState
-    tau: Fraction
-    p_s: Fraction
+
+    def __post_init__(self):
+        if not 0 < self.p_s < 1 or self.padded != noisy_ghz(self.padded.n, self.p_s):
+            raise ValueError("a padded state is a noisy GHZ state with 0 < p < 1")
+
+    @property
+    def p_s(self) -> Fraction:
+        return 2 * self.padded.alpha
+
+    @property
+    def tau(self) -> Fraction:
+        return self.padded.alpha / self.padded.d[1]
 
 
 def pad_to_isotropic(s: SymState) -> PadResult:
@@ -131,14 +161,11 @@ def pad_to_isotropic(s: SymState) -> PadResult:
     pads.append(s.alpha + t - s.d[s.n])
     if any(x < 0 for x in pads):
         raise ValueError("state is not dominated by its isotropic envelope")
-    tau = s.alpha / t
-    p_s = tau / (tau + 2 ** (s.n - 1))
     total = 2 * (s.alpha + t) + t * (2**s.n - 2)
     d = [t / total] * (s.n + 1)
     d[0] = (s.alpha + t) / total
     d[s.n] = (s.alpha + t) / total
-    padded = SymState(s.alpha / total, tuple(d))
-    return PadResult(padded, tau, p_s)
+    return PadResult(SymState(s.alpha / total, tuple(d)))
 
 
 def to_dense(s: SymState):

@@ -2,7 +2,8 @@
 
 For the noisy n-qubit GHZ state rho_p = p |GHZ><GHZ| + (1 - p) I / 2^n and
 a split into k parties, ``threshold`` gives the exact threshold of every
-cell: rho_p is k-separable if and only if p <= bound.  Closed forms cover
+cell: rho_p is k-separable if and only if p <= bound, and ``classify``
+returns that verdict alone, "separable" or "entangled".  Closed forms cover
 k = n, k = 2 and 2k > n (the paper's n >= 2j + 1 for j = n - k); every
 other cell takes the mixed-partition linear program's p_s =
 1/(1 + t 2^(n-1)), where t is the LP optimum (see ``lpsolve``).
@@ -45,20 +46,7 @@ and tr(W rho_p) = (1 - p)/2^n - t p/2 < 0 exactly when p > p_s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class SeparabilityVerdict:
-    """Classification of a noisy GHZ state for k-party separability."""
-
-    n: int
-    k: int
-    p: Fraction
-    status: str  # "separable" | "entangled"
-    bound: Fraction
-    rule: str
 
 
 def threshold(n: int, k: int) -> tuple:
@@ -86,13 +74,13 @@ def threshold(n: int, k: int) -> tuple:
             "mixed-partition linear program and its dual witness")
 
 
-def classify(n: int, k: int, p) -> SeparabilityVerdict:
-    """Classify p against ``threshold(n, k)``: separable iff p <= bound."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
-    bound, rule = threshold(n, k)
-    return SeparabilityVerdict(n, k, p, "separable" if p <= bound else "entangled", bound, rule)
+def classify(n: int, k: int, p) -> str:
+    """The verdict on rho_p: "separable" if p <= ``threshold(n, k)``'s
+    bound, else "entangled".  The bound and its rule are ``threshold``'s
+    to read."""
+    from .symstate import _probability
+
+    return "separable" if _probability(p) <= threshold(n, k)[0] else "entangled"
 
 
 def figure1_data(n_min: int, n_max: int, j_list) -> list:

@@ -3,11 +3,12 @@
 The witness Q is a weighted sum of GHZ stabilizer elements whose
 coefficients depend only on how many Z-pair generators appear; grouping
 pairs of counts into a single coefficient M_i leaves one free vector
-M_1..M_{floor(n/2)}.  For product states that keep a distinguished block
-of L qubits intact, tr(rho Q) is a quadratic form in the block state; this
-module computes that form's parameters and the resulting separability
-bounds, entirely through characteristic-function sums (Q is never
-materialized here; the oracle module builds it densely as a cross-check).
+M_1..M_{floor(n/2)}, which with n is all a ``WitnessSpec`` stores.  For
+product states that keep a distinguished block of L qubits intact,
+tr(rho Q) is a quadratic form in the block state; this module computes
+that form's parameters and the resulting separability bounds, entirely
+through characteristic-function sums (Q is never materialized here; the
+oracle module builds it densely as a cross-check).
 """
 
 from __future__ import annotations
@@ -17,22 +18,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import elem_sym, verify_lemma1_inequality, w_coeff
+from .symstate import _probability
 
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """Coefficient vector M_1..M_{floor(n/2)} for a block of size L."""
+    """The n-qubit witness's coefficient vector M_1..M_{floor(n/2)}, one
+    entry per count of Z-pair generators."""
 
     n: int
-    L: int
     m: tuple
+
+    def __post_init__(self):
+        if not isinstance(self.m, tuple) or len(self.m) != self.n // 2:
+            raise ValueError(f"m must be a tuple of {self.n // 2} coefficients for n={self.n}, "
+                             f"got {self.m!r}")
 
 
 def canonical_witness(n: int, L: int) -> WitnessSpec:
     """The choice M_i = (4i - n)/(n - L) that makes the block bound tight."""
     if not 2 <= L <= n - 1:
         raise ValueError(f"need 2 <= L <= n - 1, got n={n}, L={L}")
-    return WitnessSpec(n, L, tuple(Fraction(4 * i - n, n - L) for i in range(1, n // 2 + 1)))
+    return WitnessSpec(n, tuple(Fraction(4 * i - n, n - L) for i in range(1, n // 2 + 1)))
 
 
 def witness_sum(w: WitnessSpec) -> Fraction:
@@ -45,10 +52,7 @@ def witness_sum(w: WitnessSpec) -> Fraction:
 
 def ghz_witness_value(w: WitnessSpec, p) -> Fraction:
     """tr(rho Q) on the noisy GHZ state with GHZ weight p."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
-    return p * (witness_sum(w) + 2 ** (w.n - 1))
+    return _probability(p) * (witness_sum(w) + 2 ** (w.n - 1))
 
 
 def sep_max(n: int, L: int) -> Fraction:

@@ -545,7 +545,7 @@ assert "numpy" not in sys.modules
     def test_public_names_are_the_submodule_objects(self):
         import ghzsep
 
-        assert len(ghzsep.__all__) == 36
+        assert len(ghzsep.__all__) == 35
         for name in ghzsep.__all__:
             obj = getattr(ghzsep, name)
             assert obj is getattr(sys.modules[obj.__module__], name)

@@ -220,7 +220,7 @@ def indexed_lemma1(z, n):
 def fraction_lemma1(z, n):
     """The Fraction form of lemma 1: S_i weighted by (2i - m)/m, u and v
     from the (1 + z), (1 - z) recurrence, the verdict on Fractions.
-    Returns the seven Lemma1Check fields in order."""
+    Returns the seven Lemma1Check values in order."""
     zs = tuple(Fraction(x) for x in z)
     m = n - 2
     weighted = [Fraction(2 * i - m, m) * s_i for i, s_i in enumerate(elem_sym(zs))]
@@ -333,7 +333,24 @@ class TestLemma1:
         zero = verify_lemma1_inequality((0, 0, 0), 5)
         assert zero.passed and zero.tight
 
+    def test_stored_fields_are_the_kernel_integers(self):
+        check = verify_lemma1_inequality((0.5, Fraction(-1, 3)), 4)
+        assert [f.name for f in dataclasses.fields(check)] == ["ma", "mb", "m", "q", "plus_minus"]
+        assert check.a == Fraction(-7, 6) and check.b == 0
+        # a = -(u+v)/2 and b = -(u-v)/2
+        assert check.u == Fraction(7, 6) == -(check.a + check.b)
+        assert check.v == Fraction(7, 6) == check.b - check.a
+        assert check.passed and not check.tight
+        # the verdict and u, v are read from the integers, not set beside them
+        for name, value in (("passed", False), ("tight", True), ("mu", 0), ("mv", 0), ("den", 1)):
+            with pytest.raises(TypeError):
+                dataclasses.replace(check, **{name: value})
+
     def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            verify_lemma1_inequality((float("inf"),), 3)
+        with pytest.raises(ValueError):
+            verify_lemma1_inequality((0.5, float("-inf")), 4)
         with pytest.raises(ValueError):
             verify_lemma1_inequality((Fraction(3, 2),), 3)
         with pytest.raises(ValueError):

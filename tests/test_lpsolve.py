@@ -71,6 +71,11 @@ class TestProblemIsItsPartitions:
         with pytest.raises(ValueError, match="one n into one k parts"):
             LpProblem(partitions)
 
+    def test_partitions_are_a_tuple(self):
+        partitions = list(build_problem(6, 3).partitions)
+        with pytest.raises(ValueError, match="partitions must be a tuple, got list"):
+            LpProblem(partitions)
+
     def test_any_column_set(self):
         # the support of the (8, 3) optimum alone: the solver and the
         # certificate take any same-(n, k) partitions, not only all of them

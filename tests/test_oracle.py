@@ -338,6 +338,10 @@ class TestCharacteristic:
         with pytest.raises(ValueError, match="characteristic sweep limited to n <= 8, got n=9"):
             characteristic_check(9, 0)
 
+    def test_infinite_weight(self):
+        with pytest.raises(ValueError, match="need a finite number for p, got inf"):
+            characteristic_check(3, float("inf"))
+
     def test_small_sweep(self):
         for n in (2, 3, 4, 5):
             for p in (Fraction(0), Fraction(1, 2), Fraction(1)):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ghzsep.partitions import PartitionType, enumerate_partitions, parse_partition
 from ghzsep.symstate import (
+    PadResult,
     SymState,
     mix,
     noisy_ghz,
@@ -46,6 +47,11 @@ class TestNoisyGhz:
         with pytest.raises(ValueError):
             noisy_ghz(3, Fraction(8, 7))
 
+    @pytest.mark.parametrize("p", [float("inf"), float("-inf"), None])
+    def test_rejects_a_weight_that_is_not_a_number(self, p):
+        with pytest.raises(ValueError):
+            noisy_ghz(3, p)
+
     def test_rejects_a_single_qubit(self):
         with pytest.raises(ValueError, match="need n >= 2, got 1"):
             noisy_ghz(1, 0)
@@ -53,6 +59,10 @@ class TestNoisyGhz:
     def test_state_shape_is_checked(self):
         with pytest.raises(ValueError, match="need n >= 1, got 0"):
             SymState(Fraction(0), (Fraction(1),))
+
+    def test_diagonal_is_a_tuple(self):
+        with pytest.raises(ValueError, match="d must be a tuple, got list"):
+            SymState(Fraction(0), [Fraction(1, 2), Fraction(1, 2)])
 
     def test_qubit_count_is_read_from_the_diagonal(self):
         assert [f.name for f in dataclasses.fields(SymState)] == ["alpha", "d"]
@@ -157,6 +167,25 @@ class TestPadToIsotropic:
                     res = pad_to_isotropic(partition_average_state(p))
                     assert res.padded == noisy_ghz(n, res.p_s)
                     assert res.padded.is_psd()
+
+    def test_threshold_is_read_from_the_padded_state(self):
+        res = pad_to_isotropic(partition_average_state(parse_partition("1^2|2^2")))
+        assert [f.name for f in dataclasses.fields(PadResult)] == ["padded"]
+        assert (res.tau, res.p_s) == (3, Fraction(3, 35))
+        assert PadResult(res.padded) == res
+        for name in ("tau", "p_s"):
+            with pytest.raises(TypeError):
+                replace(res, **{name: Fraction(99)})
+
+    @pytest.mark.parametrize("state", [
+        partition_average_state(parse_partition("1^2|2^2")),
+        noisy_ghz(4, 0),
+        noisy_ghz(4, 1),
+        SymState(Fraction(1, 8), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))),
+    ], ids=["not-padded", "no-coherence", "pure-ghz", "not-normalized"])
+    def test_padded_state_must_be_noisy_ghz(self, state):
+        with pytest.raises(ValueError, match="noisy GHZ state with 0 < p < 1"):
+            PadResult(state)
 
     def test_rejects_states_without_coherence(self):
         with pytest.raises(ValueError):

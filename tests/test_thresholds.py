@@ -102,12 +102,12 @@ class TestThreshold:
             assert lpsolve.verify_solution(prob, sol)
             assert threshold(n, k) == (sol.p_s, LP_RULE), (n, k)
 
-    def test_classify_reports_the_same_bounds(self):
+    def test_classify_switches_at_the_bound(self):
         for n in range(2, 11):
             for k in range(2, n + 1):
-                bound, rule = threshold(n, k)
-                v = classify(n, k, 0)
-                assert (v.bound, v.rule) == (bound, rule), (n, k)
+                bound = threshold(n, k)[0]
+                assert classify(n, k, bound) == "separable", (n, k)
+                assert classify(n, k, bound + Fraction(1, 10**9)) == "entangled", (n, k)
 
     def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch, fresh_lp_cache):
         def fail(n, k):
@@ -143,17 +143,22 @@ class TestThreshold:
 
 
 class TestClassify:
+    def test_verdict_is_a_string(self):
+        import ghzsep
+
+        assert classify(6, 3, 0) == "separable"
+        assert type(classify(6, 3, 1)) is str
+        with pytest.raises(AttributeError):
+            ghzsep.SeparabilityVerdict
+
     def test_separable_by_closed_form(self):
-        v = classify(6, 5, Fraction(1, 30))
-        assert v.status == "separable"
-        assert v.bound == Fraction(3, 67)
+        assert classify(6, 5, Fraction(1, 30)) == "separable"
+        assert threshold(6, 5)[0] == Fraction(3, 67)
 
     def test_gap_region_uses_lp(self):
         # the linear-program bound is exact: above it the state is entangled
-        v = classify(6, 3, Fraction(1, 4))
-        assert v.status == "entangled"
-        assert v.bound == Fraction(9, 41)
-        assert v.rule == LP_RULE
+        assert classify(6, 3, Fraction(1, 4)) == "entangled"
+        assert threshold(6, 3) == (Fraction(9, 41), LP_RULE)
 
     def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_cache):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
@@ -169,7 +174,7 @@ class TestClassify:
             return solve(prob)
 
         monkeypatch.setattr(lpsolve, "solve", counted)
-        verdicts = [classify(8, 3, p).status
+        verdicts = [classify(8, 3, p)
                     for p in (Fraction(0), Fraction(1, 4), Fraction(1))]
         assert verdicts == ["separable", "entangled", "entangled"]
         assert solves == [(8, 3)]
@@ -181,36 +186,32 @@ class TestClassify:
         for n in range(6, 11):
             bi = threshold(n, 2)[0]
             for k in range(3, n // 2 + 1):
-                p_s = classify(n, k, 0).bound
+                p_s = threshold(n, k)[0]
                 assert p_s < bi
-                assert classify(n, k, p_s).status == "separable", (n, k)
+                assert classify(n, k, p_s) == "separable", (n, k)
                 for p in (p_s + Fraction(1, 10**9), (p_s + bi) / 2, bi + Fraction(1, 10**9)):
-                    assert classify(n, k, p).status == "entangled", (n, k, p)
-        assert classify(6, 3, Fraction(99, 100)).status == "entangled"
+                    assert classify(n, k, p) == "entangled", (n, k, p)
+        assert classify(6, 3, Fraction(99, 100)) == "entangled"
 
     def test_entangled_beyond_full_separability(self):
-        v = classify(4, 4, Fraction(1, 2))
-        assert v.status == "entangled"
-        assert v.bound == Fraction(1, 9)
+        assert classify(4, 4, Fraction(1, 2)) == "entangled"
+        assert threshold(4, 4)[0] == Fraction(1, 9)
 
     def test_biseparability_endpoint(self):
-        v = classify(5, 2, Fraction(1, 2))
-        assert v.bound == bisep(5)
+        assert classify(5, 2, Fraction(1, 2)) == "entangled"
+        assert threshold(5, 2)[0] == bisep(5)
 
     def test_three_qubit_endpoints_agree(self):
         # k = 2 is covered by both the biseparability formula and the
         # closed form; they coincide
-        v = classify(3, 2, Fraction(2, 5))
-        assert v.bound == Fraction(3, 7)
-        assert v.status == "separable"
+        assert threshold(3, 2)[0] == Fraction(3, 7)
+        assert classify(3, 2, Fraction(2, 5)) == "separable"
 
     def test_monotone_in_p(self):
         for k in (2, 3, 5, 6):
-            bound = classify(6, k, 0).bound
-            below = classify(6, k, bound)
-            assert below.status == "separable"
-            just_above = classify(6, k, bound + Fraction(1, 10**6))
-            assert just_above.status == "entangled"
+            bound = threshold(6, k)[0]
+            assert classify(6, k, bound) == "separable"
+            assert classify(6, k, bound + Fraction(1, 10**6)) == "entangled"
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -220,6 +221,11 @@ class TestClassify:
         for p in (Fraction(-1, 2), Fraction(3, 2)):
             with pytest.raises(ValueError, match=f"need 0 <= p <= 1, got {p}"):
                 classify(6, 3, p)
+
+    @pytest.mark.parametrize("p", [float("inf"), float("-inf"), None])
+    def test_non_numbers_are_bad_input(self, p):
+        with pytest.raises(ValueError, match="need a finite number for p"):
+            classify(6, 3, p)
 
 
 class TestFigureData:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from ghzsep.exactmath import elem_sym, random_unit_rationals, w_coeff
 from ghzsep.oracle import dense_witness
 from ghzsep.witness import (
     MMatrixParams,
+    WitnessSpec,
     canonical_witness,
     gamma_diagonal,
     ghz_witness_value,
@@ -131,6 +133,24 @@ class TestGhzValue:
     def test_weight_outside_the_unit_interval(self, p):
         with pytest.raises(ValueError, match=f"need 0 <= p <= 1, got {p}"):
             ghz_witness_value(canonical_witness(5, 2), p)
+
+    def test_infinite_weight(self):
+        with pytest.raises(ValueError, match="need a finite number for p, got inf"):
+            ghz_witness_value(canonical_witness(5, 2), float("inf"))
+
+
+class TestWitnessSpec:
+    def test_stored_fields_are_n_and_m(self):
+        spec = canonical_witness(5, 2)
+        assert [f.name for f in dataclasses.fields(WitnessSpec)] == ["n", "m"]
+        assert spec == WitnessSpec(5, (Fraction(-1, 3), Fraction(1)))
+        with pytest.raises(TypeError):
+            dataclasses.replace(spec, L=3)
+
+    @pytest.mark.parametrize("m", [(1,), (1, 2, 3), [1, 2]], ids=["short", "long", "list"])
+    def test_one_coefficient_per_pair_count(self, m):
+        with pytest.raises(ValueError, match="m must be a tuple of 2 coefficients for n=5"):
+            WitnessSpec(5, m)
 
 
 class TestBounds:
