@@ -20,11 +20,13 @@ def elem_sym(z: Sequence) -> tuple:
     """Elementary symmetric polynomials (S_0, ..., S_m) of the inputs.
 
     S_i is the sum over all i-element subsets of the product of the chosen
-    values.  Exact whenever the inputs are rational.
+    values.  Each input is converted with ``Fraction`` first, so every S_i
+    is an exact Fraction: a float input is read as its exact value.
     """
     s = [Fraction(1)] + [Fraction(0)] * len(z)
     seen = 0
     for value in z:
+        value = Fraction(value)
         seen += 1
         for i in range(seen, 0, -1):
             s[i] = s[i] + value * s[i - 1]
@@ -217,7 +219,8 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
     magnitude c^2 + d^2 when every Bloch vector has unit norm, so this is
     the statement that the two-qubit block eigenvalue never exceeds the
     symmetric-state value.  Components may be ints, floats or Fractions;
-    each is read as its exact integer ratio.
+    each is read as its exact integer ratio.  Anything else, an infinite
+    float included, is a ValueError.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -225,8 +228,8 @@ def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
         raise ValueError(f"need {n - 2} components, got {len(z)}")
     try:
         ratios = [x.as_integer_ratio() for x in z]
-    except OverflowError:  # an infinite float
-        raise ValueError("every component must lie in [-1, 1]") from None
+    except (AttributeError, OverflowError, TypeError):  # not a number, or infinite
+        raise ValueError("every component must be a finite number in [-1, 1]") from None
     if any(abs(p) > q for p, q in ratios):
         raise ValueError("every component must lie in [-1, 1]")
     m = n - 2

@@ -330,12 +330,11 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"the linear program is limited to n <= {MAX_N}, got n={n}")
 
 
-@functools.cache
 def _certified_solve(n: int, k: int) -> LpSolution:
     """Certified (n, k) solution behind every printed LP bound (``lp``,
     ``table1`` and ``thresholds.threshold``), else ArithmeticError; a cell
     above ``MAX_N`` qubits is a ValueError before anything is built.
-    Solved once per process: a certified solution is kept for later lookups."""
+    Every call builds, solves and certifies the cell; nothing is kept."""
     _check_cap(n)
     prob = build_problem(n, k)
     sol = solve(prob)

@@ -54,13 +54,19 @@ class SymState:
         )
 
 
+def _exact(x, name: str) -> Fraction:
+    """x as an exact Fraction.  An infinite or non-numeric x is a
+    ValueError naming it as ``name``."""
+    try:
+        return Fraction(x)
+    except (OverflowError, TypeError):
+        raise ValueError(f"need a finite number for {name}, got {x!r}") from None
+
+
 def _probability(p) -> Fraction:
     """p as an exact Fraction in [0, 1].  Anything else, an infinite or
     non-numeric p included, is a ValueError."""
-    try:
-        p = Fraction(p)
-    except (OverflowError, TypeError):
-        raise ValueError(f"need a finite number for p, got {p!r}") from None
+    p = _exact(p, "p")
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
     return p
@@ -100,7 +106,7 @@ def mix(states, weights) -> SymState:
     """Convex combination of symmetric states on the same qubit count."""
     if not states or len(states) != len(weights):
         raise ValueError("need one weight per state")
-    ws = [Fraction(w) for w in weights]
+    ws = [_exact(w, "a weight") for w in weights]
     if any(w < 0 for w in ws) or sum(ws) != 1:
         raise ValueError("weights must be nonnegative and sum to one")
     n = states[0].n

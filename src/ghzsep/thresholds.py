@@ -55,9 +55,10 @@ def threshold(n: int, k: int) -> tuple:
     The bound is a closed form at k = n, at k = 2 and at 2k > n (the
     paper's n >= 2j + 1 with j = n - k), tested in that order, else the
     certified linear-program bound, exact by its dual witness (see the
-    module docstring) and solved once per process.  A rejected certificate
-    raises ArithmeticError; a linear-program cell past the solver's size
-    cap raises ValueError.
+    module docstring) and solved and certified on every call, so compare
+    many p against one call's bound.  A rejected certificate raises
+    ArithmeticError; a linear-program cell past the solver's size cap
+    raises ValueError.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")

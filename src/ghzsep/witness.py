@@ -8,7 +8,9 @@ product states that keep a distinguished block of L qubits intact,
 tr(rho Q) is a quadratic form in the block state; this module computes
 that form's parameters and the resulting separability bounds, entirely
 through characteristic-function sums (Q is never materialized here; the
-oracle module builds it densely as a cross-check).
+oracle module builds it densely as a cross-check).  The form stores only
+its sector diagonal and lemma 1's record for the free components; the
+corner bound is read from that record.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import elem_sym, verify_lemma1_inequality, w_coeff
-from .symstate import _probability
+from .exactmath import Lemma1Check, elem_sym, verify_lemma1_inequality, w_coeff
+from .symstate import _exact, _probability
 
 
 @dataclass(frozen=True)
@@ -69,22 +71,24 @@ def necessary_threshold(n: int, L: int) -> Fraction:
     return sep_max(n, L) / (witness_sum(w) + 2 ** (n - 1))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MMatrixParams:
-    """Parameters of the witness quadratic form on the distinguished block.
+    """Parameters of the witness quadratic form on an L-qubit block.
 
-    Only the longitudinal data is captured: the diagonal gamma_0..gamma_L
-    by sector weight, the corner parameters (corner_a, corner_b), and the
-    largest squared corner magnitude compatible with the given z
-    components.
+    Only the longitudinal data is stored: the diagonal gamma_0..gamma_L by
+    sector weight, and ``corner``, lemma 1's record for the n - L free z
+    components.  The corner parameters a and b are ``corner.a`` and
+    ``corner.b``, and the largest squared corner magnitude those
+    components allow is read from it as ``corner_abs2_max``.
     """
 
-    n: int
-    L: int
     gamma: tuple
-    corner_a: Fraction
-    corner_b: Fraction
-    corner_abs2_max: Fraction
+    corner: Lemma1Check
+
+    @property
+    def corner_abs2_max(self) -> Fraction:
+        """4^(L-1) prod(1 - z_m^2), with L = len(gamma) - 1."""
+        return 4 ** (len(self.gamma) - 2) * self.corner.transverse_bound
 
     def max_eig_at_most(self, bound) -> bool:
         """Exact check that no block eigenvalue can exceed ``bound``.
@@ -94,7 +98,7 @@ class MMatrixParams:
         (bound - gamma_0)(bound - gamma_L) >= |corner|^2 at the largest
         corner magnitude allowed by the z components.
         """
-        bound = Fraction(bound)
+        bound = _exact(bound, "the bound")
         if any(g > bound for g in self.gamma):
             return False
         g0, gL = self.gamma[0], self.gamma[-1]
@@ -103,7 +107,7 @@ class MMatrixParams:
     def corner_reaches(self, bound) -> bool:
         """Exact check that the corner block attains ``bound`` at the
         largest allowed corner magnitude."""
-        bound = Fraction(bound)
+        bound = _exact(bound, "the bound")
         g0, gL = self.gamma[0], self.gamma[-1]
         return (
             g0 <= bound
@@ -115,21 +119,21 @@ class MMatrixParams:
 def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:
     """Sector diagonal of the witness quadratic form on an L-qubit block.
 
-    ``z`` holds the longitudinal components of the n - L single qubits.
-    The diagonal entry for block states of Hamming weight l is gamma_l,
-    obtained by pushing the block's weight-l sector through the
+    ``z`` is the sequence of longitudinal components of the n - L single
+    qubits.  The diagonal entry for block states of Hamming weight l is
+    gamma_l, obtained by pushing the block's weight-l sector through the
     alternating coefficients w(L, ., l) and the symmetric sums of the z
     components.  gamma_0 and gamma_L sit in the corner block together with
     a transverse corner entry whose squared magnitude is at most
     4^(L-1) prod(1 - z_m^2); the corner parameters a, b and that product
-    are lemma 1's quantities for the n - L free components.
+    are lemma 1's quantities for the n - L free components, which is the
+    record returned beside gamma.  The block range is the canonical
+    witness's check, and z is lemma 1's: a component outside [-1, 1] or
+    not a number is a ValueError.
     """
-    if not 2 <= L <= n - 1:
-        raise ValueError(f"need 2 <= L <= n - 1, got n={n}, L={L}")
-    zs = tuple(Fraction(x) for x in z)
-    corner = verify_lemma1_inequality(zs, n - L + 2)  # validates zs
     spec = canonical_witness(n, L)
-    s = elem_sym(zs)
+    corner = verify_lemma1_inequality(z, n - L + 2)
+    s = elem_sym(z)
     # gamma_l = sum of M_{(r+k)/2} w(L, r, l) S_k over even r + k, where r
     # counts the block's Z factors and k the free ones; the identity term
     # (r + k = 0) carries no coefficient.
@@ -140,11 +144,4 @@ def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:
         sum(spec.m[(r + k) // 2 - 1] * w_coeff(L, r, l) * s[k] for r, k in pairs)
         for l in range(L + 1)
     )
-    return MMatrixParams(
-        n=n,
-        L=L,
-        gamma=gamma,
-        corner_a=corner.a,
-        corner_b=corner.b,
-        corner_abs2_max=4 ** (L - 1) * corner.transverse_bound,
-    )
+    return MMatrixParams(gamma, corner)

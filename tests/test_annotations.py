@@ -60,7 +60,6 @@ def test_the_sweep_reaches_wrapped_functions_methods_and_commands():
     names = {f"{m.__name__}.{obj.__qualname__}" for m in (cli, lpsolve, oracle) for obj in _defined(m)}
     assert {
         "ghzsep.oracle._dense_witness_float",  # functools.cache
-        "ghzsep.lpsolve._certified_solve",  # functools.cache
         "ghzsep.lpsolve.LpSolution._peak",  # functools.cached_property
         "ghzsep.lpsolve.LpProblem.n",  # property
         "ghzsep.lpsolve.LpProblem.__post_init__",

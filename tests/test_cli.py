@@ -88,7 +88,7 @@ class TestThresholdCommand:
         assert result.exit_code == 0
         assert "iff" in result.output
 
-    def test_rejected_certificate_exits_one(self, runner, monkeypatch, fresh_lp_cache):
+    def test_rejected_certificate_exits_one(self, runner, monkeypatch):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["threshold", "--n", "6", "--k", "3"])
         assert result.exit_code == 1
@@ -130,7 +130,7 @@ class TestTableCommand:
         assert result.exit_code == 1
         assert "golden mismatch at rows: [(6, 3)]" in result.output
 
-    def test_rejected_certificate_exits_one_with_no_rows(self, runner, monkeypatch, fresh_lp_cache):
+    def test_rejected_certificate_exits_one_with_no_rows(self, runner, monkeypatch):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["table1", "--check"])
         assert result.exit_code == 1
@@ -148,7 +148,7 @@ class TestTableCommand:
         assert result.output.startswith("Usage:")
         assert "need --nmax >= 6, got 5" in result.output
 
-    def test_above_the_cap_solves_nothing(self, runner, monkeypatch, fresh_lp_cache):
+    def test_above_the_cap_solves_nothing(self, runner, monkeypatch):
         def fail(prob):
             raise AssertionError(f"solved n={prob.n}, k={prob.k}")
 
@@ -249,7 +249,7 @@ class TestLpCommand:
         assert result.exit_code == 0
         assert result.output == "n,k,tau,p_s,certified\n6,3,9,9/41,True\n"
 
-    def test_rejected_certificate_exits_one(self, runner, monkeypatch, fresh_lp_cache):
+    def test_rejected_certificate_exits_one(self, runner, monkeypatch):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         result = runner.invoke(main, ["lp", "--n", "6", "--k", "3"])
         assert result.exit_code == 1

@@ -59,6 +59,11 @@ class TestElemSym:
         values = random_unit_rationals(rng, 12)
         assert list(elem_sym(values)) == brute_elem_sym(values)
 
+    def test_float_inputs_give_exact_fractions(self):
+        got = elem_sym((0.5, 0.25))
+        assert got == (1, Fraction(3, 4), Fraction(1, 8))
+        assert [type(x) for x in got] == [Fraction] * 3
+
 
 def brute_w(L, n, l):
     return sum(
@@ -357,6 +362,11 @@ class TestLemma1:
             verify_lemma1_inequality((0, 0), 3)
         with pytest.raises(ValueError, match="need n >= 3, got n=2"):
             verify_lemma1_inequality((), 2)
+
+    @pytest.mark.parametrize("bad", ["0.5", None])
+    def test_component_that_is_not_a_number(self, bad):
+        with pytest.raises(ValueError, match="every component must be a finite number"):
+            verify_lemma1_inequality((bad,), 3)
 
 
 class TestFormatting:

@@ -130,6 +130,12 @@ class TestMix:
         with pytest.raises(ValueError, match="need one weight per state"):
             mix([s], [Fraction(1, 2), Fraction(1, 2)])
 
+    @pytest.mark.parametrize("bad", [float("inf"), None])
+    def test_weight_that_is_not_a_finite_number(self, bad):
+        s = noisy_ghz(3, 0)
+        with pytest.raises(ValueError, match="need a finite number for a weight"):
+            mix([s, noisy_ghz(3, 1)], [bad, 0])
+
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError):
             mix([noisy_ghz(3, 0), noisy_ghz(4, 0)], [Fraction(1, 2), Fraction(1, 2)])

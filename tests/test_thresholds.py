@@ -109,7 +109,7 @@ class TestThreshold:
                 assert classify(n, k, bound) == "separable", (n, k)
                 assert classify(n, k, bound + Fraction(1, 10**9)) == "entangled", (n, k)
 
-    def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch, fresh_lp_cache):
+    def test_lp_cell_above_the_cap_builds_no_problem(self, monkeypatch):
         def fail(n, k):
             raise AssertionError(f"built the problem for n={n}, k={k}")
 
@@ -131,7 +131,7 @@ class TestThreshold:
         assert threshold(2, 2) == (Fraction(1, 3), "full-separability formula")
         assert threshold(3, 2) == (Fraction(3, 7), "biseparability formula")
 
-    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_cache):
+    def test_rejected_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
             threshold(6, 3)
@@ -160,24 +160,18 @@ class TestClassify:
         assert classify(6, 3, Fraction(1, 4)) == "entangled"
         assert threshold(6, 3) == (Fraction(9, 41), LP_RULE)
 
-    def test_rejected_certificate_raises(self, monkeypatch, fresh_lp_cache):
+    def test_rejected_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
         with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
             classify(6, 3, 0)
 
-    def test_one_solve_per_lp_cell(self, monkeypatch, fresh_lp_cache):
-        solves = []
-        solve = lpsolve.solve
-
-        def counted(prob):
-            solves.append((prob.n, prob.k))
-            return solve(prob)
-
-        monkeypatch.setattr(lpsolve, "solve", counted)
-        verdicts = [classify(8, 3, p)
-                    for p in (Fraction(0), Fraction(1, 4), Fraction(1))]
-        assert verdicts == ["separable", "entangled", "entangled"]
-        assert solves == [(8, 3)]
+    def test_every_lookup_certifies_again(self, monkeypatch):
+        # nothing is kept between lookups: a later call that is refused its
+        # certificate raises, though the same cell certified just before
+        assert threshold(6, 3) == (Fraction(9, 41), LP_RULE)
+        monkeypatch.setattr(lpsolve, "verify_solution", lambda prob, sol: False)
+        with pytest.raises(ArithmeticError, match="certificate rejected for n=6, k=3"):
+            threshold(6, 3)
 
     def test_gap_verdicts_agree_with_biseparability(self):
         # every k-separable state is biseparable, so each linear-program

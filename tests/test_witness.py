@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghzsep.exactmath import elem_sym, random_unit_rationals, w_coeff
+from ghzsep.exactmath import elem_sym, random_unit_rationals, verify_lemma1_inequality, w_coeff
 from ghzsep.oracle import dense_witness
 from ghzsep.witness import (
     MMatrixParams,
@@ -279,8 +279,8 @@ class TestSectorDiagonal:
             minus = math.prod((1 - x for x in z), start=Fraction(1))
             assert g.gamma[1] == s - scale * plus
             assert g.gamma[L - 1] == s - scale * minus
-            assert g.gamma[0] == s + 2 ** (L - 1) * (g.corner_a + g.corner_b)
-            assert g.gamma[L] == s + 2 ** (L - 1) * (g.corner_a - g.corner_b)
+            assert g.gamma[0] == s + 2 ** (L - 1) * (g.corner.a + g.corner.b)
+            assert g.gamma[L] == s + 2 ** (L - 1) * (g.corner.a - g.corner.b)
 
     def test_matches_dense_contraction(self):
         rng = np.random.default_rng(12)
@@ -319,8 +319,8 @@ class TestSectorDiagonal:
 
     def test_sector_above_the_bound_fails(self):
         # the corner block alone would pass: (1 - 0)(1 - 0) >= 0
-        g = MMatrixParams(4, 2, (Fraction(0), Fraction(2), Fraction(0)),
-                          Fraction(0), Fraction(0), Fraction(0))
+        g = MMatrixParams((0, 2, 0), verify_lemma1_inequality((1, 1), 4))
+        assert g.corner_abs2_max == 0
         assert g.max_eig_at_most(2)
         assert not g.max_eig_at_most(1)
 
@@ -329,3 +329,36 @@ class TestSectorDiagonal:
             gamma_diagonal(5, 3, (Fraction(3, 2), Fraction(0)))
         with pytest.raises(ValueError):
             gamma_diagonal(5, 3, (Fraction(0),))
+
+    @pytest.mark.parametrize("bad", [float("inf"), None, "0.5"])
+    def test_component_that_is_not_a_finite_number(self, bad):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            gamma_diagonal(4, 2, (bad, 0))
+
+    @pytest.mark.parametrize("bad", [float("inf"), None])
+    def test_bound_that_is_not_a_finite_number(self, bad):
+        g = gamma_diagonal(4, 2, (0, 0))
+        with pytest.raises(ValueError, match="need a finite number for the bound"):
+            g.max_eig_at_most(bad)
+        with pytest.raises(ValueError, match="need a finite number for the bound"):
+            g.corner_reaches(bad)
+
+
+class TestBlockFormRecord:
+    def test_stored_fields_are_gamma_and_corner(self):
+        assert [f.name for f in dataclasses.fields(MMatrixParams)] == ["gamma", "corner"]
+
+    def test_corner_is_lemma_one_on_the_free_components(self):
+        z = (Fraction(1, 2), Fraction(-1, 3), 1)
+        g = gamma_diagonal(6, 3, z)
+        assert g.corner == verify_lemma1_inequality(z, 5)
+        assert g.corner_abs2_max == 16 * g.corner.transverse_bound
+
+    def test_corner_bound_is_read_not_set(self):
+        g = gamma_diagonal(4, 2, (0, 0))
+        with pytest.raises(TypeError):
+            dataclasses.replace(g, corner_abs2_max=0)
+
+    def test_equal_results_compare_equal(self):
+        assert gamma_diagonal(4, 2, (0, 0)) == gamma_diagonal(4, 2, (0, 0))
+        assert gamma_diagonal(4, 2, (0, 0)) != gamma_diagonal(4, 2, (1, 0))
