@@ -9,9 +9,13 @@ and brute-force oracles that re-derive everything from dense matrices.
 Public names resolve on first use (PEP 562): a process loads only the
 submodules it touches.
 
-Bad input raises ``ValueError``; a rejected certificate or an internal
-fault raises ``ArithmeticError``.  The command line maps the first to a
-usage error (exit 2) and the second to one error line (exit 1).
+Every number a caller passes is read by one rule, which ``exactmath``
+owns: whatever has ``as_integer_ratio()`` (an int, a finite float, a
+Decimal or a Fraction) is that exact ratio, and a sequence is read once.
+Bad input, a string or NaN for a number included, raises ``ValueError``;
+a rejected certificate or an internal fault raises ``ArithmeticError``.
+The command line maps the first to a usage error (exit 2) and the
+second to one error line (exit 1).
 """
 
 import importlib

@@ -180,7 +180,7 @@ def lp(n, k, fmt):
     from .partitions import format_partition
 
     with _exit_codes(["--n", "--k"]):
-        sol = lpsolve._certified_solve(n, k)
+        sol = lpsolve.certified_solve(n, k)
         _emit(fmt,
               [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
                *(f"  {format_partition(p)}: {w}" for p, w in sol.support),

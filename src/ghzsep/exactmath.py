@@ -5,6 +5,15 @@ over the rationals, the alternating coefficients that couple a witness
 block to the Hamming-weight sectors, and sweep verifiers for the
 identities and inequalities the threshold constructions rely on.  No
 floating point anywhere.
+
+This module also owns how a caller's number becomes exact, for the whole
+package.  One rule: a number is whatever has ``as_integer_ratio()``, that
+is an int, a finite float, a Decimal or a Fraction, and it is read as
+that exact ratio.  Anything else, a string, None, NaN or an infinity, is
+a ValueError naming the value.  ``exact`` and ``probability`` read one
+number, and ``as_tuple`` reads a sequence once, before anything takes
+its length, so a generator works and a non-iterable is a ValueError.
+It is the bottom layer and imports no other ghzsep module.
 """
 
 from __future__ import annotations
@@ -13,24 +22,65 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 
-def elem_sym(z: Sequence) -> tuple:
+def as_tuple(values, name: str) -> tuple:
+    """``values`` read once with tuple(), so that a generator works; a
+    non-iterable is a ValueError naming it as ``name``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"need a sequence for {name}, got {values!r}") from None
+
+
+def _ratio(x, name: str) -> tuple:
+    """The one intake rule: x's exact integer ratio (p, q), q > 0, else a
+    ValueError naming x as ``name``."""
+    try:
+        return x.as_integer_ratio()
+    except (AttributeError, OverflowError, TypeError, ValueError):  # not a number, NaN or infinite
+        raise ValueError(f"need a finite number for {name}, got {x!r}") from None
+
+
+def exact(x, name: str) -> Fraction:
+    """x as an exact Fraction by the module's intake rule; anything else
+    is a ValueError naming x as ``name``."""
+    return Fraction(*_ratio(x, name))
+
+
+def probability(p) -> Fraction:
+    """p as an exact Fraction in [0, 1]; anything else, a number outside
+    [0, 1] included, is a ValueError."""
+    p = exact(p, "p")
+    if not 0 <= p <= 1:
+        raise ValueError(f"need 0 <= p <= 1, got {p}")
+    return p
+
+
+def _scaled_sym(ratios) -> list:
+    """[Q*S_0, ..., Q*S_m] on integers, for z_j = p_j/q_j and Q = prod q_j:
+    Q*S_i is the x^i coefficient of prod(q_j + x p_j), so Q*S_0 is Q."""
+    sym = [1]
+    for p, q in ratios:  # sym times (q + x p), in place
+        below = 0
+        for i, c in enumerate(sym):
+            sym[i], below = q * c + p * below, c
+        sym.append(p * below)
+    return sym
+
+
+def elem_sym(z: Iterable) -> tuple:
     """Elementary symmetric polynomials (S_0, ..., S_m) of the inputs.
 
     S_i is the sum over all i-element subsets of the product of the chosen
-    values.  Each input is converted with ``Fraction`` first, so every S_i
-    is an exact Fraction: a float input is read as its exact value.
+    values.  Each input is read by the module's intake rule, a float as
+    its exact value, and every S_i is an exact Fraction: the integer
+    coefficient of prod(q_j + x p_j) over the product Q of the
+    denominators.
     """
-    s = [Fraction(1)] + [Fraction(0)] * len(z)
-    seen = 0
-    for value in z:
-        value = Fraction(value)
-        seen += 1
-        for i in range(seen, 0, -1):
-            s[i] = s[i] + value * s[i - 1]
-    return tuple(s)
+    sym = _scaled_sym([_ratio(x, "a component") for x in as_tuple(z, "the components")])
+    return tuple(Fraction(c, sym[0]) for c in sym)
 
 
 def w_coeff(L: int, n: int, l: int) -> int:
@@ -212,51 +262,40 @@ class Lemma1Check:
         return self.ma * self.ma - self.mb * self.mb == self.m * self.m * self.plus_minus
 
 
-def verify_lemma1_inequality(z: Sequence, n: int) -> Lemma1Check:
+def verify_lemma1_inequality(z: Iterable, n: int) -> Lemma1Check:
     """Check a <= 0 and a^2 - b^2 >= prod(1 - z_i^2), all exactly.
 
     The right-hand side is the largest possible squared transverse
     magnitude c^2 + d^2 when every Bloch vector has unit norm, so this is
     the statement that the two-qubit block eigenvalue never exceeds the
-    symmetric-state value.  Components may be ints, floats or Fractions;
-    each is read as its exact integer ratio.  Anything else, an infinite
-    float included, is a ValueError.
+    symmetric-state value.  Components are read by the module's intake
+    rule, each as its exact integer ratio; anything else is a ValueError.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
-    if len(z) != n - 2:
-        raise ValueError(f"need {n - 2} components, got {len(z)}")
-    try:
-        ratios = [x.as_integer_ratio() for x in z]
-    except (AttributeError, OverflowError, TypeError):  # not a number, or infinite
-        raise ValueError("every component must be a finite number in [-1, 1]") from None
+    ratios = [_ratio(x, "a component") for x in as_tuple(z, "the components")]
+    if len(ratios) != n - 2:
+        raise ValueError(f"need {n - 2} components, got {len(ratios)}")
     if any(abs(p) > q for p, q in ratios):
         raise ValueError("every component must lie in [-1, 1]")
     m = n - 2
-    # Everything runs on integers over one denominator: with z_j = p_j/q_j
-    # and Q = prod q_j, Q*S_i is the x^i coefficient of prod(q_j + x p_j).
-    # With (1 + z) and (1 - z) scaled to q + p and q - p, Q*m*u is the
-    # first-order coefficient of prod((q+p) + eps (q-p)), Q*m*v the same
-    # with q + p and q - p swapped; plus and minus are the zeroth-order
-    # products, Q times prod(1 + z) and prod(1 - z).
-    sym = [1]
-    big_q, plus, minus, mu, mv = 1, 1, 1, 0, 0
+    # Everything runs on integers over one denominator Q = prod q_j, with
+    # Q*S_i from _scaled_sym.  With (1 + z) and (1 - z) scaled to q + p and
+    # q - p, Q*m*u is the first-order coefficient of prod((q+p) + eps (q-p)),
+    # Q*m*v the same with q + p and q - p swapped; plus and minus are the
+    # zeroth-order products, Q times prod(1 + z) and prod(1 - z).
+    sym = _scaled_sym(ratios)
+    plus, minus, mu, mv = 1, 1, 0, 0
     for p, q in ratios:
-        times, below = [], 0  # sym times (q + x p)
-        for c in sym:
-            times.append(q * c + p * below)
-            below = c
-        times.append(p * below)
-        sym = times
         mu, mv = mu * (q + p) + plus * (q - p), mv * (q - p) + minus * (q + p)
-        plus, minus, big_q = plus * (q + p), minus * (q - p), big_q * q
+        plus, minus = plus * (q + p), minus * (q - p)
     # S_i enters with weight (2i - m)/m: even i make up a (S_0 gives the
     # -1), odd i make up b.  ma = Q*m*a and mb = Q*m*b.
     weighted = [(2 * i - m) * c for i, c in enumerate(sym)]
     ma, mb = sum(weighted[0::2]), sum(weighted[1::2])
     if 2 * ma != -(mu + mv) or 2 * mb != -(mu - mv):
         raise ArithmeticError("internal identity between (a, b) and (u, v) violated")
-    return Lemma1Check(ma, mb, m, big_q, plus * minus)
+    return Lemma1Check(ma, mb, m, sym[0], plus * minus)
 
 
 def random_unit_rationals(rng: random.Random, length: int) -> tuple:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .partitions import enumerate_partitions, profile
 
-#: Largest n at which ``_certified_solve`` and ``table1`` solve the LP, and
+#: Largest n at which ``certified_solve`` and ``table1`` solve the LP, and
 #: so ``lp``, ``table1`` and ``thresholds.threshold``.  Every n = 30 cell
 #: solves and certifies in under a second; the column count, the partitions
 #: of n into k parts, keeps growing past it.
@@ -330,7 +330,7 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"the linear program is limited to n <= {MAX_N}, got n={n}")
 
 
-def _certified_solve(n: int, k: int) -> LpSolution:
+def certified_solve(n: int, k: int) -> LpSolution:
     """Certified (n, k) solution behind every printed LP bound (``lp``,
     ``table1`` and ``thresholds.threshold``), else ArithmeticError; a cell
     above ``MAX_N`` qubits is a ValueError before anything is built.
@@ -352,4 +352,4 @@ def table1(n_values) -> list:
     n_values = list(n_values)
     for n in n_values:
         _check_cap(n)
-    return [_certified_solve(n, k) for n in n_values for k in range(3, n // 2 + 1)]
+    return [certified_solve(n, k) for n in n_values for k in range(3, n // 2 + 1)]

@@ -38,9 +38,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .exactmath import CheckRecord
+from .exactmath import CheckRecord, probability
 from .partitions import PartitionType
-from .symstate import SymState, _probability, noisy_ghz, to_dense
+from .symstate import SymState, noisy_ghz, to_dense
 from .witness import canonical_witness, ghz_witness_value
 
 
@@ -145,7 +145,7 @@ def characteristic_check(n: int, p) -> tuple:
     """
     if n > 8:
         raise ValueError(f"characteristic sweep limited to n <= 8, got n={n}")
-    p = _probability(p)
+    p = probability(p)
     entries, den = _scaled_entries(to_dense(noisy_ghz(n, p)), p.denominator)
     by_xmask = {}
     for row, y, num in entries:

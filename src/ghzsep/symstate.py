@@ -9,7 +9,9 @@ trace).  Storing per-projector weights makes the padding step read off the
 threshold directly, with no binomial bookkeeping.  These two are all a
 state stores: its qubit count n is read from d, a tuple holding d[0..n].
 Likewise a padding result stores only its padded state, and its tau and
-p_s are read from it.
+p_s are read from it.  A caller's p and mixture weights are read by
+``exactmath``'s one intake rule; this module converts no caller's
+number itself.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactmath import as_tuple, exact, probability
 from .partitions import PartitionType, profile
 
 
@@ -54,29 +57,11 @@ class SymState:
         )
 
 
-def _exact(x, name: str) -> Fraction:
-    """x as an exact Fraction.  An infinite or non-numeric x is a
-    ValueError naming it as ``name``."""
-    try:
-        return Fraction(x)
-    except (OverflowError, TypeError):
-        raise ValueError(f"need a finite number for {name}, got {x!r}") from None
-
-
-def _probability(p) -> Fraction:
-    """p as an exact Fraction in [0, 1].  Anything else, an infinite or
-    non-numeric p included, is a ValueError."""
-    p = _exact(p, "p")
-    if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
-    return p
-
-
 def noisy_ghz(n: int, p) -> SymState:
     """The n-qubit GHZ state mixed with white noise of weight 1 - p."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    p = _probability(p)
+    p = probability(p)
     noise = (1 - p) / 2**n
     d = [noise] * (n + 1)
     d[0] += p / 2
@@ -103,10 +88,13 @@ def partition_average_state(p: PartitionType) -> SymState:
 
 
 def mix(states, weights) -> SymState:
-    """Convex combination of symmetric states on the same qubit count."""
-    if not states or len(states) != len(weights):
+    """Convex combination of symmetric states on the same qubit count.
+    Both sequences are read once, so generators work; each weight is read
+    by ``exactmath``'s intake rule."""
+    states = as_tuple(states, "the states")
+    ws = [exact(w, "a weight") for w in as_tuple(weights, "the weights")]
+    if not states or len(states) != len(ws):
         raise ValueError("need one weight per state")
-    ws = [_exact(w, "a weight") for w in weights]
     if any(w < 0 for w in ws) or sum(ws) != 1:
         raise ValueError("weights must be nonnegative and sum to one")
     n = states[0].n
@@ -162,10 +150,8 @@ def pad_to_isotropic(s: SymState) -> PadResult:
     t = max(interior) if interior else Fraction(0)
     if t <= 0:
         raise ValueError("no interior diagonal weight to pad against")
-    pads = [s.alpha + t - s.d[0]]
-    pads.extend(t - x for x in interior)
-    pads.append(s.alpha + t - s.d[s.n])
-    if any(x < 0 for x in pads):
+    # t is the interior's maximum, so only the two endpoints can stick out
+    if max(s.d[0], s.d[s.n]) > s.alpha + t:
         raise ValueError("state is not dominated by its isotropic envelope")
     total = 2 * (s.alpha + t) + t * (2**s.n - 2)
     d = [t / total] * (s.n + 1)

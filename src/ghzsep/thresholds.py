@@ -49,6 +49,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _need_ints(**values) -> None:
+    """A ValueError naming the first value that is not an int; a bool,
+    though an int subclass, is not one."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"need an integer {name}, got {value!r}")
+
+
 def threshold(n: int, k: int) -> tuple:
     """(bound, rule) for (n, k): rho_p is k-separable iff p <= bound.
 
@@ -57,9 +65,10 @@ def threshold(n: int, k: int) -> tuple:
     certified linear-program bound, exact by its dual witness (see the
     module docstring) and solved and certified on every call, so compare
     many p against one call's bound.  A rejected certificate raises
-    ArithmeticError; a linear-program cell past the solver's size cap
-    raises ValueError.
+    ArithmeticError; a non-int n or k (a bool included), or a
+    linear-program cell past the solver's size cap, raises ValueError.
     """
+    _need_ints(n=n, k=k)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     if k == n:
@@ -71,26 +80,33 @@ def threshold(n: int, k: int) -> tuple:
                 f"exact (n-j)-separability criterion, j={n - k}")
     from . import lpsolve
 
-    return (lpsolve._certified_solve(n, k).p_s,
+    return (lpsolve.certified_solve(n, k).p_s,
             "mixed-partition linear program and its dual witness")
 
 
 def classify(n: int, k: int, p) -> str:
     """The verdict on rho_p: "separable" if p <= ``threshold(n, k)``'s
     bound, else "entangled".  The bound and its rule are ``threshold``'s
-    to read."""
-    from .symstate import _probability
+    to read.  p is read by ``exactmath``'s intake rule."""
+    from .exactmath import probability
 
-    return "separable" if _probability(p) <= threshold(n, k)[0] else "entangled"
+    return "separable" if probability(p) <= threshold(n, k)[0] else "entangled"
 
 
 def figure1_data(n_min: int, n_max: int, j_list) -> list:
     """Threshold curve rows (n, curve, p) over a qubit range.
 
     One row per exact (n-j) curve (for each j with n >= 2j + 1), plus the
-    biseparability and full-separability reference curves.  A j below 1 or
-    a repeated j is a ValueError.
+    biseparability and full-separability reference curves.  j_list is read
+    once; a non-int bound or j (a bool included), a j below 1 or a
+    repeated j is a ValueError.
     """
+    from .exactmath import as_tuple
+
+    j_list = as_tuple(j_list, "j_list")
+    _need_ints(n_min=n_min, n_max=n_max)
+    for j in j_list:
+        _need_ints(j=j)
     if n_min < 2 or n_max < n_min:
         raise ValueError(f"invalid range [{n_min}, {n_max}]")
     if j_list and min(j_list) < 1:

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Lemma1Check, elem_sym, verify_lemma1_inequality, w_coeff
-from .symstate import _exact, _probability
+from .exactmath import (Lemma1Check, as_tuple, elem_sym, exact, probability,
+                        verify_lemma1_inequality, w_coeff)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def witness_sum(w: WitnessSpec) -> Fraction:
 
 def ghz_witness_value(w: WitnessSpec, p) -> Fraction:
     """tr(rho Q) on the noisy GHZ state with GHZ weight p."""
-    return _probability(p) * (witness_sum(w) + 2 ** (w.n - 1))
+    return probability(p) * (witness_sum(w) + 2 ** (w.n - 1))
 
 
 def sep_max(n: int, L: int) -> Fraction:
@@ -98,7 +98,7 @@ class MMatrixParams:
         (bound - gamma_0)(bound - gamma_L) >= |corner|^2 at the largest
         corner magnitude allowed by the z components.
         """
-        bound = _exact(bound, "the bound")
+        bound = exact(bound, "the bound")
         if any(g > bound for g in self.gamma):
             return False
         g0, gL = self.gamma[0], self.gamma[-1]
@@ -107,7 +107,7 @@ class MMatrixParams:
     def corner_reaches(self, bound) -> bool:
         """Exact check that the corner block attains ``bound`` at the
         largest allowed corner magnitude."""
-        bound = _exact(bound, "the bound")
+        bound = exact(bound, "the bound")
         g0, gL = self.gamma[0], self.gamma[-1]
         return (
             g0 <= bound
@@ -129,9 +129,10 @@ def gamma_diagonal(n: int, L: int, z) -> MMatrixParams:
     are lemma 1's quantities for the n - L free components, which is the
     record returned beside gamma.  The block range is the canonical
     witness's check, and z is lemma 1's: a component outside [-1, 1] or
-    not a number is a ValueError.
+    not a number is a ValueError.  z is read once, so a generator works.
     """
     spec = canonical_witness(n, L)
+    z = as_tuple(z, "the components")
     corner = verify_lemma1_inequality(z, n - L + 2)
     s = elem_sym(z)
     # gamma_l = sum of M_{(r+k)/2} w(L, r, l) S_k over even r + k, where r

@@ -604,7 +604,7 @@ IMPORT_SETS = {
     "table1 --nmax 6": (_LP, False),
     "threshold --n 5 --k 4": (["cli", "thresholds"], False),
     "threshold --n 6 --k 3": (_LP + ["thresholds"], False),
-    "figure --nmax 4": (["cli", "thresholds"], False),
+    "figure --nmax 4": (["cli", "exactmath", "thresholds"], False),
     "verify --suite wident --limits L=2": (["cli", "exactmath"], False),
     "verify --suite appendix --limits n=4,l=2": (["cli", "exactmath"], False),
     "verify --suite lemma1 --limits n=4,samples=1": (["cli", "exactmath"], False),

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,10 @@ from hypothesis import strategies as st
 from ghzsep import exactmath
 from ghzsep.cli import _suite_lemma1, _suite_limits
 from ghzsep.exactmath import (
+    as_tuple,
     elem_sym,
+    exact,
+    probability,
     random_unit_rationals,
     verify_appendix_inequality,
     verify_lemma1_inequality,
@@ -28,6 +33,15 @@ def brute_elem_sym(values):
             sum(math.prod(c) for c in itertools.combinations(values, i))
         )
     return out
+
+
+def fraction_elem_sym(values):
+    """Independent reference: the Fraction recurrence, one value at a time."""
+    s = [Fraction(1)] + [Fraction(0)] * len(values)
+    for seen, value in enumerate(map(Fraction, values), 1):
+        for i in range(seen, 0, -1):
+            s[i] = s[i] + value * s[i - 1]
+    return tuple(s)
 
 
 small_rationals = st.fractions(
@@ -63,6 +77,34 @@ class TestElemSym:
         got = elem_sym((0.5, 0.25))
         assert got == (1, Fraction(3, 4), Fraction(1, 8))
         assert [type(x) for x in got] == [Fraction] * 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_fraction_loop_on_lemma1_samples(self, seed):
+        # the draws of `verify --suite lemma1 --limits samples=500` at this seed
+        rng = random.Random(seed)
+        for n in range(4, 9):
+            for _ in range(500):
+                z = random_unit_rationals(rng, n - 2)
+                got = elem_sym(z)
+                assert got == fraction_elem_sym(z), z
+                assert [type(x) for x in got] == [Fraction] * (n - 1)
+
+    def test_mixed_number_types_match_fraction_loop(self):
+        z = (Decimal("0.1"), -0.375, Fraction(2, 3), 1, True)
+        assert elem_sym(z) == fraction_elem_sym(z)
+
+    def test_generator_equals_tuple(self):
+        z = (Fraction(1, 2), 0.25, -1, Fraction(-2, 7))
+        assert elem_sym(x for x in z) == elem_sym(z)
+
+    @pytest.mark.parametrize("z, named", [
+        (None, "None"), (3, "3"), ((float("inf"),), "inf"), ((None,), "None"),
+        (("1/2",), "'1/2'"), ((float("nan"),), "nan"),
+        ((Decimal("-Infinity"),), "Decimal('-Infinity')"),
+    ])
+    def test_bad_input_is_a_value_error(self, z, named):
+        with pytest.raises(ValueError, match=re.escape(f"got {named}")):
+            elem_sym(z)
 
 
 def brute_w(L, n, l):
@@ -228,7 +270,7 @@ def fraction_lemma1(z, n):
     Returns the seven Lemma1Check values in order."""
     zs = tuple(Fraction(x) for x in z)
     m = n - 2
-    weighted = [Fraction(2 * i - m, m) * s_i for i, s_i in enumerate(elem_sym(zs))]
+    weighted = [Fraction(2 * i - m, m) * s_i for i, s_i in enumerate(fraction_elem_sym(zs))]
     a, b = sum(weighted[0::2]), sum(weighted[1::2])
     plus, minus = Fraction(1), Fraction(1)
     mu, mv = Fraction(0), Fraction(0)
@@ -363,10 +405,59 @@ class TestLemma1:
         with pytest.raises(ValueError, match="need n >= 3, got n=2"):
             verify_lemma1_inequality((), 2)
 
+    @pytest.mark.parametrize("z", [None, 7, Fraction(1, 2)])
+    def test_components_that_are_not_a_sequence(self, z):
+        with pytest.raises(ValueError, match=re.escape(f"need a sequence for the components, got {z!r}")):
+            verify_lemma1_inequality(z, 3)
+
+    def test_generator_equals_tuple(self):
+        z = (Fraction(1, 2), -0.25, 1, Fraction(-2, 7))
+        assert verify_lemma1_inequality(iter(z), 6) == verify_lemma1_inequality(z, 6)
+
     @pytest.mark.parametrize("bad", ["0.5", None])
     def test_component_that_is_not_a_number(self, bad):
-        with pytest.raises(ValueError, match="every component must be a finite number"):
+        with pytest.raises(ValueError, match=re.escape(f"need a finite number for a component, got {bad!r}")):
             verify_lemma1_inequality((bad,), 3)
+
+
+class TestIntake:
+    """One rule for every number a caller hands the package: whatever has
+    as_integer_ratio() is read as that exact ratio, anything else is a
+    ValueError naming the value."""
+
+    @pytest.mark.parametrize("x, want", [
+        (3, Fraction(3)), (True, Fraction(1)), (-0.375, Fraction(-3, 8)),
+        (0.1, Fraction(3602879701896397, 36028797018963968)),
+        (Decimal("0.1"), Fraction(1, 10)), (Fraction(6, 4), Fraction(3, 2)),
+    ])
+    def test_numbers_are_read_exactly(self, x, want):
+        got = exact(x, "x")
+        assert got == want and type(got) is Fraction
+
+    @pytest.mark.parametrize("bad", ["1/2", "0.5", None, b"1", float("nan"), float("inf"),
+                                     float("-inf"), Decimal("NaN"), Decimal("sNaN"),
+                                     Decimal("Infinity"), 1j, [1]])
+    def test_anything_else_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"need a finite number for x, got {bad!r}")):
+            exact(bad, "x")
+
+    def test_numpy_integer_scalars_are_rejected(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError, match="need a finite number for p"):
+            probability(np.int64(1))
+        assert probability(np.float64(0.5)) == Fraction(1, 2)  # a float subclass
+
+    @pytest.mark.parametrize("p", [Fraction(-1, 2), 1.5, Decimal("1.0001")])
+    def test_probability_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match="need 0 <= p <= 1"):
+            probability(p)
+
+    def test_sequences_are_read_once(self):
+        assert as_tuple(iter([1, 2]), "xs") == (1, 2)
+        assert as_tuple([3], "xs") == (3,)
+        for bad in (None, 3, 0.5):
+            with pytest.raises(ValueError, match=re.escape(f"need a sequence for xs, got {bad!r}")):
+                as_tuple(bad, "xs")
 
 
 class TestFormatting:

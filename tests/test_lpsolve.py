@@ -399,7 +399,7 @@ class TestSizeCap:
     def test_certified_solve_builds_nothing_above_the_cap(self, monkeypatch):
         monkeypatch.setattr(lpsolve, "build_problem", _no_call)
         with pytest.raises(ValueError, match=f"limited to n <= {MAX_N}, got n={MAX_N + 1}"):
-            lpsolve._certified_solve(MAX_N + 1, 5)
+            lpsolve.certified_solve(MAX_N + 1, 5)
 
     def test_table1_solves_nothing_above_the_cap(self, monkeypatch):
         monkeypatch.setattr(lpsolve, "solve", _no_call)

@@ -342,6 +342,10 @@ class TestCharacteristic:
         with pytest.raises(ValueError, match="need a finite number for p, got inf"):
             characteristic_check(3, float("inf"))
 
+    def test_string_weight(self):
+        with pytest.raises(ValueError, match="need a finite number for p, got '1/2'"):
+            characteristic_check(3, "1/2")
+
     def test_small_sweep(self):
         for n in (2, 3, 4, 5):
             for p in (Fraction(0), Fraction(1, 2), Fraction(1)):

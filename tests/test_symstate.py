@@ -1,5 +1,7 @@
 import dataclasses
+import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -51,6 +53,14 @@ class TestNoisyGhz:
     def test_rejects_a_weight_that_is_not_a_number(self, p):
         with pytest.raises(ValueError):
             noisy_ghz(3, p)
+
+    @pytest.mark.parametrize("p", ["1/2", "0.5", float("nan")])
+    def test_strings_and_nan_are_not_numbers(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"need a finite number for p, got {p!r}")):
+            noisy_ghz(3, p)
+
+    def test_decimal_is_read_exactly(self):
+        assert noisy_ghz(3, Decimal("0.5")) == noisy_ghz(3, 0.5) == noisy_ghz(3, Fraction(1, 2))
 
     def test_rejects_a_single_qubit(self):
         with pytest.raises(ValueError, match="need n >= 2, got 1"):
@@ -140,6 +150,23 @@ class TestMix:
         with pytest.raises(ValueError):
             mix([noisy_ghz(3, 0), noisy_ghz(4, 0)], [Fraction(1, 2), Fraction(1, 2)])
 
+    @pytest.mark.parametrize("states, weights, message", [
+        ([noisy_ghz(3, 0)], None, "need a sequence for the weights, got None"),
+        (None, [1], "need a sequence for the states, got None"),
+        ([noisy_ghz(3, 0)], 1, "need a sequence for the weights, got 1"),
+        ([noisy_ghz(3, 0)], ["1"], "need a finite number for a weight, got '1'"),
+    ])
+    def test_non_sequences_are_bad_input(self, states, weights, message):
+        with pytest.raises(ValueError, match=message):
+            mix(states, weights)
+
+    def test_generators_equal_tuples(self):
+        states = (noisy_ghz(4, Fraction(1, 3)), partition_average_state(parse_partition("2^2")))
+        weights = (0.25, Fraction(3, 4))
+        want = mix(states, weights)
+        assert mix(iter(states), iter(weights)) == want
+        assert mix(list(states), (w for w in weights)) == want
+
 
 class TestPadToIsotropic:
     def test_optimal_tripartite_mixture(self):
@@ -201,6 +228,15 @@ class TestPadToIsotropic:
         # the pure GHZ state has nothing between its corners to pad against
         with pytest.raises(ValueError, match="no interior diagonal weight to pad against"):
             pad_to_isotropic(noisy_ghz(4, 1))
+
+    @pytest.mark.parametrize("d", [
+        (Fraction(1, 2), Fraction(1, 10), Fraction(3, 10)),
+        (Fraction(3, 10), Fraction(1, 10), Fraction(1, 2)),
+    ], ids=["first-endpoint", "last-endpoint"])
+    def test_endpoint_above_the_envelope(self, d):
+        # alpha + t = 1/5, below the larger endpoint 1/2
+        with pytest.raises(ValueError, match="not dominated by its isotropic envelope"):
+            pad_to_isotropic(SymState(Fraction(1, 10), d))
 
     def test_rejects_negative_padding(self):
         # endpoint weight above alpha + t cannot be padded away

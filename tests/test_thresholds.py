@@ -216,10 +216,20 @@ class TestClassify:
             with pytest.raises(ValueError, match=f"need 0 <= p <= 1, got {p}"):
                 classify(6, 3, p)
 
-    @pytest.mark.parametrize("p", [float("inf"), float("-inf"), None])
+    @pytest.mark.parametrize("p", [float("inf"), float("-inf"), None, "1/2", float("nan")])
     def test_non_numbers_are_bad_input(self, p):
         with pytest.raises(ValueError, match="need a finite number for p"):
             classify(6, 3, p)
+
+    @pytest.mark.parametrize("n, k, named", [
+        (6.5, 3, "n, got 6.5"), (None, 3, "n, got None"), (True, 3, "n, got True"),
+        (6, 3.0, "k, got 3.0"), (6, "3", "k, got '3'"), (6, False, "k, got False"),
+    ])
+    def test_non_int_arguments_are_bad_input(self, n, k, named):
+        with pytest.raises(ValueError, match=f"need an integer {named}"):
+            threshold(n, k)
+        with pytest.raises(ValueError, match=f"need an integer {named}"):
+            classify(n, k, Fraction(1, 2))
 
 
 class TestFigureData:
@@ -246,6 +256,21 @@ class TestFigureData:
     def test_rejects_j_below_one(self, j_list):
         with pytest.raises(ValueError, match="need j >= 1"):
             figure1_data(3, 6, j_list)
+
+    @pytest.mark.parametrize("args, named", [
+        ((3, 10, None), "a sequence for j_list, got None"),
+        ((3, 10, 2), "a sequence for j_list, got 2"),
+        ((3, 10, [1.5]), "an integer j, got 1.5"),
+        ((3, 10, [1, True]), "an integer j, got True"),
+        ((3.0, 10, [1]), "an integer n_min, got 3.0"),
+        ((3, None, [1]), "an integer n_max, got None"),
+    ])
+    def test_non_int_arguments_are_bad_input(self, args, named):
+        with pytest.raises(ValueError, match=f"need {named}"):
+            figure1_data(*args)
+
+    def test_j_list_may_be_a_generator(self):
+        assert figure1_data(3, 9, (j for j in (1, 3))) == figure1_data(3, 9, [1, 3])
 
     def test_rejects_repeated_j(self):
         with pytest.raises(ValueError, match="repeated j"):

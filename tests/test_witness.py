@@ -138,6 +138,10 @@ class TestGhzValue:
         with pytest.raises(ValueError, match="need a finite number for p, got inf"):
             ghz_witness_value(canonical_witness(5, 2), float("inf"))
 
+    def test_string_weight(self):
+        with pytest.raises(ValueError, match="need a finite number for p, got '1/2'"):
+            ghz_witness_value(canonical_witness(5, 2), "1/2")
+
 
 class TestWitnessSpec:
     def test_stored_fields_are_n_and_m(self):
@@ -330,9 +334,18 @@ class TestSectorDiagonal:
         with pytest.raises(ValueError):
             gamma_diagonal(5, 3, (Fraction(0),))
 
+    @pytest.mark.parametrize("z", [None, 0, Fraction(1, 2)])
+    def test_components_that_are_not_a_sequence(self, z):
+        with pytest.raises(ValueError, match="need a sequence for the components"):
+            gamma_diagonal(4, 2, z)
+
+    def test_generator_equals_tuple(self):
+        z = (Fraction(1, 2), -0.25, Fraction(-1, 3))
+        assert gamma_diagonal(6, 3, (x for x in z)) == gamma_diagonal(6, 3, z)
+
     @pytest.mark.parametrize("bad", [float("inf"), None, "0.5"])
     def test_component_that_is_not_a_finite_number(self, bad):
-        with pytest.raises(ValueError, match="must be a finite number"):
+        with pytest.raises(ValueError, match="need a finite number for a component"):
             gamma_diagonal(4, 2, (bad, 0))
 
     @pytest.mark.parametrize("bad", [float("inf"), None])
