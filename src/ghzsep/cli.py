@@ -1,23 +1,23 @@
 """Command-line interface: thresholds, the LP table, curve data, and the
-verification suites.  Each command and suite imports the modules it runs
-below its docstring (click's help text), so numpy loads only for witness-max.
-The library returns exact values; this module alone turns them into text,
-and ``_exit_codes`` alone maps the library's errors and failed writes to
-exit codes.
+verification suites.
+
+It runs on the standard library alone.  Each command declares its options
+once, with ``_command``: name, kind, default, whether required, help,
+choices and whether repeatable.  ``_read`` and ``_convert`` read argv from
+that table, ``_help`` prints the help text from it at a fixed width of 78
+columns, and ``main`` prints an error in click's layout: for a usage error
+the usage line, the help hint, a blank line and ``Error: ...``, exit 2.  A
+command's help text is its docstring.  Each command imports the modules it
+runs in its body, so numpy loads only for witness-max.  The library
+returns exact values; this module alone turns them into text, and
+``_exit_codes`` alone maps the library's errors and failed writes to exit
+codes.
 """
 
-from __future__ import annotations
-
-import json
+import functools
 import os
-import random
 import sys
-from contextlib import contextmanager
-from decimal import Context
-from fractions import Fraction
-from importlib.util import find_spec
-
-import click
+from contextlib import contextmanager, nullcontext
 
 SCHEMA_VERSION = 1
 _FORMATS = ("human", "json", "csv")
@@ -28,8 +28,17 @@ WITNESS_MAX_CASES = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4))
 #: near n = 14,273 their digits pass Python's int-to-string limit.
 _CLOSED_FORM_MAX_N = 10_000
 
-#: The decimal column printed beside an exact rational has 12 significant digits.
-_DECIMAL_CONTEXT = Context(prec=12)
+#: The help text's width in columns, whatever the terminal's.
+_WIDTH = 78
+
+
+class _Fail(Exception):
+    """An ``Error:`` line on stderr and exit ``code``; a usage error also
+    shows the command's usage line and help hint above it."""
+
+    def __init__(self, message, code=2, usage=True):
+        super().__init__(message)
+        self.code, self.usage = code, usage
 
 
 @contextmanager
@@ -42,18 +51,24 @@ def _exit_codes(param_hint=None):
     try:
         yield
     except ValueError as exc:
-        if param_hint:
-            raise click.BadParameter(str(exc), param_hint=param_hint)
-        raise click.UsageError(str(exc))
+        raise _Fail(f"Invalid value for {param_hint}: {exc}" if param_hint else str(exc))
     except ArithmeticError as exc:
-        raise click.ClickException(str(exc))
+        raise _Fail(str(exc), code=1, usage=False)
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull so that the flush at
         # exit cannot fail again, and exit 1 without a message
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     except OSError as exc:
-        raise click.ClickException(f"cannot write output: {exc.strerror or exc}")
+        raise _Fail(f"cannot write output: {exc.strerror or exc}", code=1, usage=False)
+
+
+def _echo(text, file=None):
+    """``text`` and a newline on ``file`` (stdout as it is at the call),
+    flushed, so that a failed write fails here."""
+    file = file or sys.stdout
+    file.write(text + "\n")
+    file.flush()
 
 
 def _emit(fmt, human, payload, header, rows, file=None):
@@ -61,15 +76,25 @@ def _emit(fmt, human, payload, header, rows, file=None):
     if fmt == "human":
         lines = human
     elif fmt == "json":
+        import json
+
         lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True)]
     else:
         lines = [header, *(",".join(map(str, row)) for row in rows)]
-    click.echo("\n".join(lines), file=file)
+    _echo("\n".join(lines), file)
+
+
+@functools.cache
+def _decimal_context():
+    """The context of the decimal column: 12 significant digits."""
+    from decimal import Context
+
+    return Context(prec=12)
 
 
 def _decimal(q):
     """A rational to 12 significant digits."""
-    return str(_DECIMAL_CONTEXT.divide(q.numerator, q.denominator))
+    return str(_decimal_context().divide(q.numerator, q.denominator))
 
 
 def _lp_payload(sol):
@@ -80,113 +105,322 @@ def _lp_payload(sol):
             "weights": {format_partition(p): str(w) for p, w in sol.support}}
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(_FORMATS), default="human",
-    help="Output format (default: human).",
-)
+class _Option:
+    """One row of a command's option table.  ``kind`` is the metavar
+    ``INTEGER``, ``TEXT`` or ``FILE`` (a writable file, ``-`` for stdout),
+    or ``""`` for a flag; ``choices`` replace it."""
+
+    def __init__(self, name, kind="INTEGER", default=None, help="", required=False,
+                 choices=(), multiple=False, dest=None):
+        self.flag, self.dest = f"--{name}", dest or name
+        self.kind, self.default, self.help = kind, default, help
+        self.required, self.choices, self.multiple = required, choices, multiple
+
+    @property
+    def metavar(self) -> str:
+        return f"[{'|'.join(self.choices)}]" if self.choices else self.kind
+
+    def convert(self, value):
+        """The option's value from its text, else a usage error."""
+        if self.kind == "INTEGER":
+            try:
+                return int(value)
+            except ValueError:
+                self.fail(f"{value!r} is not a valid integer.")
+        if self.choices and value not in self.choices:
+            self.fail(f"{value!r} is not one of {', '.join(map(repr, self.choices))}.")
+        if self.kind == "FILE" and os.path.exists(value):
+            if os.path.isdir(value):
+                self.fail(f"File {value!r} is a directory.")
+            for mode, word in ((os.R_OK, "readable"), (os.W_OK, "writable")):
+                if not os.access(value, mode):
+                    self.fail(f"File {value!r} is not {word}.")
+        return value
+
+    def fail(self, message):
+        raise _Fail(f"Invalid value for {self.flag!r}: {message}")
 
 
-@click.group()
-def main():
-    """Exact separability thresholds of N-qubit GHZ states in white noise."""
+_HELP = _Option("help", "", help="Show this message and exit.")
+_FORMAT = _Option("format", "TEXT", "human", "Output format (default: human).",
+                  choices=_FORMATS, dest="fmt")
+_GROUP_HELP = "Exact separability thresholds of N-qubit GHZ states in white noise."
+
+#: command name -> (function, option table)
+_COMMANDS = {}
 
 
-@main.command()
-@click.option("--n", "n", type=int, required=True, help="Number of qubits.")
-@click.option("--j", "j", type=int, default=None, help="n-j separability index.")
-@click.option("--k", "k", type=int, default=None, help="Number of parties.")
-@format_option
+def _command(*options):
+    """Register a command under its function's name, with its options."""
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn, (*options, _HELP))
+        return fn
+    return register
+
+
+def _read(argv, options, interspersed=True):
+    """``argv`` split as click's parser splits it: ({dest: text, or a list
+    for a repeatable option}, in the order first given; the other
+    arguments).  Options take ``--name value``, ``--name=value`` or, for a
+    flag, ``--name``; ``--`` ends them, and so does the first other
+    argument unless ``interspersed``."""
+    by_flag = {opt.flag: opt for opt in options}
+    given, rest, argv = {}, [], list(argv)
+    while argv:
+        arg = argv.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                argv.insert(0, arg)
+                break
+            rest.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        opt = by_flag.get(flag)
+        if opt is None and arg[:2] != "--":
+            raise _Fail(f"No such option {arg[:2]!r}.")
+        if opt is None:
+            from difflib import get_close_matches
+
+            close = sorted(get_close_matches(flag, by_flag))
+            quoted = ", ".join(map(repr, close))
+            hint = (f" Did you mean {quoted}?" if len(close) == 1
+                    else f" (Did you mean one of: {quoted}?)" if close else "")
+            raise _Fail(f"No such option {flag!r}.{hint}")
+        if not opt.kind and eq:
+            raise _Fail(f"Option {flag!r} does not take a value.", usage=False)
+        if opt.kind and not eq:
+            if not argv:
+                raise _Fail(f"Option {flag!r} requires an argument.", usage=False)
+            value = argv.pop(0)
+        value = value if opt.kind else True
+        if opt.multiple:
+            given.setdefault(opt.dest, []).append(value)
+        else:
+            given[opt.dest] = value
+    return given, rest + argv
+
+
+def _convert(options, given):
+    """The keyword arguments of a command from its read options, checked as
+    click checks them: the given options in the order given, then the
+    others in the table's order."""
+    kwargs = {}
+    for opt in sorted(options, key=lambda opt: list(given).index(opt.dest)
+                      if opt.dest in given else len(given)):
+        if opt.dest == "help":
+            continue
+        if opt.dest not in given and opt.required:
+            choose = "".join(f"\n\t{c}," for c in opt.choices)[:-1]
+            raise _Fail(f"Missing option {opt.flag!r}." + (f" Choose from:{choose}" if choose else ""))
+        value = given.get(opt.dest, opt.default)
+        if not opt.kind:
+            value = bool(value)
+        elif opt.multiple:
+            value = tuple(map(opt.convert, value))
+        elif value is not None:
+            value = opt.convert(value)
+        kwargs[opt.dest] = value
+    return kwargs
+
+
+def _wrap(text, width):
+    """The space-separated words of ``text`` in greedy lines of at most
+    ``width`` columns; the spaces inside a line are kept."""
+    lines = []
+    for word in text.split(" "):
+        if lines and len(lines[-1]) + 1 + len(word) <= width:
+            lines[-1] += " " + word
+        elif word:
+            lines.append(word)
+    return [line.rstrip() for line in lines]
+
+
+def _rows(pairs):
+    """Two-column help rows: the first column at most 30 wide, then the
+    text, wrapped; a longer first entry puts the text on the next line."""
+    first = min(max(len(a) for a, _ in pairs), 30) + 2
+    lines = []
+    for a, b in pairs:
+        text = _wrap(b, max(_WIDTH - first - 2, 10)) or [""]
+        pad = "\n" + " " * (first + 2) if len(a) > first - 2 else " " * (first - len(a))
+        lines.append(f"  {a}{pad if b else ''}{text[0]}")
+        lines += [" " * (first + 2) + line for line in text[1:]]
+    return lines
+
+
+def _short(text, width):
+    """The first sentence of ``text``, cut after a word and marked ``...``
+    when it is wider than ``width``."""
+    line = ""
+    for word in text.split():
+        line = f"{line} {word}".lstrip()
+        if len(line) > width:
+            break
+        if word.endswith("."):
+            return line
+    else:
+        return line
+    words = line.split()[:-1]
+    while words and len(" ".join(words)) + 3 > width:
+        words.pop()
+    return " ".join(words) + "..."
+
+
+def _help(usage, text, options, commands=None):
+    """A help page: usage, the text, then the options and commands tables."""
+    lines = [f"Usage: {usage}", "", *("  " + line for line in _wrap(text, _WIDTH - 2)), "",
+             "Options:", *_rows([(f"{opt.flag} {opt.metavar}".rstrip(),
+                                  f"{opt.help}  [required]".lstrip() if opt.required else opt.help)
+                                 for opt in options])]
+    if commands:
+        width = _WIDTH - 6 - max(map(len, commands))
+        lines += ["", "Commands:", *_rows([(name, _short(fn.__doc__, width))
+                                           for name, (fn, _) in sorted(commands.items())])]
+    return "\n".join(lines)
+
+
+def _program_name():
+    """How the program was started, as click names it: ``python -m
+    ghzsep`` under ``-m``, else the basename of ``sys.argv[0]``."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    name = os.path.basename(sys.argv[0])
+    if not package:
+        return name
+    module = os.path.splitext(name)[0]
+    return "python -m " + (package if module == "__main__" else f"{package}.{module}").lstrip(".")
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run one command line, ``args`` or else ``sys.argv[1:]``, under
+    ``prog_name`` or else the program's name.  Bad input exits 2 and a
+    failed command 1, always through SystemExit, so ``standalone_mode``,
+    which click's entry point took, changes nothing."""
+    argv = sys.argv[1:] if args is None else list(args)
+    prog = command = prog_name or _program_name()
+    usage = f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    try:
+        if not argv:
+            _echo(_help(usage, _GROUP_HELP, [_HELP], _COMMANDS), sys.stderr)
+            sys.exit(2)
+        with _exit_codes():
+            given, rest = _read(argv, [_HELP], interspersed=False)
+            name, *rest = rest or [None]
+            if not given and name not in _COMMANDS and name and name[:1] == "-":
+                given = _read([name], [_HELP])[0]  # after --, as click reads it
+            if given:
+                return _echo(_help(usage, _GROUP_HELP, [_HELP], _COMMANDS))
+            if name not in _COMMANDS:
+                raise _Fail("Missing command." if name is None else f"No such command {name!r}.")
+            fn, options = _COMMANDS[name]
+            command, usage = f"{prog} {name}", f"{prog} {name} [OPTIONS]"
+            given, rest = _read(rest, options)
+            if "help" in given:
+                return _echo(_help(usage, fn.__doc__, options))
+            kwargs = _convert(options, given)
+            if rest:
+                s = "s" if len(rest) > 1 else ""
+                raise _Fail(f"Got unexpected extra argument{s} ({' '.join(rest)})")
+            fn(**kwargs)
+    except _Fail as exc:
+        hint = f"Usage: {usage}\nTry '{command} --help' for help.\n\n" if exc.usage else ""
+        sys.stderr.write(f"{hint}Error: {exc}\n")
+        sys.exit(exc.code)
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        sys.exit(1)
+
+
+#: Callers of click's group ran ``main.main(args=..., prog_name=...,
+#: standalone_mode=...)``; ``bench/worker.py`` still does.
+main.main = main
+
+
+@_command(_Option("n", help="Number of qubits.", required=True),
+          _Option("j", help="n-j separability index."),
+          _Option("k", help="Number of parties."), _FORMAT)
 def threshold(n, j, k, fmt):
     """Print the separability bound(s) for (n, j) or (n, k)."""
     from . import thresholds
 
     if (j is None) == (k is None):
-        raise click.UsageError("provide exactly one of --j or --k")
+        raise _Fail("provide exactly one of --j or --k")
     if n > _CLOSED_FORM_MAX_N:
-        raise click.UsageError(f"need n <= {_CLOSED_FORM_MAX_N}, got n={n}")
+        raise _Fail(f"need n <= {_CLOSED_FORM_MAX_N}, got n={n}")
     if j is not None:
         k = n - j
-    with _exit_codes():
-        bound, rule = thresholds.threshold(n, k)
-        # schema 1 keeps its sufficient and necessary fields: both are the bound
-        text = str(bound)
-        _emit(fmt, [f"{text} (iff)", f"rule: {rule}"],
-              {"n": n, "k": k, "kind": "iff", "rule": rule, "sufficient": text,
-               "sufficient_decimal": _decimal(bound), "necessary": text},
-              "n,k,kind,sufficient,necessary", [(n, k, "iff", text, text)])
+    bound, rule = thresholds.threshold(n, k)
+    # schema 1 keeps its sufficient and necessary fields: both are the bound
+    text = str(bound)
+    _emit(fmt, [f"{text} (iff)", f"rule: {rule}"],
+          {"n": n, "k": k, "kind": "iff", "rule": rule, "sufficient": text,
+           "sufficient_decimal": _decimal(bound), "necessary": text},
+          "n,k,kind,sufficient,necessary", [(n, k, "iff", text, text)])
 
 
-@main.command()
-@click.option("--nmax", type=int, default=12, help="Largest qubit count.")
-@click.option("--check", is_flag=True, help="Compare against the golden values.")
-@format_option
+@_command(_Option("nmax", default=12, help="Largest qubit count."),
+          _Option("check", "", help="Compare against the golden values."), _FORMAT)
 def table1(nmax, check, fmt):
     """K-separability thresholds from the exact linear program (n >= 6)."""
     from . import lpsolve
     from .partitions import format_partition
 
     if nmax < 6:
-        raise click.UsageError(f"need --nmax >= 6, got {nmax}")
+        raise _Fail(f"need --nmax >= 6, got {nmax}")
     with _exit_codes("'--nmax'"):
         rows = lpsolve.table1(range(6, nmax + 1))
-        human = ["n  k  partitions (tau*weight)            tau        p_s"]
-        for sol in rows:
-            supp = ", ".join(f"{format_partition(p)}:{w * sol.tau}" for p, w in sol.support)
-            human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{str(sol.tau):<11}{sol.p_s}")
-        _emit(fmt, human, {"rows": [_lp_payload(sol) for sol in rows]}, "n,k,tau,p_s,support",
-              [(sol.n, sol.k, sol.tau, sol.p_s, " ".join(format_partition(p) for p, _ in sol.support))
-               for sol in rows])
+    human = ["n  k  partitions (tau*weight)            tau        p_s"]
+    for sol in rows:
+        supp = ", ".join(f"{format_partition(p)}:{w * sol.tau}" for p, w in sol.support)
+        human.append(f"{sol.n:<3}{sol.k:<3}{supp:<36}{str(sol.tau):<11}{sol.p_s}")
+    _emit(fmt, human, {"rows": [_lp_payload(sol) for sol in rows]}, "n,k,tau,p_s,support",
+          [(sol.n, sol.k, sol.tau, sol.p_s, " ".join(format_partition(p) for p, _ in sol.support))
+           for sol in rows])
     if check:
         golden = [sol for sol in rows if (sol.n, sol.k) in lpsolve.REFERENCE_TAU]
         # every row is certified, which ties p_s to tau
         bad = [(sol.n, sol.k) for sol in golden if sol.tau != lpsolve.REFERENCE_TAU[sol.n, sol.k]]
         if bad:
-            click.echo(f"golden mismatch at rows: {bad}", err=True)
+            _echo(f"golden mismatch at rows: {bad}", sys.stderr)
             sys.exit(1)
-        click.echo(f"golden check passed for {len(golden)} rows", err=True)
+        _echo(f"golden check passed for {len(golden)} rows", sys.stderr)
 
 
-@main.command()
-@click.option("--nmin", type=int, default=3)
-@click.option("--nmax", type=int, default=20)
-@click.option("--j", "j_list", type=int, multiple=True, default=(1, 2, 3, 4, 5))
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default="-",
-              help="Output CSV path (default: stdout).")
+@_command(_Option("nmin", default=3), _Option("nmax", default=20),
+          _Option("j", default=(1, 2, 3, 4, 5), multiple=True, dest="j_list"),
+          _Option("out", "FILE", "-", "Output CSV path (default: stdout)."))
 def figure(nmin, nmax, j_list, out):
     """Write threshold curve data as CSV."""
     from . import thresholds
 
     if nmax > _CLOSED_FORM_MAX_N:
-        raise click.UsageError(f"need --nmax <= {_CLOSED_FORM_MAX_N}, got {nmax}")
-    with _exit_codes():
-        rows = thresholds.figure1_data(nmin, nmax, j_list)
-        try:
-            fh = click.open_file(out, "w")
-        except OSError as exc:
-            raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'")
-        # closing the file flushes it, so a full disk can fail there too
-        with fh:
-            _emit("csv", None, None, "n,curve,p_exact,p_decimal",
-                  [(n, curve, p, _decimal(p)) for n, curve, p in rows], file=fh)
+        raise _Fail(f"need --nmax <= {_CLOSED_FORM_MAX_N}, got {nmax}")
+    rows = thresholds.figure1_data(nmin, nmax, j_list)
+    try:
+        fh = nullcontext(sys.stdout) if out == "-" else open(out, "w")
+    except OSError as exc:
+        raise _Fail(f"Invalid value for '--out': cannot write {out}: {exc.strerror}")
+    # closing the file flushes it, so a full disk can fail there too
+    with fh as file:
+        _emit("csv", None, None, "n,curve,p_exact,p_decimal",
+              [(n, curve, p, _decimal(p)) for n, curve, p in rows], file=file)
 
 
-@main.command()
-@click.option("--n", "n", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
-@format_option
+@_command(_Option("n", required=True), _Option("k", required=True), _FORMAT)
 def lp(n, k, fmt):
     """Solve the mixed-partition linear program for (n, k)."""
     from . import lpsolve
     from .partitions import format_partition
 
-    with _exit_codes(["--n", "--k"]):
+    with _exit_codes("'--n' / '--k'"):
         sol = lpsolve.certified_solve(n, k)
-        _emit(fmt,
-              [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
-               *(f"  {format_partition(p)}: {w}" for p, w in sol.support),
-               f"binding rows: {list(sol.binding)}", "certificate: valid"],
-              {**_lp_payload(sol), "binding": list(sol.binding), "certified": True},
-              "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, True)])
+    _emit(fmt,
+          [f"tau = {sol.tau}", f"p_s = {sol.p_s} ({_decimal(sol.p_s)})",
+           *(f"  {format_partition(p)}: {w}" for p, w in sol.support),
+           f"binding rows: {list(sol.binding)}", "certificate: valid"],
+          {**_lp_payload(sol), "binding": list(sol.binding), "certified": True},
+          "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, True)])
 
 
 def _suite_limits(name, text):
@@ -201,17 +435,17 @@ def _suite_limits(name, text):
         key, _, value = piece.partition("=")
         key = key.strip()
         if not key or not value:
-            raise click.UsageError(f"bad --limits entry {piece!r}; expected key=value")
+            raise _Fail(f"bad --limits entry {piece!r}; expected key=value")
         if key in overrides:
-            raise click.UsageError(f"duplicate --limits key {key!r}")
+            raise _Fail(f"duplicate --limits key {key!r}")
         try:
             overrides[key] = int(value)
         except ValueError:
-            raise click.UsageError(f"bad --limits value in {piece!r}")
+            raise _Fail(f"bad --limits value in {piece!r}")
     declared = _SUITES[name][1]
     unknown = sorted(set(overrides) - set(declared))
     if unknown:
-        raise click.UsageError(
+        raise _Fail(
             f"unknown --limits key(s) {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(declared))}"
         )
@@ -219,7 +453,7 @@ def _suite_limits(name, text):
     for key, (default, lo, hi) in declared.items():
         value = overrides.get(key, default)
         if not lo <= value <= hi:
-            raise click.UsageError(f"suite {name} needs {lo} <= {key} <= {hi}, got {key}={value}")
+            raise _Fail(f"suite {name} needs {lo} <= {key} <= {hi}, got {key}={value}")
         values[key] = value
     return values
 
@@ -243,6 +477,9 @@ def _suite_appendix(seed, limits):
 
 
 def _suite_lemma1(seed, limits):
+    import random
+    from fractions import Fraction
+
     from .exactmath import CheckRecord, random_unit_rationals, verify_lemma1_inequality
 
     samples = limits["samples"]
@@ -291,6 +528,8 @@ def _suite_witness_max(seed, limits):
 
 
 def _suite_charfn(seed, limits):
+    from fractions import Fraction
+
     from . import oracle
 
     for n in range(2, limits["n"] + 1):
@@ -314,32 +553,30 @@ _SUITES = {
 }
 
 
-@main.command()
-@click.option("--suite", type=click.Choice(sorted(_SUITES) + ["all"]), required=True)
-@click.option("--seed", type=int, default=42)
-@click.option("--limits", default="", help="Comma-separated key=value limit overrides.")
+@_command(_Option("suite", "TEXT", required=True, choices=(*sorted(_SUITES), "all")),
+          _Option("seed", default=42),
+          _Option("limits", "TEXT", "", "Comma-separated key=value limit overrides."))
 def verify(suite, seed, limits):
     """Run a verification suite; stream JSON-line reports, exit 0 iff all pass."""
+    import json
+    from importlib.util import find_spec
+
     if seed < 0:
-        raise click.UsageError(f"need --seed >= 0, got {seed}")
+        raise _Fail(f"need --seed >= 0, got {seed}")
     if suite == "all" and limits:
-        raise click.UsageError(
+        raise _Fail(
             "--limits sets one suite's limits; --suite all runs each suite at its defaults")
     names = sorted(_SUITES) if suite == "all" else [suite]
     limits = {name: _suite_limits(name, limits) for name in names}
     if "witness-max" in names and find_spec("numpy") is None:
-        error = click.ClickException("suite witness-max needs numpy, from the probes "
-                                     "extra: pip install 'ghzsep[probes]'")
-        error.exit_code = 2
-        raise error
+        raise _Fail("suite witness-max needs numpy, from the probes extra: "
+                    "pip install 'ghzsep[probes]'", usage=False)
     all_ok = True
-    with _exit_codes():
-        for name in names:
-            for record in _SUITES[name][0](seed, limits[name]):
-                all_ok = all_ok and record.passed
-                click.echo(json.dumps({"check": record.check, "params": record.params,
-                                       "pass": record.passed, "detail": record.detail},
-                                      sort_keys=True))
+    for name in names:
+        for record in _SUITES[name][0](seed, limits[name]):
+            all_ok = all_ok and record.passed
+            _echo(json.dumps({"check": record.check, "params": record.params,
+                              "pass": record.passed, "detail": record.detail}, sort_keys=True))
     sys.exit(0 if all_ok else 1)
 
 

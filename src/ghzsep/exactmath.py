@@ -13,16 +13,17 @@ that exact ratio.  Anything else, a string, None, NaN or an infinity, is
 a ValueError naming the value.  ``exact`` and ``probability`` read one
 number, and ``as_tuple`` reads a sequence once, before anything takes
 its length, so a generator works and a non-iterable is a ValueError.
-It is the bottom layer and imports no other ghzsep module.
+It is the bottom layer: of ghzsep it imports only the record base.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+from .record import Record
 
 
 def as_tuple(values, name: str) -> tuple:
@@ -101,8 +102,7 @@ def w_coeff(L: int, n: int, l: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Record):
     """One check outcome; failures are data, not exceptions."""
 
     check: str
@@ -111,8 +111,7 @@ class CheckRecord:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Outcome of an exhaustive exact sweep."""
 
     checked: int
@@ -208,8 +207,7 @@ def verify_appendix_inequality(n_max: int, l_max: int) -> SweepReport:
     return SweepReport(checked, tuple(violations))
 
 
-@dataclass(frozen=True)
-class Lemma1Check:
+class Lemma1Check(Record):
     """Lemma 1's scalars for m = n - 2 longitudinal components, and its verdict.
 
     a and b are the symmetric-polynomial sums, u and v the averaged sign

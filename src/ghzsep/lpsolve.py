@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .partitions import enumerate_partitions, profile
+from .partitions import enumerate_partitions, is_count, profile
+from .record import Record
 
 #: Largest n at which ``certified_solve`` and ``table1`` solve the LP, and
 #: so ``lp``, ``table1`` and ``thresholds.threshold``.  Every n = 30 cell
@@ -65,25 +65,27 @@ REFERENCE_TAU = {
 }
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Record):
     """Minimax problem data: the partitions that may be mixed, all of n
     into k parts, and one column of subset-sum counts per partition.  Ratio
     row i of column j is f_j(i) / C(n, i).
 
     The partitions are the one stored value: n and k are theirs, and the
-    count columns are computed from them at construction.
+    count columns are computed from them when first read.
     """
 
     partitions: tuple
-    columns: tuple = field(init=False, compare=False, repr=False)  # columns[j][i-1] = f_j(i)
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.partitions, tuple):
             raise ValueError(f"partitions must be a tuple, got {type(self.partitions).__name__}")
         if len({(p.n, p.k) for p in self.partitions}) != 1:
             raise ValueError("need one or more partitions, all of one n into one k parts")
-        object.__setattr__(self, "columns", tuple(profile(p)[1:-1] for p in self.partitions))
+
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """columns[j][i-1] = f_j(i), for the interior weights i."""
+        return tuple(profile(p)[1:-1] for p in self.partitions)
 
     @property
     def n(self) -> int:
@@ -98,14 +100,15 @@ def build_problem(n: int, k: int) -> LpProblem:
     """All partitions of n into k parts, with their count columns.
 
     No pre-filtering: the solver decides which partitions carry weight.
+    A non-int n or k, a bool included, is ``enumerate_partitions``'s
+    ValueError.
     """
-    if not 2 <= k <= n:
+    if is_count(n, k) and not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     return LpProblem(tuple(enumerate_partitions(n, k)))
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Record):
     """Optimal mixture of ``problem``'s partitions: its weights, the dual
     multipliers (one per ratio row, mirror-symmetric) that certify it, and
     the simplex pivot sequence (row, column) for determinism tests.
@@ -326,14 +329,17 @@ def mixed_state(sol: LpSolution):
 
 
 def _check_cap(n: int) -> None:
+    if not is_count(n):
+        raise ValueError(f"need an integer n, got {n!r}")
     if n > MAX_N:
         raise ValueError(f"the linear program is limited to n <= {MAX_N}, got n={n}")
 
 
 def certified_solve(n: int, k: int) -> LpSolution:
     """Certified (n, k) solution behind every printed LP bound (``lp``,
-    ``table1`` and ``thresholds.threshold``), else ArithmeticError; a cell
-    above ``MAX_N`` qubits is a ValueError before anything is built.
+    ``table1`` and ``thresholds.threshold``), else ArithmeticError; a
+    non-int n or k, or a cell above ``MAX_N`` qubits, is a ValueError
+    before anything is built.
     Every call builds, solves and certifies the cell; nothing is kept."""
     _check_cap(n)
     prob = build_problem(n, k)
@@ -347,7 +353,8 @@ def table1(n_values) -> list:
     """Solve and certify every (n, k) cell with 3 <= k <= n/2 over the given
     n values: the cells no closed form covers.  For n = 6..12 they reproduce
     the sixteen reference rows; a rejected certificate is an ArithmeticError.
-    An n above ``MAX_N`` is a ValueError before any cell is solved.
+    An n that is not an int, or is above ``MAX_N``, is a ValueError before
+    any cell is solved.
     """
     n_values = list(n_values)
     for n in n_values:

@@ -10,26 +10,38 @@ partition generates.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True, order=True)
-class PartitionType:
-    """A multiset of positive party sizes, stored non-increasing."""
+def is_count(*values) -> bool:
+    """Whether every value is an int and not a bool: the rule for a qubit,
+    party or part count."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            return False
+    return True
+
+
+@functools.total_ordering
+class PartitionType(Record):
+    """A multiset of positive party sizes, stored non-increasing; ordered
+    by its parts."""
 
     parts: tuple
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.parts, tuple):
             raise ValueError(f"parts must be a tuple, got {type(self.parts).__name__}")
         if not self.parts:
             raise ValueError("a partition needs at least one part")
-        for s in self.parts:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-                raise ValueError(f"parts must be positive integers, got {s!r}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if not is_count(*self.parts) or min(self.parts) < 1:
+            bad = next(s for s in self.parts if not is_count(s) or s < 1)
+            raise ValueError(f"parts must be positive integers, got {bad!r}")
+        if list(self.parts) != sorted(self.parts, reverse=True):
             raise ValueError("parts must be sorted non-increasing")
 
     @classmethod
@@ -49,13 +61,19 @@ class PartitionType:
     def __str__(self) -> str:
         return format_partition(self)
 
+    def __lt__(self, other):
+        return self.parts < other.parts if type(other) is type(self) else NotImplemented
+
 
 def enumerate_partitions(n: int, k: int) -> list:
     """All partitions of n into exactly k positive parts.
 
     Deterministic order: lexicographically descending on the
-    non-increasing part tuples.
+    non-increasing part tuples.  A non-int n or k, a bool included, is a
+    ValueError.
     """
+    if not is_count(n, k):
+        raise ValueError(f"need integer n and k, got n={n!r}, k={k!r}")
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 

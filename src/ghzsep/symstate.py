@@ -17,22 +17,21 @@ number itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import as_tuple, exact, probability
 from .partitions import PartitionType, profile
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SymState:
+class SymState(Record):
     """Symmetric state: GHZ coherence alpha plus per-projector diagonal
     d[0..n]; n is read from d."""
 
     alpha: Fraction
     d: tuple
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.d, tuple):
             raise ValueError(f"d must be a tuple, got {type(self.d).__name__}")
         if self.n < 1:
@@ -108,8 +107,7 @@ def mix(states, weights) -> SymState:
     return SymState(alpha, d)
 
 
-@dataclass(frozen=True)
-class PadResult:
+class PadResult(Record):
     """Outcome of isotropic padding: the padded state, ``noisy_ghz(n, p_s)``
     with 0 < p_s < 1.
 
@@ -120,7 +118,7 @@ class PadResult:
 
     padded: SymState
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 < self.p_s < 1 or self.padded != noisy_ghz(self.padded.n, self.p_s):
             raise ValueError("a padded state is a noisy GHZ state with 0 < p < 1")
 

@@ -16,22 +16,21 @@ corner bound is read from that record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (Lemma1Check, as_tuple, elem_sym, exact, probability,
                         verify_lemma1_inequality, w_coeff)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(Record):
     """The n-qubit witness's coefficient vector M_1..M_{floor(n/2)}, one
     entry per count of Z-pair generators."""
 
     n: int
     m: tuple
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.m, tuple) or len(self.m) != self.n // 2:
             raise ValueError(f"m must be a tuple of {self.n // 2} coefficients for n={self.n}, "
                              f"got {self.m!r}")
@@ -71,8 +70,7 @@ def necessary_threshold(n: int, L: int) -> Fraction:
     return sep_max(n, L) / (witness_sum(w) + 2 ** (n - 1))
 
 
-@dataclass(frozen=True)
-class MMatrixParams:
+class MMatrixParams(Record):
     """Parameters of the witness quadratic form on an L-qubit block.
 
     Only the longitudinal data is stored: the diagonal gamma_0..gamma_L by

@@ -17,10 +17,9 @@ import ghzsep
 
 def _defined(module):
     """The functions, methods and classes ``module`` defines, functools
-    wrappers read through ``__wrapped__`` and click commands through their
-    callbacks."""
+    wrappers read through ``__wrapped__``."""
     for obj in vars(module).values():
-        obj = inspect.unwrap(getattr(obj, "callback", None) or obj)
+        obj = inspect.unwrap(obj)
         if getattr(obj, "__module__", None) != module.__name__:
             continue
         if inspect.isfunction(obj):
@@ -62,8 +61,8 @@ def test_the_sweep_reaches_wrapped_functions_methods_and_commands():
         "ghzsep.oracle._dense_witness_float",  # functools.cache
         "ghzsep.lpsolve.LpSolution._peak",  # functools.cached_property
         "ghzsep.lpsolve.LpProblem.n",  # property
-        "ghzsep.lpsolve.LpProblem.__post_init__",
-        "ghzsep.cli.lp",  # click command callback
+        "ghzsep.lpsolve.LpProblem._check",
+        "ghzsep.cli.lp",  # a command
     } <= names
 
 

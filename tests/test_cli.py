@@ -1,20 +1,53 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from ghzsep import lpsolve, oracle
 from ghzsep.cli import _CLOSED_FORM_MAX_N, main
 
 
+class _Tee(io.StringIO):
+    """A captured stream that also copies what it is written into ``mixed``."""
+
+    def __init__(self, mixed):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text):
+        self.mixed.write(text)
+        return super().write(text)
+
+
+def invoke(cli, args, prog_name="ghzsep"):
+    """Run a command line in this process: its ``exit_code``, ``stdout``,
+    ``output`` (stdout and stderr interleaved as written) and the
+    ``exception`` that ended it, unless it exited 0."""
+    mixed = io.StringIO()
+    out = _Tee(mixed)
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(_Tee(mixed)):
+        try:
+            cli.main(args=args, prog_name=prog_name)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(), output=mixed.getvalue(),
+                           exception=exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return SimpleNamespace(invoke=invoke)
 
 
 class TestThresholdCommand:
@@ -462,6 +495,44 @@ def _src_env(**extra):
     return env
 
 
+def _usage_error(command, message):
+    """stderr of a usage error under ``python -m ghzsep``: the usage line,
+    the help hint, a blank line and the error."""
+    prog = " ".join(["python -m ghzsep", command]).rstrip()
+    usage = f"{prog} [OPTIONS]" + ("" if command else " COMMAND [ARGS]...")
+    return f"Usage: {usage}\nTry '{prog} --help' for help.\n\nError: {message}\n"
+
+
+#: command line -> stderr, each with exit 2 and empty stdout, as click wrote
+#: them before the command line had its own parser.  ``curves`` is a directory.
+USAGE_ERRORS = {
+    "": None,  # the group's help text
+    "nope": _usage_error("", "No such command 'nope'."),
+    "lp --n 6 --k 3 --bogus": _usage_error("lp", "No such option '--bogus'."),
+    "lp --n 6": _usage_error("lp", "Missing option '--k'."),
+    "lp --n x --k 3": _usage_error("lp", "Invalid value for '--n': 'x' is not a valid integer."),
+    "lp --n 6 --k 3 --format xml": _usage_error(
+        "lp", "Invalid value for '--format': 'xml' is not one of 'human', 'json', 'csv'."),
+    "lp --n 40 --k 3": _usage_error(
+        "lp", "Invalid value for '--n' / '--k': the linear program is limited to n <= 30, got n=40"),
+    "table1 --nmax 5": _usage_error("table1", "need --nmax >= 6, got 5"),
+    "verify --suite lemma1 --limits n=abc": _usage_error("verify", "bad --limits value in 'n=abc'"),
+    "figure --out curves": _usage_error(
+        "figure", "Invalid value for '--out': File 'curves' is a directory."),
+}
+
+
+class TestUsageErrorsPinned:
+    @pytest.mark.parametrize("command", list(USAGE_ERRORS), ids=lambda c: c or "no-arguments")
+    def test_usage_error_byte_for_byte(self, command, tmp_path):
+        (tmp_path / "curves").mkdir()
+        proc = subprocess.run([sys.executable, "-m", "ghzsep", *command.split()],
+                              capture_output=True, text=True, cwd=tmp_path, env=_src_env(),
+                              timeout=60)
+        stderr = USAGE_ERRORS[command] or HELP_TEXT[()].replace("ghzsep", "python -m ghzsep", 1)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+
+
 class TestLpSizeCap:
     """The LP's size cap is checked in lpsolve; each command that reaches it
     reports a usage error."""
@@ -586,16 +657,18 @@ assert "numpy" not in sys.modules
 
 
 # Runs the CLI as ``python -m ghzsep`` would and, at exit, writes the loaded
-# ghzsep submodules and whether numpy was loaded as the last stderr line.
+# ghzsep submodules, whether numpy was loaded and which of click, dataclasses
+# and inspect were loaded as the last stderr line.
 _REPORT_IMPORTS = """
 import atexit, json, runpy, sys
 atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(
-    [sorted(m for m in sys.modules if m.startswith("ghzsep.")), "numpy" in sys.modules])))
+    [sorted(m for m in sys.modules if m.startswith("ghzsep.")), "numpy" in sys.modules,
+     [m for m in ("click", "dataclasses", "inspect") if m in sys.modules]])))
 runpy.run_module("ghzsep", run_name="__main__")
 """
 
-_LP = ["cli", "lpsolve", "partitions"]
-_ORACLE = ["cli", "exactmath", "oracle", "partitions", "symstate", "witness"]
+_LP = ["cli", "lpsolve", "partitions", "record"]
+_ORACLE = ["cli", "exactmath", "oracle", "partitions", "record", "symstate", "witness"]
 
 #: command line -> (the ghzsep submodules it loads, whether it loads numpy)
 IMPORT_SETS = {
@@ -604,10 +677,10 @@ IMPORT_SETS = {
     "table1 --nmax 6": (_LP, False),
     "threshold --n 5 --k 4": (["cli", "thresholds"], False),
     "threshold --n 6 --k 3": (_LP + ["thresholds"], False),
-    "figure --nmax 4": (["cli", "exactmath", "thresholds"], False),
-    "verify --suite wident --limits L=2": (["cli", "exactmath"], False),
-    "verify --suite appendix --limits n=4,l=2": (["cli", "exactmath"], False),
-    "verify --suite lemma1 --limits n=4,samples=1": (["cli", "exactmath"], False),
+    "figure --nmax 4": (["cli", "exactmath", "record", "thresholds"], False),
+    "verify --suite wident --limits L=2": (["cli", "exactmath", "record"], False),
+    "verify --suite appendix --limits n=4,l=2": (["cli", "exactmath", "record"], False),
+    "verify --suite lemma1 --limits n=4,samples=1": (["cli", "exactmath", "record"], False),
     "verify --suite phase-oracle --limits n=2": (_ORACLE, False),
     "verify --suite charfn --limits n=2": (_ORACLE, False),
     "verify --suite witness-max --limits restarts=1,samples=1": (_ORACLE, True),
@@ -616,7 +689,8 @@ IMPORT_SETS = {
 
 class TestCommandImports:
     """Each command loads only the modules it runs, and numpy only for the
-    float witness probes."""
+    float witness probes.  No command loads click or dataclasses, and only
+    numpy loads inspect."""
 
     @pytest.mark.parametrize("command", list(IMPORT_SETS))
     def test_import_set(self, command):
@@ -629,9 +703,10 @@ class TestCommandImports:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+        loaded, numpy_loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
         assert loaded == sorted(f"ghzsep.{m}" for m in modules)
         assert numpy_loaded is numpy
+        assert heavy == (["inspect"] if numpy else [])
 
 
 # Runs the CLI as ``python -m ghzsep`` would, with numpy unimportable.
@@ -752,8 +827,7 @@ Options:
 class TestHelpText:
     @pytest.mark.parametrize("command", sorted(HELP_TEXT), ids=lambda c: " ".join(c) or "main")
     def test_help_pinned(self, runner, command):
-        # 78 columns: the width click formats for an 80-column terminal
-        result = runner.invoke(main, [*command, "--help"], prog_name="ghzsep",
-                               terminal_width=78)
+        # 78 columns whatever the terminal's width
+        result = runner.invoke(main, [*command, "--help"], prog_name="ghzsep")
         assert result.exit_code == 0
         assert result.output == HELP_TEXT[command]

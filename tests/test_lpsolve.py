@@ -1,7 +1,5 @@
-import dataclasses
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,16 +48,16 @@ class TestBuildProblem:
 class TestProblemIsItsPartitions:
     def test_stored_fields_are_the_partitions(self):
         prob = build_problem(8, 3)
-        assert [f.name for f in dataclasses.fields(LpProblem)] == ["partitions", "columns"]
-        assert not next(f for f in dataclasses.fields(LpProblem) if f.name == "columns").init
+        # the columns are read from the partitions, not stored
+        assert LpProblem.fields == ("partitions",)
         assert LpProblem(prob.partitions) == prob
         assert (prob.n, prob.k) == (8, 3)
         # what is read from the partitions cannot be set beside them
         for name, value in (("n", 9), ("k", 5)):
             with pytest.raises(TypeError):
-                replace(prob, **{name: value})
-        with pytest.raises(ValueError):
-            replace(prob, columns=prob.columns[::-1])
+                prob.replace(**{name: value})
+        with pytest.raises(TypeError):
+            prob.replace(columns=prob.columns[::-1])
 
     @pytest.mark.parametrize(
         "partitions",
@@ -88,7 +86,7 @@ class TestProblemIsItsPartitions:
     def test_reordered_partitions_carry_their_columns(self):
         prob = build_problem(8, 3)
         sol = solve(prob)
-        rev = replace(prob, partitions=prob.partitions[::-1])
+        rev = prob.replace(partitions=prob.partitions[::-1])
         assert rev.columns == prob.columns[::-1]
         rsol = solve(rev)
         assert verify_solution(rev, rsol)
@@ -150,24 +148,23 @@ class TestSolve:
 
     def test_support_is_read_from_the_weights(self):
         sol = solve(build_problem(6, 3))
-        assert "support" not in {f.name for f in dataclasses.fields(sol)}
+        assert "support" not in sol.fields
         assert [(str(p), w) for p, w in sol.support] == [
             ("1|2|3", Fraction(2, 3)), ("2^3", Fraction(1, 3))]
         # a replaced weight vector carries its own support
-        moved = replace(sol, weights=(Fraction(0),) * (len(sol.weights) - 1) + (Fraction(1),))
+        moved = sol.replace(weights=(Fraction(0),) * (len(sol.weights) - 1) + (Fraction(1),))
         assert moved.support == ((sol.partitions[-1], Fraction(1)),)
 
     def test_stored_fields_are_problem_weights_dual_pivots(self):
         prob = build_problem(8, 3)
         sol = solve(prob)
-        assert [f.name for f in dataclasses.fields(LpSolution)] == [
-            "problem", "weights", "dual", "pivots"]
+        assert LpSolution.fields == ("problem", "weights", "dual", "pivots")
         assert sol.problem is prob
         assert (sol.n, sol.k, sol.partitions) == (8, 3, prob.partitions)
         # what is read from the problem or the weights cannot be set beside them
         for name, value in (("t", sol.t / 2), ("binding", ()), ("n", 9)):
             with pytest.raises(TypeError):
-                replace(sol, **{name: value})
+                sol.replace(**{name: value})
 
 
 def _ratio_rows(prob, weights):
@@ -188,7 +185,7 @@ class TestValueReadFromWeights:
                 prob = build_problem(n, k)
                 sol = solve(prob)
                 m = len(prob.partitions)
-                for s in (sol, replace(sol, weights=(Fraction(1, m),) * m)):
+                for s in (sol, sol.replace(weights=(Fraction(1, m),) * m)):
                     rows = _ratio_rows(prob, s.weights)
                     assert s.t == max(rows), (n, k)
                     assert s.binding == tuple(i for i, r in enumerate(rows, 1) if r == s.t), (n, k)
@@ -199,7 +196,7 @@ class TestVerifierRejectsBadCertificates:
         prob = build_problem(6, 3)
         sol = solve(prob)
         # put all weight on the first partition (4+1+1): feasible but not optimal
-        forged = replace(sol, weights=(Fraction(1), Fraction(0), Fraction(0)))
+        forged = sol.replace(weights=(Fraction(1), Fraction(0), Fraction(0)))
         assert forged.t == max(_ratio_rows(prob, forged.weights)) > sol.t
         assert not verify_solution(prob, forged)
 
@@ -215,22 +212,20 @@ class TestVerifierRejectsBadCertificates:
 # column sum as it was.  The three inexact forgeries carry the optimum's
 # values as floats or strings, which pass every other check or break it.
 FORGERIES = {
-    "problem-swapped": lambda s: replace(s, problem=build_problem(7, 4)),
-    "float-weights": lambda s: replace(s, weights=tuple(float(w) for w in s.weights)),
-    "string-weights": lambda s: replace(s, weights=tuple(str(w) for w in s.weights)),
-    "string-dual": lambda s: replace(s, dual=tuple(str(y) for y in s.dual)),
-    "negative-weight": lambda s: replace(
-        s, weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
-    "weights-sum-below-one": lambda s: replace(s, weights=tuple(w / 2 for w in s.weights)),
-    "short-weights": lambda s: replace(s, weights=s.weights[:-1]),
-    "negative-dual": lambda s: replace(
-        s, dual=s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:]),
-    "dual-sum-above-one": lambda s: replace(s, dual=tuple(2 * y for y in s.dual)),
-    "short-dual": lambda s: replace(s, dual=s.dual[:-1]),
-    "dual-on-slack-row": lambda s: replace(
-        s, dual=(0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:]),
-    "weight-on-zero-column": lambda s: replace(
-        s, weights=s.weights[2:3] + (0, 0) + s.weights[3:]),
+    "problem-swapped": lambda s: s.replace(problem=build_problem(7, 4)),
+    "float-weights": lambda s: s.replace(weights=tuple(float(w) for w in s.weights)),
+    "string-weights": lambda s: s.replace(weights=tuple(str(w) for w in s.weights)),
+    "string-dual": lambda s: s.replace(dual=tuple(str(y) for y in s.dual)),
+    "negative-weight": lambda s: s.replace(
+        weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
+    "weights-sum-below-one": lambda s: s.replace(weights=tuple(w / 2 for w in s.weights)),
+    "short-weights": lambda s: s.replace(weights=s.weights[:-1]),
+    "negative-dual": lambda s: s.replace(
+        dual=s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:]),
+    "dual-sum-above-one": lambda s: s.replace(dual=tuple(2 * y for y in s.dual)),
+    "short-dual": lambda s: s.replace(dual=s.dual[:-1]),
+    "dual-on-slack-row": lambda s: s.replace(dual=(0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:]),
+    "weight-on-zero-column": lambda s: s.replace(weights=s.weights[2:3] + (0, 0) + s.weights[3:]),
 }
 
 
@@ -405,6 +400,26 @@ class TestSizeCap:
         monkeypatch.setattr(lpsolve, "solve", _no_call)
         with pytest.raises(ValueError, match=f"limited to n <= {MAX_N}, got n={MAX_N + 1}"):
             table1(range(6, MAX_N + 2))
+
+
+class TestCountsAreInts:
+    """A count that is not an int, a bool included, is a ValueError before
+    anything is solved."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: lpsolve.certified_solve(6.5, 3),
+        lambda: lpsolve.certified_solve(6, 3.0),
+        lambda: lpsolve.certified_solve(True, 2),
+        lambda: table1([6.5]),
+        lambda: table1([6, "7"]),
+        lambda: build_problem(6.5, 3),
+        lambda: build_problem(6, 3.0),
+    ], ids=["certified-n", "certified-k", "certified-bool", "table1-float", "table1-str",
+            "build-n", "build-k"])
+    def test_rejected(self, call, monkeypatch):
+        monkeypatch.setattr(lpsolve, "solve", _no_call)
+        with pytest.raises(ValueError, match="need (an )?integer n"):
+            call()
 
 
 class TestScale:

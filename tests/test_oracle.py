@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from ghzsep import oracle
 from ghzsep.cli import WITNESS_MAX_CASES, main
@@ -159,10 +158,11 @@ class TestPhaseAverage:
         with pytest.raises(ArithmeticError, match=match):
             phase_average_oracle(part)
 
-    def test_verify_suite_finishes_at_the_guard(self):
-        result = CliRunner().invoke(main, ["verify", "--suite", "phase-oracle", "--limits", "n=10"])
-        assert result.exit_code == 0
-        records = [json.loads(line) for line in result.output.splitlines()]
+    def test_verify_suite_finishes_at_the_guard(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--suite", "phase-oracle", "--limits", "n=10"])
+        assert exit_.value.code == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(records) == sum(
             len(enumerate_partitions(n, k)) for n in range(2, 11) for k in range(2, n + 1)
         )

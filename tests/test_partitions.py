@@ -96,6 +96,19 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_partitions(3, 0)
 
+    @pytest.mark.parametrize("n, k", [(6, True), (True, 1), (6.5, 3), (6.0, 3), (6, 3.0),
+                                      ("6", 3), (None, 2)])
+    def test_counts_that_are_not_ints(self, n, k):
+        # a bool is an int subclass, but no count
+        with pytest.raises(ValueError, match="need integer n and k"):
+            enumerate_partitions(n, k)
+
+    def test_ordered_by_parts(self):
+        parts = enumerate_partitions(7, 3)
+        assert sorted(parts) == parts[::-1]
+        assert PartitionType((3, 2, 2)) < PartitionType((3, 3, 1)) <= PartitionType((3, 3, 1))
+        assert PartitionType((5, 1, 1)) > PartitionType((4, 2, 1))
+
 
 class TestGrammar:
     def test_parse_with_repeats(self):

@@ -1,0 +1,89 @@
+from fractions import Fraction
+
+import pytest
+
+from ghzsep.exactmath import CheckRecord
+from ghzsep.lpsolve import LpProblem, build_problem
+from ghzsep.partitions import PartitionType
+from ghzsep.record import Record
+from ghzsep.symstate import SymState
+
+
+class Pair(Record):
+    """A test record: two fields, the second with a default, and a check."""
+
+    a: int
+    b: int = 0
+
+    def _check(self):
+        if self.a < self.b:
+            raise ValueError("need a >= b")
+
+
+class Twin(Record):
+    a: int
+    b: int = 0
+
+
+class TestFields:
+    def test_named_once_in_order(self):
+        assert Pair.fields == ("a", "b")
+        assert CheckRecord.fields == ("check", "params", "passed", "detail")
+
+    def test_by_position_keyword_or_default(self):
+        assert Pair(3, 1) == Pair(a=3, b=1) == Pair(3, b=1)
+        assert Pair(3).b == 0
+        assert CheckRecord("c", {}, True).detail == ""
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}), ((1, 0, 2), {}), ((1,), {"a": 1}), ((1,), {"c": 2}), ((), {"b": 0}),
+    ], ids=["none", "too-many", "twice", "unknown", "missing"])
+    def test_bad_fields_are_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError, match="Pair takes the fields a, b"):
+            Pair(*args, **kwargs)
+
+
+class TestChecks:
+    def test_construction_runs_the_check(self):
+        with pytest.raises(ValueError, match="need a >= b"):
+            Pair(1, 2)
+
+    def test_replace_runs_the_check(self):
+        assert Pair(3, 1).replace(b=2) == Pair(3, 2)
+        with pytest.raises(ValueError, match="need a >= b"):
+            Pair(3, 1).replace(b=5)
+        with pytest.raises(ValueError, match="sorted non-increasing"):
+            PartitionType((3, 2)).replace(parts=(2, 3))
+
+    def test_replace_takes_only_fields(self):
+        with pytest.raises(TypeError):
+            Pair(3).replace(c=1)
+
+    def test_frozen(self):
+        p = Pair(3, 1)
+        with pytest.raises(AttributeError, match="Pair is frozen"):
+            p.a = 0
+        with pytest.raises(AttributeError, match="Pair is frozen"):
+            del p.b
+        assert (p.a, p.b) == (3, 1)
+
+
+class TestValue:
+    def test_equal_and_hash_by_fields(self):
+        assert Pair(3, 1) == Pair(3, 1) and Pair(3, 1) != Pair(3, 2)
+        assert hash(Pair(3, 1)) == hash(Pair(3, 1))
+        assert len({Pair(3, 1), Pair(3, 1), Pair(3)}) == 2
+
+    def test_equal_only_within_one_type(self):
+        assert Pair(3, 1) != Twin(3, 1)
+
+    def test_repr_names_the_fields(self):
+        assert repr(Pair(3, 1)) == "Pair(a=3, b=1)"
+        assert repr(SymState(Fraction(1, 2), (0, 1))) == (
+            "SymState(alpha=Fraction(1, 2), d=(0, 1))")
+
+    def test_derived_columns_are_not_compared(self):
+        prob = build_problem(7, 3)
+        assert prob.columns and prob == LpProblem(prob.partitions)
+        assert repr(prob).startswith("LpProblem(partitions=(")
+        assert "columns" not in repr(prob)

@@ -1,6 +1,4 @@
-import dataclasses
 import re
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -75,11 +73,11 @@ class TestNoisyGhz:
             SymState(Fraction(0), [Fraction(1, 2), Fraction(1, 2)])
 
     def test_qubit_count_is_read_from_the_diagonal(self):
-        assert [f.name for f in dataclasses.fields(SymState)] == ["alpha", "d"]
+        assert SymState.fields == ("alpha", "d")
         s = SymState(Fraction(0), (Fraction(1, 2), Fraction(1, 2)))
         assert s.n == 1 and s.trace() == 1
         with pytest.raises(TypeError):
-            replace(noisy_ghz(3, 0), n=4)
+            noisy_ghz(3, 0).replace(n=4)
 
 
 class TestPartitionAverage:
@@ -203,12 +201,12 @@ class TestPadToIsotropic:
 
     def test_threshold_is_read_from_the_padded_state(self):
         res = pad_to_isotropic(partition_average_state(parse_partition("1^2|2^2")))
-        assert [f.name for f in dataclasses.fields(PadResult)] == ["padded"]
+        assert PadResult.fields == ("padded",)
         assert (res.tau, res.p_s) == (3, Fraction(3, 35))
         assert PadResult(res.padded) == res
         for name in ("tau", "p_s"):
             with pytest.raises(TypeError):
-                replace(res, **{name: Fraction(99)})
+                res.replace(**{name: Fraction(99)})
 
     @pytest.mark.parametrize("state", [
         partition_average_state(parse_partition("1^2|2^2")),
