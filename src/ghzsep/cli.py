@@ -1,6 +1,11 @@
 """Command-line interface: thresholds, the LP table, curve data, and the
 verification suites.
 
+This module parses and prints.  It keeps the option tables, the parser,
+the help text, the printers and the map from the library's errors to
+exit codes; the suites that ``verify`` runs, their limits and their
+cases live in ``suites``, which only ``verify`` imports.
+
 It runs on the standard library alone.  Each command declares its options
 once, with ``_command``: name, kind, default, whether required, help,
 choices and whether repeatable.  ``_read`` and ``_convert`` read argv from
@@ -22,7 +27,10 @@ from contextlib import contextmanager, nullcontext
 SCHEMA_VERSION = 1
 _FORMATS = ("human", "json", "csv")
 
-WITNESS_MAX_CASES = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4))
+#: The names of the verify suites: ``suites.SUITES``'s keys, sorted.  The
+#: option table needs them before ``suites`` is imported, which only
+#: ``verify`` does.
+SUITE_NAMES = ("appendix", "charfn", "lemma1", "phase-oracle", "wident", "witness-max")
 
 #: Largest n whose closed-form rationals ``threshold`` and ``figure`` print:
 #: near n = 14,273 their digits pass Python's int-to-string limit.
@@ -423,137 +431,7 @@ def lp(n, k, fmt):
           "n,k,tau,p_s,certified", [(n, k, sol.tau, sol.p_s, True)])
 
 
-def _suite_limits(name, text):
-    """One suite's limits: the ``key=value`` overrides in ``text`` on top of
-    its defaults, validated.
-
-    A malformed or repeated entry, a key the suite does not declare, or a
-    value outside its range is a usage error raised before the suite runs.
-    """
-    overrides = {}
-    for piece in text.split(",") if text else ():
-        key, _, value = piece.partition("=")
-        key = key.strip()
-        if not key or not value:
-            raise _Fail(f"bad --limits entry {piece!r}; expected key=value")
-        if key in overrides:
-            raise _Fail(f"duplicate --limits key {key!r}")
-        try:
-            overrides[key] = int(value)
-        except ValueError:
-            raise _Fail(f"bad --limits value in {piece!r}")
-    declared = _SUITES[name][1]
-    unknown = sorted(set(overrides) - set(declared))
-    if unknown:
-        raise _Fail(
-            f"unknown --limits key(s) {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(declared))}"
-        )
-    values = {}
-    for key, (default, lo, hi) in declared.items():
-        value = overrides.get(key, default)
-        if not lo <= value <= hi:
-            raise _Fail(f"suite {name} needs {lo} <= {key} <= {hi}, got {key}={value}")
-        values[key] = value
-    return values
-
-
-def _suite_wident(seed, limits):
-    from .exactmath import verify_w_identities
-
-    for L in range(2, limits["L"] + 1):
-        yield from verify_w_identities(L)
-
-
-def _suite_appendix(seed, limits):
-    from .exactmath import CheckRecord, verify_appendix_inequality
-
-    n_max, l_max = limits["n"], limits["l"]
-    report = verify_appendix_inequality(n_max, l_max)
-    yield from report.violations
-    yield CheckRecord("padding-binomial-bound", {"n_max": n_max, "l_max": l_max},
-                      report.passed,
-                      f"checked={report.checked}, violations={len(report.violations)}")
-
-
-def _suite_lemma1(seed, limits):
-    import random
-    from fractions import Fraction
-
-    from .exactmath import CheckRecord, random_unit_rationals, verify_lemma1_inequality
-
-    samples = limits["samples"]
-    rng = random.Random(seed)
-    for n in range(4, limits["n"] + 1):
-        ok = True
-        ties = 0
-        for _ in range(samples):
-            z = random_unit_rationals(rng, n - 2)
-            res = verify_lemma1_inequality(z, n)
-            ok = ok and res.passed
-            ties += res.tight
-        zero = verify_lemma1_inequality((Fraction(0),) * (n - 2), n)
-        yield CheckRecord("block-eigenvalue-bound", {"n": n, "samples": samples},
-                          ok and zero.passed and zero.tight,
-                          f"tight_cases={ties}, zero_input_tight={zero.tight}")
-
-
-def _suite_phase_oracle(seed, limits):
-    from . import oracle
-    from .exactmath import CheckRecord
-    from .partitions import enumerate_partitions, format_partition
-    from .symstate import partition_average_state
-
-    for n in range(2, limits["n"] + 1):
-        for k in range(2, n + 1):
-            for part in enumerate_partitions(n, k):
-                same = oracle.phase_average_oracle(part) == partition_average_state(part)
-                yield CheckRecord("phase-average-equality",
-                                  {"n": n, "partition": format_partition(part)}, same)
-
-
-def _suite_witness_max(seed, limits):
-    from . import oracle
-    from .exactmath import CheckRecord
-    from .witness import sep_max
-
-    restarts, samples = limits["restarts"], limits["samples"]
-    for n, L in WITNESS_MAX_CASES:
-        bound = float(sep_max(n, L))
-        reached = oracle.maximize_over_product_states(n, L, restarts=restarts, seed=seed)
-        sampled = oracle.max_sampled_product_value(n, L, samples=samples, seed=seed)
-        ok = abs(reached - bound) <= 1e-6 and reached <= bound + 1e-9 and sampled <= bound + 1e-9
-        yield CheckRecord("witness-product-max", {"n": n, "L": L}, ok,
-                          f"bound={bound}, reached={reached:.12f}, sampled_max={sampled:.12f}")
-
-
-def _suite_charfn(seed, limits):
-    from fractions import Fraction
-
-    from . import oracle
-
-    for n in range(2, limits["n"] + 1):
-        for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            yield from oracle.characteristic_check(n, p)
-
-
-#: Each suite's generator and limit keys: key -> (default, smallest, largest).
-#: Every key is capped so that no suite runs for long inside its limits.  On a
-#: shared 2-core Xeon each suite takes under 10 s at its caps: the appendix
-#: sweep's Pascal table grows with (n + l)^2 entries, the wident sweep's time
-#: steeply with L, lemma 1's like samples * n^3 and witness-max's linearly in
-#: restarts and samples.
-_SUITES = {
-    "wident": (_suite_wident, {"L": (20, 2, 100)}),
-    "appendix": (_suite_appendix, {"n": (100, 4, 500), "l": (100, 2, 500)}),
-    "lemma1": (_suite_lemma1, {"n": (8, 4, 12), "samples": (10000, 1, 20000)}),
-    "phase-oracle": (_suite_phase_oracle, {"n": (8, 2, 10)}),
-    "witness-max": (_suite_witness_max, {"restarts": (64, 1, 1024), "samples": (10000, 1, 100000)}),
-    "charfn": (_suite_charfn, {"n": (6, 2, 8)}),
-}
-
-
-@_command(_Option("suite", "TEXT", required=True, choices=(*sorted(_SUITES), "all")),
+@_command(_Option("suite", "TEXT", required=True, choices=(*SUITE_NAMES, "all")),
           _Option("seed", default=42),
           _Option("limits", "TEXT", "", "Comma-separated key=value limit overrides."))
 def verify(suite, seed, limits):
@@ -561,19 +439,21 @@ def verify(suite, seed, limits):
     import json
     from importlib.util import find_spec
 
+    from . import suites
+
     if seed < 0:
         raise _Fail(f"need --seed >= 0, got {seed}")
     if suite == "all" and limits:
         raise _Fail(
             "--limits sets one suite's limits; --suite all runs each suite at its defaults")
-    names = sorted(_SUITES) if suite == "all" else [suite]
-    limits = {name: _suite_limits(name, limits) for name in names}
+    names = SUITE_NAMES if suite == "all" else [suite]
+    limits = {name: suites.read_limits(name, limits) for name in names}
     if "witness-max" in names and find_spec("numpy") is None:
         raise _Fail("suite witness-max needs numpy, from the probes extra: "
                     "pip install 'ghzsep[probes]'", usage=False)
     all_ok = True
     for name in names:
-        for record in _SUITES[name][0](seed, limits[name]):
+        for record in suites.SUITES[name][0](seed, limits[name]):
             all_ok = all_ok and record.passed
             _echo(json.dumps({"check": record.check, "params": record.params,
                               "pass": record.passed, "detail": record.detail}, sort_keys=True))

@@ -13,7 +13,8 @@ that exact ratio.  Anything else, a string, None, NaN or an infinity, is
 a ValueError naming the value.  ``exact`` and ``probability`` read one
 number, and ``as_tuple`` reads a sequence once, before anything takes
 its length, so a generator works and a non-iterable is a ValueError.
-It is the bottom layer: of ghzsep it imports only the record base.
+It is the bottom layer: of ghzsep it imports only ``record``, the record
+base and the count rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .record import Record
+from .record import Record, need_counts
 
 
 def as_tuple(values, name: str) -> tuple:
@@ -92,6 +93,7 @@ def w_coeff(L: int, n: int, l: int) -> int:
     sums; the lower summation bound is implicit, as ``math.comb`` is zero
     for n - j > L - l.
     """
+    need_counts(L=L, n=n, l=l)
     if not 0 <= n <= L:
         raise ValueError(f"need 0 <= n <= L, got n={n}, L={L}")
     if not 0 <= l <= L:
@@ -130,6 +132,7 @@ def verify_w_identities(L: int) -> list:
     l = L - 1 where they equal -(or +)2^(L-3).  The two edge contributions
     add when L = 2 and the sectors coincide.
     """
+    need_counts(L=L)
     if L < 2:
         raise ValueError(f"need L >= 2, got L={L}")
     records = []
@@ -180,6 +183,7 @@ def verify_appendix_inequality(n_max: int, l_max: int) -> SweepReport:
     of size l while preserving the per-sector padding bound.  The binomials
     are read from Pascal rows 0..n_max + l_max, built once.
     """
+    need_counts(n_max=n_max, l_max=l_max)
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
     if l_max < 2:
@@ -269,6 +273,7 @@ def verify_lemma1_inequality(z: Iterable, n: int) -> Lemma1Check:
     symmetric-state value.  Components are read by the module's intake
     rule, each as its exact integer ratio; anything else is a ValueError.
     """
+    need_counts(n=n)
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     ratios = [_ratio(x, "a component") for x in as_tuple(z, "the components")]

@@ -31,8 +31,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .partitions import enumerate_partitions, is_count, profile
-from .record import Record
+from .partitions import enumerate_partitions, profile
+from .record import Record, is_count, need_counts
 
 #: Largest n at which ``certified_solve`` and ``table1`` solve the LP, and
 #: so ``lp``, ``table1`` and ``thresholds.threshold``.  Every n = 30 cell
@@ -329,8 +329,7 @@ def mixed_state(sol: LpSolution):
 
 
 def _check_cap(n: int) -> None:
-    if not is_count(n):
-        raise ValueError(f"need an integer n, got {n!r}")
+    need_counts(n=n)
     if n > MAX_N:
         raise ValueError(f"the linear program is limited to n <= {MAX_N}, got n={n}")
 

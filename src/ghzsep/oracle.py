@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from .exactmath import CheckRecord, probability
 from .partitions import PartitionType
+from .record import need_counts
 from .symstate import SymState, noisy_ghz, to_dense
 from .witness import canonical_witness, ghz_witness_value
 
@@ -143,6 +144,7 @@ def characteristic_check(n: int, p) -> tuple:
     Returns the (correlation-pattern, nonzero-count) check records; a
     mismatch is a failed record, never an exception.
     """
+    need_counts(n=n)
     if n > 8:
         raise ValueError(f"characteristic sweep limited to n <= 8, got n={n}")
     p = probability(p)
@@ -245,6 +247,7 @@ def _dense_witness_scaled(n: int, L: int):
 
 def dense_witness(n: int, L: int):
     """Materialize the witness Q as a dense exact matrix of Fractions."""
+    need_counts(n=n, L=L)
     q, scale = _dense_witness_scaled(n, L)
     zero = Fraction(0)
     return [[Fraction(v, scale) if v else zero for v in row] for row in q]
@@ -347,6 +350,7 @@ def maximize_over_product_states(n: int, L: int, restarts: int = 64,
                                  seed: int = 42) -> float:
     """Best tr(rho Q) found over pure product states of the partition with
     one L-qubit party and n - L singles."""
+    need_counts(n=n, L=L)
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got restarts={restarts}")
     q = _dense_witness_float(n, L)
@@ -359,6 +363,7 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
     1^(n-L)|L partition; a soundness probe for the separability bound."""
     import numpy as np
 
+    need_counts(n=n, L=L)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got samples={samples}")
     q = _dense_witness_float(n, L)

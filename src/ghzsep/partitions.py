@@ -14,16 +14,7 @@ import functools
 import math
 import re
 
-from .record import Record
-
-
-def is_count(*values) -> bool:
-    """Whether every value is an int and not a bool: the rule for a qubit,
-    party or part count."""
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            return False
-    return True
+from .record import Record, is_count, need_counts
 
 
 @functools.total_ordering
@@ -148,6 +139,7 @@ def appendix_recursion_check(p: PartitionType, l: int) -> bool:
     f2(1)/(n+l) for i in [2, n+l-2].  Returns True when both the base
     bound and the extended bound hold.
     """
+    need_counts(l=l)
     if 1 not in p.parts:
         raise ValueError("partition must contain a single-qubit party")
     if l < 2:

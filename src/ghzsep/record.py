@@ -6,8 +6,30 @@ is built from its fields by position or keyword and then runs its
 class's ``_check``, and ``replace`` builds a new record the same way, so
 a changed record cannot skip the checks.  A record is frozen.  It equals
 a record of its own type whose fields are equal, and hashes by its field
-values.  This module imports nothing, so every layer can build on it.
+values.
+
+This module also holds the package's one rule for a qubit, party or
+block count: an int that is not a bool.  ``is_count`` tests it and
+``need_counts`` raises the ValueError.  This module imports nothing, so
+every layer can build on it.
 """
+
+
+def is_count(*values) -> bool:
+    """Whether every value is an int and not a bool: the rule for a qubit,
+    party or part count."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            return False
+    return True
+
+
+def need_counts(**values) -> None:
+    """A ValueError naming the first value that is not a count by
+    ``is_count``; a bool, though an int subclass, is not one."""
+    for name, value in values.items():
+        if not is_count(value):
+            raise ValueError(f"need an integer {name}, got {value!r}")
 
 
 class Record:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exactmath import as_tuple, exact, probability
 from .partitions import PartitionType, profile
-from .record import Record
+from .record import Record, need_counts
 
 
 class SymState(Record):
@@ -58,6 +58,7 @@ class SymState(Record):
 
 def noisy_ghz(n: int, p) -> SymState:
     """The n-qubit GHZ state mixed with white noise of weight 1 - p."""
+    need_counts(n=n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     p = probability(p)

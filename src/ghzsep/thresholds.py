@@ -48,13 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _need_ints(**values) -> None:
-    """A ValueError naming the first value that is not an int; a bool,
-    though an int subclass, is not one."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"need an integer {name}, got {value!r}")
+from .record import need_counts
 
 
 def threshold(n: int, k: int) -> tuple:
@@ -68,7 +62,7 @@ def threshold(n: int, k: int) -> tuple:
     ArithmeticError; a non-int n or k (a bool included), or a
     linear-program cell past the solver's size cap, raises ValueError.
     """
-    _need_ints(n=n, k=k)
+    need_counts(n=n, k=k)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     if k == n:
@@ -104,9 +98,9 @@ def figure1_data(n_min: int, n_max: int, j_list) -> list:
     from .exactmath import as_tuple
 
     j_list = as_tuple(j_list, "j_list")
-    _need_ints(n_min=n_min, n_max=n_max)
+    need_counts(n_min=n_min, n_max=n_max)
     for j in j_list:
-        _need_ints(j=j)
+        need_counts(j=j)
     if n_min < 2 or n_max < n_min:
         raise ValueError(f"invalid range [{n_min}, {n_max}]")
     if j_list and min(j_list) < 1:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .exactmath import (Lemma1Check, as_tuple, elem_sym, exact, probability,
                         verify_lemma1_inequality, w_coeff)
-from .record import Record
+from .record import Record, need_counts
 
 
 class WitnessSpec(Record):
@@ -38,6 +38,7 @@ class WitnessSpec(Record):
 
 def canonical_witness(n: int, L: int) -> WitnessSpec:
     """The choice M_i = (4i - n)/(n - L) that makes the block bound tight."""
+    need_counts(n=n, L=L)
     if not 2 <= L <= n - 1:
         raise ValueError(f"need 2 <= L <= n - 1, got n={n}, L={L}")
     return WitnessSpec(n, tuple(Fraction(4 * i - n, n - L) for i in range(1, n // 2 + 1)))
@@ -59,6 +60,7 @@ def ghz_witness_value(w: WitnessSpec, p) -> Fraction:
 def sep_max(n: int, L: int) -> Fraction:
     """Maximum of tr(rho Q) over states separable for the partition with
     n - L single qubits and one L-qubit party: n/(n - L)."""
+    need_counts(n=n, L=L)
     if not 2 <= L <= n - 1:
         raise ValueError(f"need 2 <= L <= n - 1, got n={n}, L={L}")
     return Fraction(n, n - L)

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from ghzsep import lpsolve, oracle
-from ghzsep.cli import _CLOSED_FORM_MAX_N, main
+from ghzsep import lpsolve, oracle, suites
+from ghzsep.cli import _CLOSED_FORM_MAX_N, SUITE_NAMES, main
 
 
 class _Tee(io.StringIO):
@@ -428,6 +428,10 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         assert f"suite {suite} needs {span}, got {limits}" in proc.stderr
 
+    def test_suite_names_are_the_suites_table(self):
+        # the option's choices are spelled out so that only verify imports suites
+        assert SUITE_NAMES == tuple(sorted(suites.SUITES))
+
     def test_limits_with_all_suites_exits_two(self, runner):
         # --limits sets one suite's limits: under --suite all, n would mean
         # a different bound to each of the four suites that read it
@@ -517,6 +521,24 @@ USAGE_ERRORS = {
         "lp", "Invalid value for '--n' / '--k': the linear program is limited to n <= 30, got n=40"),
     "table1 --nmax 5": _usage_error("table1", "need --nmax >= 6, got 5"),
     "verify --suite lemma1 --limits n=abc": _usage_error("verify", "bad --limits value in 'n=abc'"),
+    "verify --suite wident --limits L": _usage_error(
+        "verify", "bad --limits entry 'L'; expected key=value"),
+    "verify --suite wident --limits =3": _usage_error(
+        "verify", "bad --limits entry '=3'; expected key=value"),
+    "verify --suite wident --limits L=2,": _usage_error(
+        "verify", "bad --limits entry ''; expected key=value"),
+    "verify --suite wident --limits L=2,L=3": _usage_error("verify", "duplicate --limits key 'L'"),
+    "verify --suite wident --limits foo=1": _usage_error(
+        "verify", "unknown --limits key(s) foo; allowed: L"),
+    "verify --suite wident --limits L=1": _usage_error(
+        "verify", "suite wident needs 2 <= L <= 100, got L=1"),
+    "verify --suite wident --limits L=x": _usage_error("verify", "bad --limits value in 'L=x'"),
+    "verify --suite all --limits L=3": _usage_error(
+        "verify", "--limits sets one suite's limits; --suite all runs each suite at its defaults"),
+    "verify --suite wident --seed -1": _usage_error("verify", "need --seed >= 0, got -1"),
+    "verify --suite nope": _usage_error(
+        "verify", "Invalid value for '--suite': 'nope' is not one of 'appendix', 'charfn', "
+                  "'lemma1', 'phase-oracle', 'wident', 'witness-max', 'all'."),
     "figure --out curves": _usage_error(
         "figure", "Invalid value for '--out': File 'curves' is a directory."),
 }
@@ -668,19 +690,20 @@ runpy.run_module("ghzsep", run_name="__main__")
 """
 
 _LP = ["cli", "lpsolve", "partitions", "record"]
-_ORACLE = ["cli", "exactmath", "oracle", "partitions", "record", "symstate", "witness"]
+_EXACT = ["cli", "exactmath", "record", "suites"]
+_ORACLE = ["cli", "exactmath", "oracle", "partitions", "record", "suites", "symstate", "witness"]
 
 #: command line -> (the ghzsep submodules it loads, whether it loads numpy)
 IMPORT_SETS = {
     "--help": (["cli"], False),
     "lp --n 6 --k 3": (_LP, False),
     "table1 --nmax 6": (_LP, False),
-    "threshold --n 5 --k 4": (["cli", "thresholds"], False),
+    "threshold --n 5 --k 4": (["cli", "record", "thresholds"], False),
     "threshold --n 6 --k 3": (_LP + ["thresholds"], False),
     "figure --nmax 4": (["cli", "exactmath", "record", "thresholds"], False),
-    "verify --suite wident --limits L=2": (["cli", "exactmath", "record"], False),
-    "verify --suite appendix --limits n=4,l=2": (["cli", "exactmath", "record"], False),
-    "verify --suite lemma1 --limits n=4,samples=1": (["cli", "exactmath", "record"], False),
+    "verify --suite wident --limits L=2": (_EXACT, False),
+    "verify --suite appendix --limits n=4,l=2": (_EXACT, False),
+    "verify --suite lemma1 --limits n=4,samples=1": (_EXACT, False),
     "verify --suite phase-oracle --limits n=2": (_ORACLE, False),
     "verify --suite charfn --limits n=2": (_ORACLE, False),
     "verify --suite witness-max --limits restarts=1,samples=1": (_ORACLE, True),

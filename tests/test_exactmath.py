@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsep import exactmath
-from ghzsep.cli import _suite_lemma1, _suite_limits
 from ghzsep.exactmath import (
     as_tuple,
     elem_sym,
@@ -22,6 +21,7 @@ from ghzsep.exactmath import (
     verify_w_identities,
     w_coeff,
 )
+from ghzsep.suites import lemma1, read_limits
 
 
 def brute_elem_sym(values):
@@ -364,8 +364,8 @@ class TestLemma1:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_suite_tight_cases_match_fraction_recount(self, seed):
-        limits = _suite_limits("lemma1", "n=6,samples=300")
-        details = [record.detail for record in _suite_lemma1(seed, limits)]
+        limits = read_limits("lemma1", "n=6,samples=300")
+        details = [record.detail for record in lemma1(seed, limits)]
         rng = random.Random(seed)
         want = []
         for n in range(4, 7):

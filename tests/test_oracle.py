@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghzsep import oracle
-from ghzsep.cli import WITNESS_MAX_CASES, main
+from ghzsep.cli import main
 from ghzsep.oracle import (
     _block_partition,
     _dense_witness_float,
@@ -20,6 +20,7 @@ from ghzsep.oracle import (
     phase_average_oracle,
 )
 from ghzsep.partitions import PartitionType, enumerate_partitions, parse_partition
+from ghzsep.suites import WITNESS_MAX_CASES
 from ghzsep.symstate import noisy_ghz, partition_average_state, to_dense
 from ghzsep.witness import canonical_witness, ghz_witness_value, sep_max
 

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from ghzsep.exactmath import CheckRecord
+from ghzsep.exactmath import (CheckRecord, verify_appendix_inequality, verify_lemma1_inequality,
+                              verify_w_identities, w_coeff)
 from ghzsep.lpsolve import LpProblem, build_problem
+from ghzsep.oracle import characteristic_check
 from ghzsep.partitions import PartitionType
 from ghzsep.record import Record
-from ghzsep.symstate import SymState
+from ghzsep.symstate import SymState, noisy_ghz
+from ghzsep.witness import canonical_witness, gamma_diagonal, sep_max
 
 
 class Pair(Record):
@@ -87,3 +90,29 @@ class TestValue:
         assert prob.columns and prob == LpProblem(prob.partitions)
         assert repr(prob).startswith("LpProblem(partitions=(")
         assert "columns" not in repr(prob)
+
+
+#: Calls whose count is no int, and the value each error names.  Each
+#: ended in a TypeError, returned float fields or read True as 1.
+_NOT_COUNTS = [
+    (noisy_ghz, (3.5, 0.5), "n, got 3.5"),
+    (noisy_ghz, (3.0, 0.5), "n, got 3.0"),
+    (noisy_ghz, (True, 0.5), "n, got True"),
+    (canonical_witness, (5.5, 2), "n, got 5.5"),
+    (sep_max, (5.0, 2), "n, got 5.0"),
+    (gamma_diagonal, (4.0, 2, (0, 0)), "n, got 4.0"),
+    (w_coeff, (4.0, 2, 1), "L, got 4.0"),
+    (verify_w_identities, (4.0,), "L, got 4.0"),
+    (verify_appendix_inequality, (6.0, 2), "n_max, got 6.0"),
+    (characteristic_check, (3.0, 0), "n, got 3.0"),
+    (verify_lemma1_inequality, ((0,), 3.0), "n, got 3.0"),
+    (verify_lemma1_inequality, ((0,), None), "n, got None"),
+]
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("fn, args, named", _NOT_COUNTS,
+                             ids=[f"{fn.__name__}{args}" for fn, args, _ in _NOT_COUNTS])
+    def test_library_counts_that_are_not_ints(self, fn, args, named):
+        with pytest.raises(ValueError, match=f"^need an integer {named}$"):
+            fn(*args)
