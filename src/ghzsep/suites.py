@@ -49,6 +49,8 @@ def read_limits(name, text):
 
 
 def wident(seed, limits):
+    """The parity-sum and first-moment identities of the sector
+    coefficients, for every block size 2 <= L <= ``limits["L"]``."""
     from .exactmath import verify_w_identities
 
     for L in range(2, limits["L"] + 1):
@@ -56,6 +58,8 @@ def wident(seed, limits):
 
 
 def appendix(seed, limits):
+    """Each violation of the padding binomial bound up to ``n`` and ``l``,
+    then one record that counts the cases checked."""
     from .exactmath import CheckRecord, verify_appendix_inequality
 
     n_max, l_max = limits["n"], limits["l"]
@@ -67,6 +71,8 @@ def appendix(seed, limits):
 
 
 def lemma1(seed, limits):
+    """Lemma 1's block bound on ``samples`` seeded random exact rationals
+    and on the zero input, one record per 4 <= n <= ``limits["n"]``."""
     import random
     from fractions import Fraction
 
@@ -89,6 +95,8 @@ def lemma1(seed, limits):
 
 
 def phase_oracle(seed, limits):
+    """The explicit phase average of every partition with
+    2 <= k <= n <= ``limits["n"]`` against the closed form."""
     from . import oracle
     from .exactmath import CheckRecord
     from .partitions import enumerate_partitions, format_partition
@@ -103,6 +111,8 @@ def phase_oracle(seed, limits):
 
 
 def witness_max(seed, limits):
+    """The float product-state maxima of each of ``WITNESS_MAX_CASES``
+    against the exact bound n/(n-L); it needs numpy."""
     from . import oracle
     from .exactmath import CheckRecord
     from .witness import sep_max
@@ -118,6 +128,8 @@ def witness_max(seed, limits):
 
 
 def charfn(seed, limits):
+    """Every Pauli expectation of the dense noisy GHZ state at p = 0, 1/2
+    and 1, for 2 <= n <= ``limits["n"]``."""
     from fractions import Fraction
 
     from . import oracle
