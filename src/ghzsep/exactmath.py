@@ -110,7 +110,7 @@ class CheckRecord(Record):
     check: str
     params: dict
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 class SweepReport(Record):
@@ -303,6 +303,9 @@ def verify_lemma1_inequality(z: Iterable, n: int) -> Lemma1Check:
 
 def random_unit_rationals(rng: random.Random, length: int) -> tuple:
     """Seeded random exact rationals in [-1, 1] with denominators <= 64."""
+    need_counts(length=length)
+    if length < 0:
+        raise ValueError(f"need length >= 0, got length={length}")
     out = []
     for _ in range(length):
         den = rng.randint(1, 64)

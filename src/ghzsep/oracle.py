@@ -343,14 +343,14 @@ def _maximize_partition(q, part: PartitionType, restarts, seed) -> float:
 
 
 def _block_partition(n: int, L: int) -> PartitionType:
-    return PartitionType.from_sizes([L] + [1] * (n - L))
+    return PartitionType((L,) + (1,) * (n - L))
 
 
 def maximize_over_product_states(n: int, L: int, restarts: int = 64,
                                  seed: int = 42) -> float:
     """Best tr(rho Q) found over pure product states of the partition with
     one L-qubit party and n - L singles."""
-    need_counts(n=n, L=L)
+    need_counts(n=n, L=L, restarts=restarts)
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got restarts={restarts}")
     q = _dense_witness_float(n, L)
@@ -361,11 +361,11 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
                               seed: int = 42) -> float:
     """Largest tr(rho Q) over Haar-random product states of the
     1^(n-L)|L partition; a soundness probe for the separability bound."""
-    import numpy as np
-
-    need_counts(n=n, L=L)
+    need_counts(n=n, L=L, samples=samples)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got samples={samples}")
+    import numpy as np
+
     q = _dense_witness_float(n, L)
     part = _block_partition(n, L)
     rng = np.random.default_rng(seed)

@@ -35,10 +35,6 @@ class PartitionType(Record):
         if list(self.parts) != sorted(self.parts, reverse=True):
             raise ValueError("parts must be sorted non-increasing")
 
-    @classmethod
-    def from_sizes(cls, sizes) -> "PartitionType":
-        return cls(tuple(sorted(sizes, reverse=True)))
-
     @property
     def n(self) -> int:
         """Total number of qubits."""
@@ -102,7 +98,7 @@ def parse_partition(text: str) -> PartitionType:
         if count < 1:
             raise ValueError(f"repeat count must be positive, got {count}")
         sizes.extend([size] * count)
-    return PartitionType.from_sizes(sizes)
+    return PartitionType(tuple(sorted(sizes, reverse=True)))
 
 
 def format_partition(p: PartitionType) -> str:

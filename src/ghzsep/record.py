@@ -1,23 +1,21 @@
 """Frozen value records: the one base of every ghzsep record.
 
 A record class names its stored fields once, as class annotations, in
-order; a field's default is the class attribute of that name.  A record
-is built from its fields by position or keyword and then runs its
-class's ``_check``, and ``replace`` builds a new record the same way, so
-a changed record cannot skip the checks.  A record is frozen.  It equals
-a record of its own type whose fields are equal, and hashes by its field
-values.
+order.  A record is built one way: from every field's value, by position
+and in that order; then it runs its class's ``_check``.  A record is
+frozen, so a different record is a new construction and cannot skip the
+checks.  It equals a record of its own type whose fields are equal, and
+hashes by its field values.
 
-This module also holds the package's one rule for a qubit, party or
-block count: an int that is not a bool.  ``is_count`` tests it and
-``need_counts`` raises the ValueError.  This module imports nothing, so
-every layer can build on it.
+This module also holds the package's one rule for a count (of qubits,
+parties, blocks, samples, restarts or drawn values): an int that is not
+a bool.  ``is_count`` tests it and ``need_counts`` raises the ValueError.
+This module imports nothing, so every layer can build on it.
 """
 
 
 def is_count(*values) -> bool:
-    """Whether every value is an int and not a bool: the rule for a qubit,
-    party or part count."""
+    """Whether every value is an int and not a bool: the count rule."""
     for x in values:
         if not isinstance(x, int) or isinstance(x, bool):
             return False
@@ -33,34 +31,21 @@ def need_counts(**values) -> None:
 
 
 class Record:
-    """Base of the frozen records.  ``fields`` names the stored values."""
+    """Base of the frozen records.  A subclass's ``fields`` names its
+    stored values."""
 
-    fields = ()
-    _defaults = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls.fields = tuple(cls.__annotations__)
-        cls._defaults = {name: vars(cls)[name] for name in cls.fields if name in vars(cls)}
 
-    def __init__(self, *args, **kwargs):
-        fields = self.fields
-        if kwargs or len(args) != len(fields):
-            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-            if len(args) > len(fields) or len(values) != len(fields) or (
-                    kwargs and not set(kwargs) <= set(fields[len(args):])):
-                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}, "
-                                f"got {len(args)} positional and {sorted(kwargs)}")
-            args = [values[name] for name in fields]
-        self.__dict__.update(zip(fields, args))
+    def __init__(self, *values):
+        if len(values) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.fields)}, "
+                            f"got {len(values)} values")
+        self.__dict__.update(zip(self.fields, values))
         self._check()
 
     def _check(self) -> None:
         """Raise ValueError if the fields do not make a valid record."""
-
-    def replace(self, **changes):
-        """A copy with ``changes`` applied, checked like a new record."""
-        return type(self)(**{**dict(zip(self.fields, self._values())), **changes})
 
     def _values(self) -> tuple:
         return tuple(self.__dict__[name] for name in self.fields)

@@ -107,7 +107,7 @@ def phase_oracle(seed, limits):
             for part in enumerate_partitions(n, k):
                 same = oracle.phase_average_oracle(part) == partition_average_state(part)
                 yield CheckRecord("phase-average-equality",
-                                  {"n": n, "partition": format_partition(part)}, same)
+                                  {"n": n, "partition": format_partition(part)}, same, "")
 
 
 def witness_max(seed, limits):

@@ -166,7 +166,7 @@ def test_ac2_pair_ladder_closed_form():
     cases = 0
     for n in range(3, 15):
         for j in range(1, (n - 1) // 2 + 1):
-            part = PartitionType.from_sizes([2] * j + [1] * (n - 2 * j))
+            part = PartitionType((2,) * j + (1,) * (n - 2 * j))
             res = pad_to_isotropic(partition_average_state(part))
             expected = Fraction(1, 1 + Fraction(n - 2 * j, n) * 2 ** (n - 1))
             assert res.p_s == expected == threshold(n, n - j)[0], (n, j)

@@ -291,6 +291,15 @@ class TestLpCommand:
     def test_invalid_cell_exits_two(self, runner):
         assert runner.invoke(main, ["lp", "--n", "4", "--k", "9"]).exit_code == 2
 
+    def test_interrupt_is_aborted(self, runner, monkeypatch):
+        # as click's standalone mode: a blank line and "Aborted!" on stderr, exit 1
+        def interrupt(n, k):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lpsolve, "certified_solve", interrupt)
+        result = runner.invoke(main, ["lp", "--n", "6", "--k", "3"])
+        assert (result.exit_code, result.stdout, result.output) == (1, "", "\nAborted!\n")
+
     def test_thirty_eight_certified_at_cap(self, runner):
         result = runner.invoke(main, ["lp", "--n", "30", "--k", "8", "--format", "json"])
         assert result.exit_code == 0
@@ -541,6 +550,18 @@ USAGE_ERRORS = {
                   "'lemma1', 'phase-oracle', 'wident', 'witness-max', 'all'."),
     "figure --out curves": _usage_error(
         "figure", "Invalid value for '--out': File 'curves' is a directory."),
+    "lp --n": "Error: Option '--n' requires an argument.\n",
+    "table1 --check=1": "Error: Option '--check' does not take a value.\n",
+    "lp -x": _usage_error("lp", "No such option '-x'."),
+    "-x": _usage_error("", "No such option '-x'."),
+    "--bogus": _usage_error("", "No such option '--bogus'."),
+    "lp --n 6 --k 3 extra": _usage_error("lp", "Got unexpected extra argument (extra)"),
+    "lp --n 6 --k 3 a b": _usage_error("lp", "Got unexpected extra arguments (a b)"),
+    "lp --nn 6 --k 3": _usage_error("lp", "No such option '--nn'. Did you mean '--n'?"),
+    "verify --sute lemma1": _usage_error(
+        "verify", "No such option '--sute'. (Did you mean one of: '--seed', '--suite'?)"),
+    "lp -- --n 6": _usage_error("lp", "Missing option '--n'."),
+    "-- --bogus": _usage_error("", "No such option '--bogus'."),
 }
 
 
@@ -854,3 +875,8 @@ class TestHelpText:
         result = runner.invoke(main, [*command, "--help"], prog_name="ghzsep")
         assert result.exit_code == 0
         assert result.output == HELP_TEXT[command]
+
+    def test_help_after_double_dash(self, runner):
+        # click read a "--help" after "--" as the group's option
+        result = runner.invoke(main, ["--", "--help"], prog_name="ghzsep")
+        assert (result.exit_code, result.output) == (0, HELP_TEXT[()])

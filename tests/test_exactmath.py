@@ -389,9 +389,9 @@ class TestLemma1:
         assert check.v == Fraction(7, 6) == check.b - check.a
         assert check.passed and not check.tight
         # the verdict and u, v are read from the integers, not set beside them
-        for name, value in (("passed", False), ("tight", True), ("mu", 0), ("mv", 0), ("den", 1)):
-            with pytest.raises(TypeError):
-                check.replace(**{name: value})
+        stored = [getattr(check, name) for name in check.fields]
+        with pytest.raises(TypeError, match="Lemma1Check takes the fields .*, got 6 values"):
+            type(check)(*stored, check.passed)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -468,3 +468,7 @@ class TestFormatting:
         assert all(v.denominator <= 64 for v in vals)
         rng2 = random.Random(5)
         assert random_unit_rationals(rng2, 100) == vals
+
+    def test_negative_length_raises(self):
+        with pytest.raises(ValueError, match="need length >= 0, got length=-1"):
+            random_unit_rationals(random.Random(0), -1)

@@ -53,11 +53,8 @@ class TestProblemIsItsPartitions:
         assert LpProblem(prob.partitions) == prob
         assert (prob.n, prob.k) == (8, 3)
         # what is read from the partitions cannot be set beside them
-        for name, value in (("n", 9), ("k", 5)):
-            with pytest.raises(TypeError):
-                prob.replace(**{name: value})
-        with pytest.raises(TypeError):
-            prob.replace(columns=prob.columns[::-1])
+        with pytest.raises(TypeError, match="LpProblem takes the fields partitions, got 2 values"):
+            LpProblem(prob.partitions, prob.columns[::-1])
 
     @pytest.mark.parametrize(
         "partitions",
@@ -86,7 +83,7 @@ class TestProblemIsItsPartitions:
     def test_reordered_partitions_carry_their_columns(self):
         prob = build_problem(8, 3)
         sol = solve(prob)
-        rev = prob.replace(partitions=prob.partitions[::-1])
+        rev = LpProblem(prob.partitions[::-1])
         assert rev.columns == prob.columns[::-1]
         rsol = solve(rev)
         assert verify_solution(rev, rsol)
@@ -151,8 +148,9 @@ class TestSolve:
         assert "support" not in sol.fields
         assert [(str(p), w) for p, w in sol.support] == [
             ("1|2|3", Fraction(2, 3)), ("2^3", Fraction(1, 3))]
-        # a replaced weight vector carries its own support
-        moved = sol.replace(weights=(Fraction(0),) * (len(sol.weights) - 1) + (Fraction(1),))
+        # another weight vector carries its own support
+        moved = LpSolution(sol.problem, (Fraction(0),) * (len(sol.weights) - 1) + (Fraction(1),),
+                           sol.dual, sol.pivots)
         assert moved.support == ((sol.partitions[-1], Fraction(1)),)
 
     def test_stored_fields_are_problem_weights_dual_pivots(self):
@@ -162,9 +160,8 @@ class TestSolve:
         assert sol.problem is prob
         assert (sol.n, sol.k, sol.partitions) == (8, 3, prob.partitions)
         # what is read from the problem or the weights cannot be set beside them
-        for name, value in (("t", sol.t / 2), ("binding", ()), ("n", 9)):
-            with pytest.raises(TypeError):
-                sol.replace(**{name: value})
+        with pytest.raises(TypeError, match="LpSolution takes the fields .*, got 5 values"):
+            LpSolution(sol.problem, sol.weights, sol.dual, sol.pivots, sol.t / 2)
 
 
 def _ratio_rows(prob, weights):
@@ -185,7 +182,7 @@ class TestValueReadFromWeights:
                 prob = build_problem(n, k)
                 sol = solve(prob)
                 m = len(prob.partitions)
-                for s in (sol, sol.replace(weights=(Fraction(1, m),) * m)):
+                for s in (sol, LpSolution(prob, (Fraction(1, m),) * m, sol.dual, sol.pivots)):
                     rows = _ratio_rows(prob, s.weights)
                     assert s.t == max(rows), (n, k)
                     assert s.binding == tuple(i for i, r in enumerate(rows, 1) if r == s.t), (n, k)
@@ -196,7 +193,7 @@ class TestVerifierRejectsBadCertificates:
         prob = build_problem(6, 3)
         sol = solve(prob)
         # put all weight on the first partition (4+1+1): feasible but not optimal
-        forged = sol.replace(weights=(Fraction(1), Fraction(0), Fraction(0)))
+        forged = LpSolution(prob, (Fraction(1), Fraction(0), Fraction(0)), sol.dual, sol.pivots)
         assert forged.t == max(_ratio_rows(prob, forged.weights)) > sol.t
         assert not verify_solution(prob, forged)
 
@@ -212,20 +209,27 @@ class TestVerifierRejectsBadCertificates:
 # column sum as it was.  The three inexact forgeries carry the optimum's
 # values as floats or strings, which pass every other check or break it.
 FORGERIES = {
-    "problem-swapped": lambda s: s.replace(problem=build_problem(7, 4)),
-    "float-weights": lambda s: s.replace(weights=tuple(float(w) for w in s.weights)),
-    "string-weights": lambda s: s.replace(weights=tuple(str(w) for w in s.weights)),
-    "string-dual": lambda s: s.replace(dual=tuple(str(y) for y in s.dual)),
-    "negative-weight": lambda s: s.replace(
-        weights=(0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20))),
-    "weights-sum-below-one": lambda s: s.replace(weights=tuple(w / 2 for w in s.weights)),
-    "short-weights": lambda s: s.replace(weights=s.weights[:-1]),
-    "negative-dual": lambda s: s.replace(
-        dual=s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:]),
-    "dual-sum-above-one": lambda s: s.replace(dual=tuple(2 * y for y in s.dual)),
-    "short-dual": lambda s: s.replace(dual=s.dual[:-1]),
-    "dual-on-slack-row": lambda s: s.replace(dual=(0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:]),
-    "weight-on-zero-column": lambda s: s.replace(weights=s.weights[2:3] + (0, 0) + s.weights[3:]),
+    "problem-swapped": lambda s: LpSolution(build_problem(7, 4), s.weights, s.dual, s.pivots),
+    "float-weights": lambda s: LpSolution(
+        s.problem, tuple(float(w) for w in s.weights), s.dual, s.pivots),
+    "string-weights": lambda s: LpSolution(
+        s.problem, tuple(str(w) for w in s.weights), s.dual, s.pivots),
+    "string-dual": lambda s: LpSolution(s.problem, s.weights, tuple(str(y) for y in s.dual), s.pivots),
+    "negative-weight": lambda s: LpSolution(
+        s.problem, (0, Fraction(-1, 10), Fraction(9, 20), Fraction(13, 20)), s.dual, s.pivots),
+    "weights-sum-below-one": lambda s: LpSolution(
+        s.problem, tuple(w / 2 for w in s.weights), s.dual, s.pivots),
+    "short-weights": lambda s: LpSolution(s.problem, s.weights[:-1], s.dual, s.pivots),
+    "negative-dual": lambda s: LpSolution(
+        s.problem, s.weights, s.dual[:2] + (Fraction(-1, 10), Fraction(1, 10)) + s.dual[4:],
+        s.pivots),
+    "dual-sum-above-one": lambda s: LpSolution(
+        s.problem, s.weights, tuple(2 * y for y in s.dual), s.pivots),
+    "short-dual": lambda s: LpSolution(s.problem, s.weights, s.dual[:-1], s.pivots),
+    "dual-on-slack-row": lambda s: LpSolution(
+        s.problem, s.weights, (0,) + s.dual[1:2] + s.dual[:1] + s.dual[3:], s.pivots),
+    "weight-on-zero-column": lambda s: LpSolution(
+        s.problem, s.weights[2:3] + (0, 0) + s.weights[3:], s.dual, s.pivots),
 }
 
 

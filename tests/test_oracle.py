@@ -432,8 +432,8 @@ class TestProductStateSearch:
 
     @pytest.mark.parametrize("n, L, part", [
         *((n, L, _block_partition(n, L)) for n, L in WITNESS_MAX_CASES),
-        (6, 4, PartitionType.from_sizes([2, 2, 1, 1])),
-        (5, 4, PartitionType.from_sizes([2, 2, 1])),
+        (6, 4, PartitionType((2, 2, 1, 1))),
+        (5, 4, PartitionType((2, 2, 1))),
     ], ids=str)
     def test_batched_ascent_matches_per_restart(self, n, L, part):
         # 130 restarts span three blocks of restarts
@@ -450,17 +450,17 @@ class TestProductStateSearch:
             assert max_sampled_product_value(n, L, samples=2000, seed=5) <= bound + 1e-9
 
     def test_split_preserves_bound(self):
-        assert split_monotonicity_check(6, 4, PartitionType.from_sizes([2, 2, 1, 1]), restarts=8)
-        assert split_monotonicity_check(5, 4, PartitionType.from_sizes([2, 2, 1]), restarts=8)
+        assert split_monotonicity_check(6, 4, PartitionType((2, 2, 1, 1)), restarts=8)
+        assert split_monotonicity_check(5, 4, PartitionType((2, 2, 1)), restarts=8)
 
     def test_split_identity_partition(self):
-        assert split_monotonicity_check(4, 2, PartitionType.from_sizes([2, 1, 1]), restarts=8)
+        assert split_monotonicity_check(4, 2, PartitionType((2, 1, 1)), restarts=8)
 
     def test_split_validation(self):
         with pytest.raises(ValueError):
-            split_monotonicity_check(6, 4, PartitionType.from_sizes([2, 2, 2]))
+            split_monotonicity_check(6, 4, PartitionType((2, 2, 2)))
         with pytest.raises(ValueError):
-            split_monotonicity_check(6, 4, PartitionType.from_sizes([3, 1, 1, 1]))
+            split_monotonicity_check(6, 4, PartitionType((3, 1, 1, 1)))
 
 
 class TestPsdCrossCheck:

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from ghzsep.exactmath import (CheckRecord, verify_appendix_inequality, verify_lemma1_inequality,
-                              verify_w_identities, w_coeff)
+from ghzsep.exactmath import (CheckRecord, random_unit_rationals, verify_appendix_inequality,
+                              verify_lemma1_inequality, verify_w_identities, w_coeff)
 from ghzsep.lpsolve import LpProblem, build_problem
-from ghzsep.oracle import characteristic_check
+from ghzsep.oracle import (characteristic_check, max_sampled_product_value,
+                           maximize_over_product_states)
 from ghzsep.partitions import PartitionType
 from ghzsep.record import Record
 from ghzsep.symstate import SymState, noisy_ghz
@@ -13,10 +14,10 @@ from ghzsep.witness import canonical_witness, gamma_diagonal, sep_max
 
 
 class Pair(Record):
-    """A test record: two fields, the second with a default, and a check."""
+    """A test record: two fields and a check."""
 
     a: int
-    b: int = 0
+    b: int
 
     def _check(self):
         if self.a < self.b:
@@ -25,7 +26,7 @@ class Pair(Record):
 
 class Twin(Record):
     a: int
-    b: int = 0
+    b: int
 
 
 class TestFields:
@@ -33,34 +34,28 @@ class TestFields:
         assert Pair.fields == ("a", "b")
         assert CheckRecord.fields == ("check", "params", "passed", "detail")
 
-    def test_by_position_keyword_or_default(self):
-        assert Pair(3, 1) == Pair(a=3, b=1) == Pair(3, b=1)
-        assert Pair(3).b == 0
-        assert CheckRecord("c", {}, True).detail == ""
-
-    @pytest.mark.parametrize("args, kwargs", [
-        ((), {}), ((1, 0, 2), {}), ((1,), {"a": 1}), ((1,), {"c": 2}), ((), {"b": 0}),
-    ], ids=["none", "too-many", "twice", "unknown", "missing"])
-    def test_bad_fields_are_a_type_error(self, args, kwargs):
-        with pytest.raises(TypeError, match="Pair takes the fields a, b"):
-            Pair(*args, **kwargs)
+    @pytest.mark.parametrize("record, args, kwargs, message", [
+        (Pair, (), {}, "Pair takes the fields a, b, got 0 values"),
+        (Pair, (1, 0, 2), {}, "Pair takes the fields a, b, got 3 values"),
+        (Pair, (1,), {}, "Pair takes the fields a, b, got 1 values"),
+        (Pair, (1,), {"a": 1}, "unexpected keyword argument 'a'"),
+        (Pair, (1,), {"c": 2}, "unexpected keyword argument 'c'"),
+        (Pair, (), {"a": 1, "b": 0}, "unexpected keyword argument 'a'"),
+        (CheckRecord, ("c", {}, True), {},
+         "CheckRecord takes the fields check, params, passed, detail, got 3 values"),
+    ], ids=["none", "too-many", "missing", "twice", "unknown", "keywords", "no-default"])
+    def test_bad_fields_are_a_type_error(self, record, args, kwargs, message):
+        # a record is built from every field, by position: no keyword, no default
+        with pytest.raises(TypeError, match=message):
+            record(*args, **kwargs)
 
 
 class TestChecks:
     def test_construction_runs_the_check(self):
         with pytest.raises(ValueError, match="need a >= b"):
             Pair(1, 2)
-
-    def test_replace_runs_the_check(self):
-        assert Pair(3, 1).replace(b=2) == Pair(3, 2)
-        with pytest.raises(ValueError, match="need a >= b"):
-            Pair(3, 1).replace(b=5)
         with pytest.raises(ValueError, match="sorted non-increasing"):
-            PartitionType((3, 2)).replace(parts=(2, 3))
-
-    def test_replace_takes_only_fields(self):
-        with pytest.raises(TypeError):
-            Pair(3).replace(c=1)
+            PartitionType((2, 3))
 
     def test_frozen(self):
         p = Pair(3, 1)
@@ -75,7 +70,7 @@ class TestValue:
     def test_equal_and_hash_by_fields(self):
         assert Pair(3, 1) == Pair(3, 1) and Pair(3, 1) != Pair(3, 2)
         assert hash(Pair(3, 1)) == hash(Pair(3, 1))
-        assert len({Pair(3, 1), Pair(3, 1), Pair(3)}) == 2
+        assert len({Pair(3, 1), Pair(3, 1), Pair(3, 0)}) == 2
 
     def test_equal_only_within_one_type(self):
         assert Pair(3, 1) != Twin(3, 1)
@@ -93,7 +88,8 @@ class TestValue:
 
 
 #: Calls whose count is no int, and the value each error names.  Each
-#: ended in a TypeError, returned float fields or read True as 1.
+#: ended in a TypeError, returned float fields or read True as 1.  A count
+#: is checked before any draw, so None stands in for the generator.
 _NOT_COUNTS = [
     (noisy_ghz, (3.5, 0.5), "n, got 3.5"),
     (noisy_ghz, (3.0, 0.5), "n, got 3.0"),
@@ -107,6 +103,12 @@ _NOT_COUNTS = [
     (characteristic_check, (3.0, 0), "n, got 3.0"),
     (verify_lemma1_inequality, ((0,), 3.0), "n, got 3.0"),
     (verify_lemma1_inequality, ((0,), None), "n, got None"),
+    (maximize_over_product_states, (3, 2, 2.5), "restarts, got 2.5"),
+    (maximize_over_product_states, (3, 2, True), "restarts, got True"),
+    (max_sampled_product_value, (3, 2, 2.5), "samples, got 2.5"),
+    (max_sampled_product_value, (3, 2, True), "samples, got True"),
+    (random_unit_rationals, (None, 2.5), "length, got 2.5"),
+    (random_unit_rationals, (None, True), "length, got True"),
 ]
 
 
