@@ -289,24 +289,14 @@ def _help(usage, text, options, commands=None):
     return "\n".join(lines)
 
 
-def _program_name():
-    """How the program was started, as click names it: ``python -m
-    ghzsep`` under ``-m``, else the basename of ``sys.argv[0]``."""
-    package = getattr(sys.modules["__main__"], "__package__", None)
-    name = os.path.basename(sys.argv[0])
-    if not package:
-        return name
-    module = os.path.splitext(name)[0]
-    return "python -m " + (package if module == "__main__" else f"{package}.{module}").lstrip(".")
-
-
 def main(args=None, prog_name=None, standalone_mode=True):
     """Run one command line, ``args`` or else ``sys.argv[1:]``, under
-    ``prog_name`` or else the program's name.  Bad input exits 2 and a
-    failed command 1, always through SystemExit, so ``standalone_mode``,
-    which click's entry point took, changes nothing."""
+    ``prog_name`` or else the basename of ``sys.argv[0]``, which names the
+    ``ghzsep`` script; the ``-m`` entry points pass their own names.  Bad
+    input exits 2 and a failed command 1, always through SystemExit, so
+    ``standalone_mode``, which click's entry point took, changes nothing."""
     argv = sys.argv[1:] if args is None else list(args)
-    prog = command = prog_name or _program_name()
+    prog = command = prog_name or os.path.basename(sys.argv[0])
     usage = f"{prog} [OPTIONS] COMMAND [ARGS]..."
     try:
         if not argv:
@@ -461,4 +451,4 @@ def verify(suite, seed, limits):
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m ghzsep.cli")

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .partitions import enumerate_partitions, profile
-from .record import Record, is_count, need_counts
+from .record import Record, need_counts
 
 #: Largest n at which ``certified_solve`` and ``table1`` solve the LP, and
 #: so ``lp``, ``table1`` and ``thresholds.threshold``.  Every n = 30 cell
@@ -100,10 +100,10 @@ def build_problem(n: int, k: int) -> LpProblem:
     """All partitions of n into k parts, with their count columns.
 
     No pre-filtering: the solver decides which partitions carry weight.
-    A non-int n or k, a bool included, is ``enumerate_partitions``'s
-    ValueError.
+    A non-int n or k, a bool included, is a ValueError.
     """
-    if is_count(n, k) and not 2 <= k <= n:
+    need_counts(n=n, k=k)
+    if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     return LpProblem(tuple(enumerate_partitions(n, k)))
 
@@ -177,22 +177,26 @@ class LpSolution(Record):
         return 1 / (1 + self.t * 2 ** (self.n - 1))
 
 
-def _bland_pivot_loop(T, b, d, obj, basis, allowed, pivots):
+def _bland_pivot_loop(T, d, obj, basis, pivots):
     """Primal simplex minimizing variable obj with Bland's rule, fraction-free.
 
-    The tableau is T/d with right-hand side b/d: T and b hold integers and
-    the shared denominator d is positive.  While obj is basic in row r, d
-    times the reduced cost of a nonbasic column j is -T[r][j]; once obj is
-    nonbasic it is zero and the phase is done.  Pivoting on p = T[l][e]
-    keeps row l, turns every other row v into (p*v - f*w) // d, where f is
-    the row's entry in column e and w is row l (Bareiss: the division is
-    exact), and makes p the new denominator.  Returns the final d.
+    The tableau is T/d: T holds integers, the shared denominator d is
+    positive, and the last column of T is the right-hand side, so the
+    columns that may enter are 0 .. width - 2.  A basis label equal to the
+    right-hand side's index names a variable whose column is the
+    right-hand side itself, a label only: ``solve``'s artificial variable.
+    While obj is basic in row r, d times the reduced cost of a nonbasic
+    column j is -T[r][j]; once obj is nonbasic it is zero and the phase is
+    done.  Pivoting on p = T[l][e] keeps row l, turns every other row v
+    into (p*v - f*w) // d, where f is the row's entry in column e and w is
+    row l (Bareiss: the division is exact), and makes p the new
+    denominator.  Returns the final d.
     """
-    m = len(T)
+    m, last = len(T), len(T[0]) - 1
     while obj in basis:
         cost = T[basis.index(obj)]
         basic = set(basis)
-        enter = next((j for j in allowed if j not in basic and cost[j] > 0), -1)
+        enter = next((j for j in range(last) if j not in basic and cost[j] > 0), -1)
         if enter < 0:
             break
         leave = -1
@@ -202,25 +206,23 @@ def _bland_pivot_loop(T, b, d, obj, basis, allowed, pivots):
                 if leave < 0:
                     leave = r
                     continue
-                # b[r]/a against b[leave]/T[leave][enter], cross-multiplied
-                lhs, rhs = b[r] * T[leave][enter], b[leave] * a
+                # T[r][last]/a against T[leave][last]/T[leave][enter], cross-multiplied
+                lhs, rhs = T[r][last] * T[leave][enter], T[leave][last] * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
             raise ArithmeticError("unbounded linear program")
         pivots.append((leave, enter))
         p = T[leave][enter]
-        row_l, b_l = T[leave], b[leave]
+        row_l = T[leave]
         for r in range(m):
             if r == leave:
                 continue
             f = T[r][enter]
             if f:
                 T[r] = [(p * v - f * w) // d for v, w in zip(T[r], row_l)]
-                b[r] = (p * b[r] - f * b_l) // d
             elif p != d:
                 T[r] = [p * v // d for v in T[r]]
-                b[r] = p * b[r] // d
         basis[leave] = enter
         d = p
     return d
@@ -243,7 +245,10 @@ def solve(prob: LpProblem) -> LpSolution:
 
     # Ratio row i is held as C(n, i) times itself: the counts f_j(i) and
     # -C(n, i) in t's column.  Its slack column stays the identity (the
-    # slack variable absorbs the scale), so the start has d = 1.
+    # slack variable absorbs the scale), so the start has d = 1.  The last
+    # column, art_col, is the right-hand side: 0 on the ratio rows and 1 on
+    # the convexity row.  It is also the artificial variable's column, so
+    # the artificial variable, basic in the convexity row, is a label only.
     T = []
     for i in range(rows):
         row = [col[i] for col in prob.columns]
@@ -252,18 +257,19 @@ def solve(prob: LpProblem) -> LpSolution:
         row.append(0)
         T.append(row)
     T.append([1] * m + [0] * (rows + 1) + [1])
-    b = [0] * rows + [1]
     basis = [slack0 + i for i in range(rows)] + [art_col]
     pivots = []
 
-    d = _bland_pivot_loop(T, b, 1, art_col, basis, range(art_col + 1), pivots)
-    if art_col in basis and b[basis.index(art_col)] != 0:
+    d = _bland_pivot_loop(T, 1, art_col, basis, pivots)
+    # No artificial cleanup: while the artificial variable is basic, its
+    # column, the right-hand side, is d on its row and 0 elsewhere, so it
+    # holds 1 and phase one has failed.  Once it leaves it cannot enter
+    # again: no phase scans the right-hand side's column.
+    if art_col in basis:
         raise ArithmeticError("phase one failed; the mixture simplex is empty")
-    # No artificial cleanup: only the convexity row starts with b != 0 and a
-    # pivot on a b = 0 row keeps b, so a basic artificial would hold 1 above.
-    d = _bland_pivot_loop(T, b, d, t_col, basis, range(art_col), pivots)
+    d = _bland_pivot_loop(T, d, t_col, basis, pivots)
 
-    x = dict(zip(basis, b))
+    x = dict(zip(basis, (row[art_col] for row in T)))
     weights = tuple(Fraction(x.get(j, 0), d) for j in range(m))
     # Dual multipliers from t's row of the final tableau: the initial
     # identity columns (one slack per kept row) carry the basis inverse,
@@ -352,10 +358,11 @@ def table1(n_values) -> list:
     """Solve and certify every (n, k) cell with 3 <= k <= n/2 over the given
     n values: the cells no closed form covers.  For n = 6..12 they reproduce
     the sixteen reference rows; a rejected certificate is an ArithmeticError.
-    An n that is not an int, or is above ``MAX_N``, is a ValueError before
-    any cell is solved.
+    An n that is not an int is a ValueError before any cell is solved, and
+    so is a largest n above ``MAX_N``, which the message names.
     """
     n_values = list(n_values)
     for n in n_values:
-        _check_cap(n)
+        need_counts(n=n)
+    _check_cap(max(n_values, default=MAX_N))
     return [certified_solve(n, k) for n in n_values for k in range(3, n // 2 + 1)]

@@ -59,8 +59,7 @@ def enumerate_partitions(n: int, k: int) -> list:
     non-increasing part tuples.  A non-int n or k, a bool included, is a
     ValueError.
     """
-    if not is_count(n, k):
-        raise ValueError(f"need integer n and k, got n={n!r}, k={k!r}")
+    need_counts(n=n, k=k)
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -174,6 +174,14 @@ class TestTableCommand:
         assert result.exit_code == 2
         assert "Invalid value for '--nmax'" in result.output
         assert "limited to n <= 30, got n=31" in result.output
+
+    def test_far_above_the_cap_names_the_n_asked_for(self, runner, monkeypatch):
+        monkeypatch.setattr(lpsolve, "solve", lambda prob: pytest.fail(f"solved n={prob.n}"))
+        result = runner.invoke(main, ["table1", "--nmax", "40"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Invalid value for '--nmax'" in result.output
+        assert "limited to n <= 30, got n=40" in result.output
 
     def test_below_the_first_row_exits_two(self, runner):
         result = runner.invoke(main, ["table1", "--nmax", "5"])
@@ -562,6 +570,11 @@ USAGE_ERRORS = {
         "verify", "No such option '--sute'. (Did you mean one of: '--seed', '--suite'?)"),
     "lp -- --n 6": _usage_error("lp", "Missing option '--n'."),
     "-- --bogus": _usage_error("", "No such option '--bogus'."),
+    "verify": _usage_error("verify", "Missing option '--suite'. Choose from:\n\tappendix,"
+                                     "\n\tcharfn,\n\tlemma1,\n\tphase-oracle,\n\twident,"
+                                     "\n\twitness-max,\n\tall"),
+    "threshold --n 5": _usage_error("threshold", "provide exactly one of --j or --k"),
+    "threshold --n 5 --j 1 --k 2": _usage_error("threshold", "provide exactly one of --j or --k"),
 }
 
 
@@ -574,6 +587,31 @@ class TestUsageErrorsPinned:
                               timeout=60)
         stderr = USAGE_ERRORS[command] or HELP_TEXT[()].replace("ghzsep", "python -m ghzsep", 1)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+
+
+class TestProgramName:
+    """The usage line names the program as it was started: each ``-m``
+    entry point passes its name, and the ``ghzsep`` script is the
+    basename of ``sys.argv[0]``."""
+
+    def test_module_cli(self):
+        proc = subprocess.run([sys.executable, "-m", "ghzsep.cli", "lp"],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "Usage: python -m ghzsep.cli lp [OPTIONS]\n"
+                   "Try 'python -m ghzsep.cli lp --help' for help.\n\n"
+                   "Error: Missing option '--n'.\n")
+
+    def test_script(self, monkeypatch, capsys):
+        # as the installed script runs: its __main__ is the script, in no package
+        monkeypatch.setattr(sys, "argv", ["/usr/local/bin/ghzsep"])
+        monkeypatch.setitem(sys.modules, "__main__", ModuleType("__main__"))
+        with pytest.raises(SystemExit) as exc:
+            main(["lp"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "Usage: ghzsep lp [OPTIONS]\n"
+                                           "Try 'ghzsep lp --help' for help.\n\n"
+                                           "Error: Missing option '--n'.\n")
 
 
 class TestLpSizeCap:

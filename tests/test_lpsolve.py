@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -137,6 +138,20 @@ class TestSolve:
         # Bland's rule fixes which optimum is reported; a solver change
         # that alters the sequence must be deliberate
         assert solve(build_problem(n, k)).pivots == pivots
+
+    #: sha256 over repr((n, k, pivots, weights, dual)) of every cell with
+    #: 2 <= k <= n <= 20, n then k ascending, captured while the simplex
+    #: still kept its right-hand side apart from the tableau.
+    CELLS_DIGEST = "2526079d1737be1e6e32e2e5743257b3171b35609d4b24d34c25953481de667f"
+
+    def test_every_cell_to_twenty_pinned(self):
+        cells = [(n, k) for n in range(2, 21) for k in range(2, n + 1)]
+        assert len(cells) == 190
+        digest = hashlib.sha256()
+        for n, k in cells:
+            sol = solve(build_problem(n, k))
+            digest.update(repr((n, k, sol.pivots, sol.weights, sol.dual)).encode())
+        assert digest.hexdigest() == self.CELLS_DIGEST
 
     def test_binding_rows_reported(self):
         sol = solve(build_problem(6, 3))
@@ -405,24 +420,33 @@ class TestSizeCap:
         with pytest.raises(ValueError, match=f"limited to n <= {MAX_N}, got n={MAX_N + 1}"):
             table1(range(6, MAX_N + 2))
 
+    def test_table1_names_its_largest_n(self, monkeypatch):
+        # not the first n above the cap: the largest, as asked for
+        monkeypatch.setattr(lpsolve, "solve", _no_call)
+        with pytest.raises(ValueError, match=f"limited to n <= {MAX_N}, got n=40"):
+            table1(range(6, 41))
+
 
 class TestCountsAreInts:
     """A count that is not an int, a bool included, is a ValueError before
     anything is solved."""
 
-    @pytest.mark.parametrize("call", [
-        lambda: lpsolve.certified_solve(6.5, 3),
-        lambda: lpsolve.certified_solve(6, 3.0),
-        lambda: lpsolve.certified_solve(True, 2),
-        lambda: table1([6.5]),
-        lambda: table1([6, "7"]),
-        lambda: build_problem(6.5, 3),
-        lambda: build_problem(6, 3.0),
+    @pytest.mark.parametrize("call, name", [
+        (lambda: lpsolve.certified_solve(6.5, 3), "n"),
+        (lambda: lpsolve.certified_solve(6, 3.0), "k"),
+        (lambda: lpsolve.certified_solve(True, 2), "n"),
+        (lambda: table1([6.5]), "n"),
+        (lambda: table1([6, "7"]), "n"),
+        (lambda: table1([MAX_N + 10, "7"]), "n"),
+        (lambda: build_problem(6.5, 3), "n"),
+        (lambda: build_problem(6, 3.0), "k"),
     ], ids=["certified-n", "certified-k", "certified-bool", "table1-float", "table1-str",
-            "build-n", "build-k"])
-    def test_rejected(self, call, monkeypatch):
+            "table1-str-above-the-cap", "build-n", "build-k"])
+    def test_rejected(self, call, name, monkeypatch):
+        # the error names the argument that breaks the rule; in table1 the
+        # count check of every n comes before the cap check
         monkeypatch.setattr(lpsolve, "solve", _no_call)
-        with pytest.raises(ValueError, match="need (an )?integer n"):
+        with pytest.raises(ValueError, match=f"need an integer {name}, got "):
             call()
 
 

@@ -93,11 +93,14 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_partitions(3, 0)
 
-    @pytest.mark.parametrize("n, k", [(6, True), (True, 1), (6.5, 3), (6.0, 3), (6, 3.0),
-                                      ("6", 3), (None, 2)])
-    def test_counts_that_are_not_ints(self, n, k):
-        # a bool is an int subclass, but no count
-        with pytest.raises(ValueError, match="need integer n and k"):
+    @pytest.mark.parametrize("n, k, name", [(6, True, "k"), (True, 1, "n"), (6.5, 3, "n"),
+                                            (6.0, 3, "n"), (6, 3.0, "k"), ("6", 3, "n"),
+                                            (None, 2, "n")],
+                             ids=["6-True", "True-1", "6.5-3", "6.0-3", "6-3.0", "6-3", "None-2"])
+    def test_counts_that_are_not_ints(self, n, k, name):
+        # a bool is an int subclass, but no count; the error names the
+        # first argument that breaks the rule
+        with pytest.raises(ValueError, match=f"need an integer {name}, got "):
             enumerate_partitions(n, k)
 
     def test_ordered_by_parts(self):
