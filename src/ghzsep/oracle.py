@@ -3,11 +3,10 @@
 The constructions elsewhere in the package use closed forms (profiles,
 characteristic-function sums).  This module rebuilds the same objects the
 expensive way: explicit phase averaging over every placement of the
-parties on the qubits, dense witness matrices, and direct numerical
-maximization over product states: a sampler and an eigenvector ascent
-that runs its restarts in blocks on complex matrix products and stacked
-eigendecompositions.  Those two are the only numpy code and import it
-themselves, so the exact checks never load numpy.  The
+parties on the qubits, dense witness matrices, the witness's exact value
+on one product state that attains the separable bound, and a float
+sampler over random product states.  The sampler is the only numpy code
+and imports it itself, so the exact checks never load numpy.  The
 characteristic-function check starts from the library's dense noisy GHZ
 state; its explicit Pauli traces and the stabilizer pattern they are
 compared with are the independent part.
@@ -32,7 +31,6 @@ check.  The 4^k-pair brute force of the tests confirms the support.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -253,108 +251,23 @@ def dense_witness(n: int, L: int):
     return [[Fraction(v, scale) if v else zero for v in row] for row in q]
 
 
-@functools.cache
-def _dense_witness_float(n: int, L: int):
-    """The exact dense witness in floats, built once per (n, L) and shared
-    read-only by the product-state probes; its size guard is theirs."""
-    import numpy as np
+def attained_product_value(n: int, L: int) -> Fraction:
+    """tr(rho Q), exactly, on one pure product state of the 1^(n-L)|L
+    partition: GHZ_L on the block and |0> on every single qubit, or |+>
+    on the single qubit when L = n - 1.
 
-    q, scale = _dense_witness_scaled(n, L)
-    q = np.array(q, dtype=float) / scale
-    q.flags.writeable = False
-    return q
-
-
-def _random_unit(rng, dim: int):
-    import numpy as np
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-#: Restarts that ascend together in one block; bounds the batch arrays
-#: whatever the restart count.
-_RESTART_BLOCK = 64
-
-
-def _maximize_partition(q, part: PartitionType, restarts, seed) -> float:
-    """Multistart alternating eigenvector ascent over product states.
-
-    With every party but one frozen, the value is a quadratic form in the
-    remaining party, so the optimal update is the top eigenvector of the
-    contracted operator; sweeping the parties gives monotone convergence.
-    A restart converges when one sweep moves the value by at most 1e-12
-    relative, within 500 sweeps; the result is the best converged value.
-
-    Restarts ascend in blocks of ``_RESTART_BLOCK``: each party update is
-    one matrix product of Q, party j's axes first, against the other
-    parties' product vectors of every active restart, one two-operand
-    reduction and one stacked ``eigh``.  Converged restarts leave the
-    block.  Q is contracted as a complex copy, built once per party:
-    numpy multiplies float64 by the transposed complex128 batch outside
-    BLAS, about 450 times slower than complex128 by complex128 (8 ms
-    against 18 us for (128, 8) @ (8, 64)).  Start vectors are drawn
-    restart by restart, party by party, and the ascent itself draws
-    nothing, so the random stream is that of one restart at a time.
+    The state's amplitudes are equal on its support (2 or 4 basis
+    states), so the value is the sum of the integer witness entries over
+    the support, divided once by the support's size and the witness's
+    scale.
     """
-    import numpy as np
-
-    dims = [1 << s for s in part.parts]
-    k = len(dims)
-    qt = q.reshape(dims + dims)
-    qjs = []  # party j's axes first, rows (a, rest, b) by the rest's columns
-    for j in range(k):
-        others = [l for l in range(k) if l != j]
-        axes = [j] + others + [k + j] + [k + l for l in others]
-        qjs.append(np.ascontiguousarray(qt.transpose(axes), dtype=complex)
-                   .reshape(-1, q.shape[0] // dims[j]))
-    rng = np.random.default_rng(seed)
-    best = None
-    for first in range(0, restarts, _RESTART_BLOCK):
-        size = min(_RESTART_BLOCK, restarts - first)
-        starts = [[_random_unit(rng, d) for d in dims] for _ in range(size)]
-        vecs = [np.array(v) for v in zip(*starts)]
-        prev = None
-        for _ in range(500):
-            for j in range(k):
-                phi = np.ones((size, 1), dtype=complex)
-                for l in range(k):
-                    if l != j:
-                        phi = (phi[:, :, None] * vecs[l][:, None, :]).reshape(size, -1)
-                x = (qjs[j] @ phi.T).reshape(dims[j], phi.shape[1], dims[j], size)
-                env = np.einsum("arcb,br->bac", x, phi.conj())
-                env = (env + env.conj().transpose(0, 2, 1)) / 2
-                eigvals, eigvecs = np.linalg.eigh(env)
-                vecs[j] = eigvecs[:, :, -1]
-                value = eigvals[:, -1]
-            if prev is not None:
-                done = np.abs(value - prev) <= 1e-12 * np.maximum(1.0, np.abs(value))
-                if done.any():
-                    top = float(value[done].max())
-                    best = top if best is None else max(best, top)
-                    vecs = [v[~done] for v in vecs]
-                    value = value[~done]
-                    size = len(value)
-                    if not size:
-                        break
-            prev = value
-    if best is None:
-        raise ArithmeticError("product-state ascent did not converge in any restart")
-    return best
-
-
-def _block_partition(n: int, L: int) -> PartitionType:
-    return PartitionType((L,) + (1,) * (n - L))
-
-
-def maximize_over_product_states(n: int, L: int, restarts: int = 64,
-                                 seed: int = 42) -> float:
-    """Best tr(rho Q) found over pure product states of the partition with
-    one L-qubit party and n - L singles."""
-    need_counts(n=n, L=L, restarts=restarts)
-    if restarts < 1:
-        raise ValueError(f"need restarts >= 1, got restarts={restarts}")
-    q = _dense_witness_float(n, L)
-    return _maximize_partition(q, _block_partition(n, L), restarts, seed)
+    need_counts(n=n, L=L)
+    q, scale = _dense_witness_scaled(n, L)
+    block = (1 << L) - 1
+    support = [0, block]
+    if L == n - 1:
+        support += [x | (1 << L) for x in support]
+    return Fraction(sum(q[x][y] for x in support for y in support), len(support) * scale)
 
 
 def max_sampled_product_value(n: int, L: int, samples: int = 10000,
@@ -366,8 +279,8 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
         raise ValueError(f"need samples >= 1, got samples={samples}")
     import numpy as np
 
-    q = _dense_witness_float(n, L)
-    part = _block_partition(n, L)
+    q, scale = _dense_witness_scaled(n, L)
+    q = np.array(q, dtype=float) / scale
     rng = np.random.default_rng(seed)
     best = -np.inf
     chunk = 2048
@@ -376,7 +289,7 @@ def max_sampled_product_value(n: int, L: int, samples: int = 10000,
         count = min(chunk, left)
         left -= count
         psi = np.ones((count, 1), dtype=complex)
-        for size in part.parts:
+        for size in (L,) + (1,) * (n - L):
             d = 1 << size
             g = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
             g /= np.linalg.norm(g, axis=1, keepdims=True)

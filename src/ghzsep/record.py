@@ -8,7 +8,7 @@ checks.  It equals a record of its own type whose fields are equal, and
 hashes by its field values.
 
 This module also holds the package's one rule for a count (of qubits,
-parties, blocks, samples, restarts or drawn values): an int that is not
+parties, blocks, samples or drawn values): an int that is not
 a bool.  ``is_count`` tests it and ``need_counts`` raises the ValueError.
 This module imports nothing, so every layer can build on it.
 """

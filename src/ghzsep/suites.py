@@ -111,20 +111,23 @@ def phase_oracle(seed, limits):
 
 
 def witness_max(seed, limits):
-    """The float product-state maxima of each of ``WITNESS_MAX_CASES``
-    against the exact bound n/(n-L); it needs numpy."""
+    """Each of ``WITNESS_MAX_CASES`` against the exact bound n/(n-L): one
+    product state attains it exactly, and the float maximum over
+    ``limits["samples"]`` seeded random product states stays below it;
+    the sampler needs numpy.  The ``restarts`` limit is read by no
+    check."""
     from . import oracle
     from .exactmath import CheckRecord
     from .witness import sep_max
 
-    restarts, samples = limits["restarts"], limits["samples"]
     for n, L in WITNESS_MAX_CASES:
-        bound = float(sep_max(n, L))
-        reached = oracle.maximize_over_product_states(n, L, restarts=restarts, seed=seed)
-        sampled = oracle.max_sampled_product_value(n, L, samples=samples, seed=seed)
-        ok = abs(reached - bound) <= 1e-6 and reached <= bound + 1e-9 and sampled <= bound + 1e-9
+        bound = sep_max(n, L)
+        reached = oracle.attained_product_value(n, L)
+        sampled = oracle.max_sampled_product_value(n, L, samples=limits["samples"], seed=seed)
+        ok = reached == bound and sampled <= bound + 1e-9
         yield CheckRecord("witness-product-max", {"n": n, "L": L}, ok,
-                          f"bound={bound}, reached={reached:.12f}, sampled_max={sampled:.12f}")
+                          f"bound={float(bound)}, reached={float(reached):.12f}, "
+                          f"sampled_max={sampled:.12f}")
 
 
 def charfn(seed, limits):
@@ -144,7 +147,8 @@ def charfn(seed, limits):
 #: shared 2-core Xeon each suite takes under 10 s at its caps: the appendix
 #: sweep's Pascal table grows with (n + l)^2 entries, the wident sweep's time
 #: steeply with L, lemma 1's like samples * n^3 and witness-max's linearly in
-#: restarts and samples.
+#: samples.  witness-max's ``restarts`` is validated and read by no check; it
+#: stays because bench/run.py's smoke scale passes ``restarts=4``.
 SUITES = {
     "wident": (wident, {"L": (20, 2, 100)}),
     "appendix": (appendix, {"n": (100, 4, 500), "l": (100, 2, 500)}),

@@ -31,9 +31,9 @@ from ghzsep.lpsolve import (
     verify_solution,
 )
 from ghzsep.oracle import (
+    attained_product_value,
     characteristic_check,
     max_sampled_product_value,
-    maximize_over_product_states,
     phase_average_oracle,
 )
 from ghzsep.partitions import PartitionType, enumerate_partitions, parse_partition
@@ -221,15 +221,13 @@ AC5_CASES = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4))
 def test_ac5_witness_soundness_and_tightness():
     start = time.time()
     for n, L in AC5_CASES:
-        bound = float(sep_max(n, L))
-        reached = maximize_over_product_states(n, L, restarts=64, seed=42)
+        bound = sep_max(n, L)
+        assert attained_product_value(n, L) == bound, (n, L)
         sampled = max_sampled_product_value(n, L, samples=10**4, seed=42)
-        assert abs(reached - bound) <= 1e-6, (n, L, reached)
-        assert reached <= bound + 1e-9, (n, L, reached)
         assert sampled <= bound + 1e-9, (n, L, sampled)
     report(
-        f"AC-5 PASS: product-state maxima attain n/(n-L) within 1e-6 and never "
-        f"exceed it (7 cases, 64 restarts, 1e4 samples each, {time.time()-start:.1f}s)"
+        f"AC-5 PASS: a product state attains n/(n-L) exactly and no sampled one "
+        f"exceeds it (7 cases, 1e4 samples each, {time.time()-start:.1f}s)"
     )
 
 

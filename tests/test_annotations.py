@@ -58,7 +58,7 @@ def test_the_sweep_reaches_wrapped_functions_methods_and_commands():
 
     names = {f"{m.__name__}.{obj.__qualname__}" for m in (cli, lpsolve, oracle) for obj in _defined(m)}
     assert {
-        "ghzsep.oracle._dense_witness_float",  # functools.cache
+        "ghzsep.cli._decimal_context",  # functools.cache
         "ghzsep.lpsolve.LpSolution._peak",  # functools.cached_property
         "ghzsep.lpsolve.LpProblem.n",  # property
         "ghzsep.lpsolve.LpProblem._check",

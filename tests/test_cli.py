@@ -358,6 +358,18 @@ class TestVerifyCommand:
         assert [rec["check"] for rec in lines] == ["witness-product-max"] * 7
         assert all(rec["pass"] for rec in lines)
 
+    def test_witness_max_fails_a_bound_just_above_the_attained_value(self, runner, monkeypatch):
+        # attainment is exact: a bound 1e-9 above n/(n-L) is not attained,
+        # though it is within a float tolerance of the attaining state
+        from ghzsep import witness
+
+        monkeypatch.setattr(witness, "sep_max",
+                            lambda n, L: Fraction(n, n - L) + Fraction(1, 10**9))
+        result = runner.invoke(main, ["verify", "--suite", "witness-max", "--limits", "samples=100"])
+        assert result.exit_code == 1
+        lines = [json.loads(line) for line in result.output.strip().splitlines()]
+        assert len(lines) == 7 and not any(rec["pass"] for rec in lines)
+
     def test_charfn_suite_small(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "charfn", "--limits", "n=3"])
         assert result.exit_code == 0

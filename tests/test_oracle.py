@@ -9,18 +9,13 @@ import pytest
 from ghzsep import oracle
 from ghzsep.cli import main
 from ghzsep.oracle import (
-    _block_partition,
-    _dense_witness_float,
-    _maximize_partition,
-    _random_unit,
+    attained_product_value,
     characteristic_check,
     dense_witness,
     max_sampled_product_value,
-    maximize_over_product_states,
     phase_average_oracle,
 )
 from ghzsep.partitions import PartitionType, enumerate_partitions, parse_partition
-from ghzsep.suites import WITNESS_MAX_CASES
 from ghzsep.symstate import noisy_ghz, partition_average_state, to_dense
 from ghzsep.witness import canonical_witness, ghz_witness_value, sep_max
 
@@ -48,54 +43,6 @@ def four_k_support(part):
             else:
                 off_entries.append((cx, cy, val))
     return diag_val, off_entries
-
-
-def per_restart_ascent(q, part, restarts, seed):
-    """The product-state ascent one restart at a time: each party update
-    contracts Q against the other parties' vectors with one einsum and
-    takes the top eigenvector; a restart converges when a sweep moves the
-    value by at most 1e-12 relative, within 500 sweeps."""
-    dims = [1 << s for s in part.parts]
-    k = len(dims)
-    qt = q.reshape(dims + dims)
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        vecs = [_random_unit(rng, d) for d in dims]
-        prev = None
-        for _ in range(500):
-            for j in range(k):
-                operands = [qt, list(range(2 * k))]
-                for l, v in enumerate(vecs):
-                    if l != j:
-                        operands.extend([np.conj(v), [l], v, [k + l]])
-                env = np.einsum(*operands, [j, k + j])
-                eigvals, eigvecs = np.linalg.eigh((env + env.conj().T) / 2)
-                vecs[j] = eigvecs[:, -1]
-                value = float(eigvals[-1])
-            if prev is not None and abs(value - prev) <= 1e-12 * max(1.0, abs(value)):
-                best = value if best is None else max(best, value)
-                break
-            prev = value
-    if best is None:
-        raise RuntimeError("product-state ascent did not converge in any restart")
-    return best
-
-
-def split_monotonicity_check(n, L, finer, restarts=16, seed=42):
-    """Float probe: splitting the L-qubit party into parties of size >= 2
-    cannot raise the product-state maximum of tr(rho Q)."""
-    if finer.n != n:
-        raise ValueError("refinement must cover the same qubits")
-    singles = sum(1 for s in finer.parts if s == 1)
-    if singles != n - L:
-        raise ValueError("refinement must keep exactly the original single-qubit parties")
-    if sum(s for s in finer.parts if s >= 2) != L:
-        raise ValueError("refined block parties must cover the L-qubit party")
-    q = _dense_witness_float(n, L)
-    coarse = _maximize_partition(q, _block_partition(n, L), restarts, seed)
-    fine = _maximize_partition(q, finer, restarts, seed)
-    return fine <= coarse + 1e-9
 
 
 class TestPhaseAverage:
@@ -372,13 +319,6 @@ class TestDenseWitness:
         scaled = eigs * (n - L)
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
 
-    def test_float_form_is_the_exact_form_rounded(self):
-        for n, L in WITNESS_MAX_CASES:
-            q = dense_witness(n, L)
-            assert all(type(v) is Fraction for row in q for v in row)
-            want = np.array([[float(v) for v in row] for row in q])
-            assert np.array_equal(_dense_witness_float(n, L), want)
-
     def test_rejects_a_wrong_trace(self, monkeypatch):
         monkeypatch.setattr(oracle, "to_dense", perturbed_to_dense(0, 7, Fraction(1, 2)))
         with pytest.raises(ArithmeticError):
@@ -397,70 +337,59 @@ class TestDenseWitness:
                 assert tr == ghz_witness_value(spec, p)
 
 
+def product_state_value(n, L):
+    """tr(rho Q) on GHZ_L (qubits 0..L-1) times |0> on each single qubit,
+    or |+> on the single qubit when L = n - 1, from explicit Fraction
+    vectors: the Kronecker product of the parties' unnormalized states,
+    then psi Q psi over psi psi."""
+    ghz = [Fraction(0)] * (1 << L)
+    ghz[0] = ghz[-1] = Fraction(1)
+    single = [Fraction(1), Fraction(1 if L == n - 1 else 0)]
+    psi = ghz
+    for _ in range(n - L):
+        # a later party's qubit is the higher bit
+        psi = [a * b for b in single for a in psi]
+    q = dense_witness(n, L)
+    dim = 1 << n
+    value = sum(psi[x] * q[x][y] * psi[y] for x in range(dim) for y in range(dim))
+    return value / sum(a * a for a in psi)
+
+
+#: Every block case the dense witness allows: 2 <= L < n <= 8.
+DENSE_BLOCK_CASES = [(n, L) for n in range(3, 9) for L in range(2, n)]
+
+
 class TestProductStateSearch:
     def test_reaches_bound_4_2(self):
-        assert maximize_over_product_states(4, 2, restarts=16, seed=3) == pytest.approx(2.0, abs=1e-9)
+        assert attained_product_value(4, 2) == 2
 
     def test_reaches_bound_5_3(self):
-        assert maximize_over_product_states(5, 3, restarts=16, seed=3) == pytest.approx(2.5, abs=1e-9)
+        assert attained_product_value(5, 3) == Fraction(5, 2)
 
-    @pytest.mark.parametrize("probe", [maximize_over_product_states, max_sampled_product_value])
+    @pytest.mark.parametrize("n, L", DENSE_BLOCK_CASES, ids=str)
+    def test_attains_the_bound_exactly(self, n, L):
+        reached = attained_product_value(n, L)
+        assert type(reached) is Fraction
+        assert reached == sep_max(n, L)
+
+    @pytest.mark.parametrize("n, L", [(3, 2), (4, 2), (4, 3), (6, 4), (7, 3)], ids=str)
+    def test_value_is_the_product_state_expectation(self, n, L):
+        assert attained_product_value(n, L) == product_state_value(n, L)
+
+    @pytest.mark.parametrize("probe", [attained_product_value, max_sampled_product_value])
     def test_size_guard_is_the_dense_witness(self, probe):
         with pytest.raises(ValueError, match="dense witness limited to n <= 8, got n=9"):
             probe(9, 2)
-
-    def test_zero_restarts_raise(self):
-        with pytest.raises(ValueError, match="need restarts >= 1, got restarts=0"):
-            maximize_over_product_states(4, 2, restarts=0)
 
     def test_zero_samples_raise(self):
         # n = 9 would fail the dense witness's size guard: the count is checked first
         with pytest.raises(ValueError, match="need samples >= 1, got samples=0"):
             max_sampled_product_value(9, 2, samples=0)
 
-    def test_no_converged_restart_is_an_arithmetic_error(self, monkeypatch):
-        # each eigensolve returns a value 1 above the last, so no sweep settles
-        eigh, calls = np.linalg.eigh, itertools.count()
-
-        def drifting(a):
-            vals, vecs = eigh(a)
-            return vals + next(calls), vecs
-
-        monkeypatch.setattr(np.linalg, "eigh", drifting)
-        with pytest.raises(ArithmeticError, match="did not converge in any restart"):
-            maximize_over_product_states(3, 2, restarts=1)
-
-    @pytest.mark.parametrize("n, L, part", [
-        *((n, L, _block_partition(n, L)) for n, L in WITNESS_MAX_CASES),
-        (6, 4, PartitionType((2, 2, 1, 1))),
-        (5, 4, PartitionType((2, 2, 1))),
-    ], ids=str)
-    def test_batched_ascent_matches_per_restart(self, n, L, part):
-        # 130 restarts span three blocks of restarts
-        q = _dense_witness_float(n, L)
-        for restarts in (1, 8, 130):
-            for seed in range(4):
-                want = per_restart_ascent(q, part, restarts, seed)
-                got = _maximize_partition(q, part, restarts, seed)
-                assert abs(got - want) <= 1e-12, (restarts, seed, got, want)
-
     def test_sampling_never_exceeds_bound(self):
         for n, L in [(4, 2), (5, 3)]:
             bound = float(sep_max(n, L))
             assert max_sampled_product_value(n, L, samples=2000, seed=5) <= bound + 1e-9
-
-    def test_split_preserves_bound(self):
-        assert split_monotonicity_check(6, 4, PartitionType((2, 2, 1, 1)), restarts=8)
-        assert split_monotonicity_check(5, 4, PartitionType((2, 2, 1)), restarts=8)
-
-    def test_split_identity_partition(self):
-        assert split_monotonicity_check(4, 2, PartitionType((2, 1, 1)), restarts=8)
-
-    def test_split_validation(self):
-        with pytest.raises(ValueError):
-            split_monotonicity_check(6, 4, PartitionType((2, 2, 2)))
-        with pytest.raises(ValueError):
-            split_monotonicity_check(6, 4, PartitionType((3, 1, 1, 1)))
 
 
 class TestPsdCrossCheck:

@@ -5,8 +5,8 @@ import pytest
 from ghzsep.exactmath import (CheckRecord, random_unit_rationals, verify_appendix_inequality,
                               verify_lemma1_inequality, verify_w_identities, w_coeff)
 from ghzsep.lpsolve import LpProblem, build_problem
-from ghzsep.oracle import (characteristic_check, max_sampled_product_value,
-                           maximize_over_product_states)
+from ghzsep.oracle import (attained_product_value, characteristic_check,
+                           max_sampled_product_value)
 from ghzsep.partitions import PartitionType
 from ghzsep.record import Record
 from ghzsep.symstate import SymState, noisy_ghz
@@ -103,8 +103,8 @@ _NOT_COUNTS = [
     (characteristic_check, (3.0, 0), "n, got 3.0"),
     (verify_lemma1_inequality, ((0,), 3.0), "n, got 3.0"),
     (verify_lemma1_inequality, ((0,), None), "n, got None"),
-    (maximize_over_product_states, (3, 2, 2.5), "restarts, got 2.5"),
-    (maximize_over_product_states, (3, 2, True), "restarts, got True"),
+    (attained_product_value, (3, 2.5), "L, got 2.5"),
+    (attained_product_value, (True, 2), "n, got True"),
     (max_sampled_product_value, (3, 2, 2.5), "samples, got 2.5"),
     (max_sampled_product_value, (3, 2, True), "samples, got True"),
     (random_unit_rationals, (None, 2.5), "length, got 2.5"),
