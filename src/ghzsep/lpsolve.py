@@ -6,16 +6,18 @@ threshold comes from minimizing the largest normalized diagonal ratio
 max_i sum_pi q_pi f_pi(i)/C(n,i).  That minimax problem is solved here as
 an epigraph LP by an exact simplex with Bland's rule (so the pivot sequence
 is deterministic and cycling is impossible).  The problem data are the
-integer subset-sum counts f_pi(i); the tableau is held in fraction-free
-integers over one shared denominator (Bareiss pivoting), and the weights
-and dual are converted to Fraction only at the end.  The value t is not
-read from the tableau: it is the largest ratio row of the weights,
-computed exactly from them.  The dual is a certificate that
-verify_solution re-checks over integers, independently of the solver.
+integer subset-sum counts f_pi(i), which the solver reads and never
+rewrites.  The simplex is revised: it updates only d times the basis
+inverse, a small integer matrix over one shared denominator d (Bareiss
+pivoting), prices the count columns against it, and converts the
+weights and dual to Fraction only at the end.  The value t is not read from the solver:
+it is the largest ratio row of the weights, computed exactly from them.
+The dual is a certificate that verify_solution re-checks over integers,
+independently of the solver.
 
 Ratio rows i and n - i are the same constraint: the complement of a set
 of parties holding i qubits holds n - i, so f_pi(i) = f_pi(n - i), and
-C(n, i) = C(n, n - i).  The tableau keeps rows 1..n/2 only.  The
+C(n, i) = C(n, n - i).  The solver keeps rows 1..n/2 only.  The
 reported dual splits each kept row's multiplier evenly between rows i
 and n - i, so it is mirror-symmetric, and the problem data and the
 certificate check keep all n - 1 rows.
@@ -29,15 +31,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .partitions import enumerate_partitions, profile
 from .record import Record, need_counts
 
 #: Largest n at which ``certified_solve`` and ``table1`` solve the LP, and
-#: so ``lp``, ``table1`` and ``thresholds.threshold``.  Every n = 30 cell
-#: solves and certifies in under a second; the column count, the partitions
-#: of n into k parts, keeps growing past it.
+#: so ``lp``, ``table1`` and ``thresholds.threshold``.  The slowest n = 30
+#: cell, (30, 7), builds, solves and certifies in about 0.05 s (best of 3,
+#: shared 2-core Xeon, Python 3.11); the column count, the partitions of n
+#: into k parts, keeps growing past it.
 MAX_N = 30
 
 #: Certified optimal tau values for the k-separability mixtures with
@@ -177,52 +181,52 @@ class LpSolution(Record):
         return 1 / (1 + self.t * 2 ** (self.n - 1))
 
 
-def _bland_pivot_loop(T, d, obj, basis, pivots):
-    """Primal simplex minimizing variable obj with Bland's rule, fraction-free.
+def _bland_pivot_loop(cols, B, d, obj, basis, pivots):
+    """Revised primal simplex minimizing variable obj with Bland's rule,
+    fraction-free.
 
-    The tableau is T/d: T holds integers, the shared denominator d is
-    positive, and the last column of T is the right-hand side, so the
-    columns that may enter are 0 .. width - 2.  A basis label equal to the
-    right-hand side's index names a variable whose column is the
-    right-hand side itself, a label only: ``solve``'s artificial variable.
-    While obj is basic in row r, d times the reduced cost of a nonbasic
-    column j is -T[r][j]; once obj is nonbasic it is zero and the phase is
-    done.  Pivoting on p = T[l][e] keeps row l, turns every other row v
-    into (p*v - f*w) // d, where f is the row's entry in column e and w is
-    row l (Bareiss: the division is exact), and makes p the new
-    denominator.  Returns the final d.
+    cols[j] is column j of the constraint matrix, and B is d times the
+    inverse of the basis matrix, d being that matrix's determinant and
+    positive.  The right-hand side is the unit vector of the last row, so
+    B's last column is d times the basic values.  Column j of the tableau
+    is B cols[j] over d; no column of it is stored.  While obj is basic in
+    row r, d times the reduced cost of a nonbasic column j is
+    -(B cols[j])[r], and Bland's rule enters the first positive one; once
+    obj is nonbasic it is zero and the phase is done.  A basis label of
+    len(cols) or more is never priced: ``solve``'s artificial variable.
+
+    Pivoting on p = (B a)[l], a the entering column, keeps row l, turns
+    every other row v into (p*v - f*w) // d, where f = (B a)[r] and w is
+    row l, and makes p the new denominator.  The division is exact
+    (Bareiss): the pivot multiplies the basis determinant by p/d, so p is
+    the new determinant, and B stays the adjugate of the basis matrix,
+    whose entries are integer cofactors.  Returns the final d.
     """
-    m, last = len(T), len(T[0]) - 1
     while obj in basis:
-        cost = T[basis.index(obj)]
+        cost = B[basis.index(obj)]
         basic = set(basis)
-        enter = next((j for j in range(last) if j not in basic and cost[j] > 0), -1)
+        enter = next((j for j, a in enumerate(cols)
+                      if j not in basic and sum(map(operator.mul, cost, a)) > 0), -1)
         if enter < 0:
             break
+        entering = [sum(map(operator.mul, row, cols[enter])) for row in B]
         leave = -1
-        for r in range(m):
-            a = T[r][enter]
+        for r, a in enumerate(entering):
             if a > 0:
                 if leave < 0:
                     leave = r
                     continue
-                # T[r][last]/a against T[leave][last]/T[leave][enter], cross-multiplied
-                lhs, rhs = T[r][last] * T[leave][enter], T[leave][last] * a
+                # B[r][-1]/a against B[leave][-1]/entering[leave], cross-multiplied
+                lhs, rhs = B[r][-1] * entering[leave], B[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
             raise ArithmeticError("unbounded linear program")
         pivots.append((leave, enter))
-        p = T[leave][enter]
-        row_l = T[leave]
-        for r in range(m):
-            if r == leave:
-                continue
-            f = T[r][enter]
-            if f:
-                T[r] = [(p * v - f * w) // d for v, w in zip(T[r], row_l)]
-            elif p != d:
-                T[r] = [p * v // d for v in T[r]]
+        p, row_l = entering[leave], B[leave]
+        for r, f in enumerate(entering):
+            if r != leave:
+                B[r] = [(p * v - f * w) // d for v, w in zip(B[r], row_l)]
         basis[leave] = enter
         d = p
     return d
@@ -232,51 +236,51 @@ def solve(prob: LpProblem) -> LpSolution:
     """Exact optimum of: minimize t subject to sum q_pi r_pi(i) <= t for
     every interior weight i, q >= 0, sum q = 1.
 
-    Two-phase simplex with Bland's anti-cycling rule on the epigraph form,
-    over one row per mirror pair {i, n - i}; always feasible and bounded.
-    Deterministic: identical input yields the identical pivot sequence and
-    solution.
+    Two-phase revised simplex with Bland's anti-cycling rule on the
+    epigraph form, over one row per mirror pair {i, n - i}; always feasible
+    and bounded.  The count columns, cut to the kept rows, are priced at
+    every pivot and never rewritten; only B, d times the basis inverse over
+    one shared denominator d, is updated, by Bareiss pivoting (see
+    ``_bland_pivot_loop``), so every entry stays an integer and the weights
+    and dual are exact.  Deterministic: identical input yields the
+    identical pivot sequence and solution.
     """
     n, m = prob.n, len(prob.partitions)
     rows = n // 2
     t_col = m
     slack0 = m + 1
-    art_col = slack0 + rows
 
     # Ratio row i is held as C(n, i) times itself: the counts f_j(i) and
     # -C(n, i) in t's column.  Its slack column stays the identity (the
-    # slack variable absorbs the scale), so the start has d = 1.  The last
-    # column, art_col, is the right-hand side: 0 on the ratio rows and 1 on
-    # the convexity row.  It is also the artificial variable's column, so
-    # the artificial variable, basic in the convexity row, is a label only.
-    T = []
-    for i in range(rows):
-        row = [col[i] for col in prob.columns]
-        row.append(-math.comb(n, i + 1))
-        row.extend(1 if j == i else 0 for j in range(rows))
-        row.append(0)
-        T.append(row)
-    T.append([1] * m + [0] * (rows + 1) + [1])
-    basis = [slack0 + i for i in range(rows)] + [art_col]
+    # slack variable absorbs the scale).  The last row is the convexity
+    # row, 1 under every partition; the right-hand side is 0 on the ratio
+    # rows and 1 on it.
+    cols = [(*col[:rows], 1) for col in prob.columns]
+    cols.append((*(-math.comb(n, i) for i in range(1, rows + 1)), 0))
+    # The start basis is every slack and the artificial variable of the
+    # convexity row, labelled art and never priced, so B starts as the
+    # identity with d = 1.
+    B = [[int(i == r) for r in range(rows + 1)] for i in range(rows + 1)]
+    cols.extend(map(tuple, B[:rows]))
+    art = len(cols)
+    basis = [slack0 + i for i in range(rows)] + [art]
     pivots = []
 
-    d = _bland_pivot_loop(T, 1, art_col, basis, pivots)
-    # No artificial cleanup: while the artificial variable is basic, its
-    # column, the right-hand side, is d on its row and 0 elsewhere, so it
-    # holds 1 and phase one has failed.  Once it leaves it cannot enter
-    # again: no phase scans the right-hand side's column.
-    if art_col in basis:
+    d = _bland_pivot_loop(cols, B, 1, art, basis, pivots)
+    # No artificial cleanup: a basic artificial variable holds 1, so phase
+    # one has failed, and once it leaves it is never priced again.
+    if art in basis:
         raise ArithmeticError("phase one failed; the mixture simplex is empty")
-    d = _bland_pivot_loop(T, d, t_col, basis, pivots)
+    d = _bland_pivot_loop(cols, B, d, t_col, basis, pivots)
 
-    x = dict(zip(basis, (row[art_col] for row in T)))
+    x = dict(zip(basis, (row[-1] for row in B)))
     weights = tuple(Fraction(x.get(j, 0), d) for j in range(m))
-    # Dual multipliers from t's row of the final tableau: the initial
-    # identity columns (one slack per kept row) carry the basis inverse,
-    # and C(n, i) turns the scaled slack back into the original one.  A
-    # kept row stands for rows i and n - i, which share its multiplier.
-    cost = T[basis.index(t_col)]
-    kept = [Fraction(-cost[slack0 + i] * math.comb(n, i + 1), d) for i in range(rows)]
+    # Dual multipliers from t's row of B, d times t's row of the basis
+    # inverse: entry i, negated, is the multiplier of kept row i as held,
+    # scaled by C(n, i), and C(n, i) turns it back into the original row's.
+    # A kept row stands for rows i and n - i, which share its multiplier.
+    cost = B[basis.index(t_col)]
+    kept = [Fraction(-cost[i] * math.comb(n, i + 1), d) for i in range(rows)]
     dual = tuple(kept[min(i, n - i) - 1] / (1 if 2 * i == n else 2) for i in range(1, n))
     return LpSolution(prob, weights, dual, tuple(pivots))
 

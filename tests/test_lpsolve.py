@@ -153,6 +153,20 @@ class TestSolve:
             digest.update(repr((n, k, sol.pivots, sol.weights, sol.dual)).encode())
         assert digest.hexdigest() == self.CELLS_DIGEST
 
+    #: the same digest over every cell with 2 <= k <= n and 21 <= n <= 30,
+    #: captured while the simplex still rewrote a full tableau at every
+    #: pivot.
+    LARGE_CELLS_DIGEST = "87639038179d85058fa6808bd8a1852decdd170d6264298e86051945c172869c"
+
+    def test_every_cell_to_thirty_pinned(self):
+        cells = [(n, k) for n in range(21, 31) for k in range(2, n + 1)]
+        assert len(cells) == 245
+        digest = hashlib.sha256()
+        for n, k in cells:
+            sol = solve(build_problem(n, k))
+            digest.update(repr((n, k, sol.pivots, sol.weights, sol.dual)).encode())
+        assert digest.hexdigest() == self.LARGE_CELLS_DIGEST
+
     def test_binding_rows_reported(self):
         sol = solve(build_problem(6, 3))
         assert sol.binding
