@@ -222,18 +222,12 @@ def _dense_witness_scaled(n: int, L: int):
     for kvec in range(1 << (n - 1)):
         weight = kvec.bit_count()
         zmask = (weight & 1) | (kvec << 1)
-        if weight:  # the X-free identity term carries coefficient zero
-            coeff = coeffs[(weight + 1) // 2 - 1]
-            for x in range(dim):
-                if (zmask & x).bit_count() & 1:
-                    q[x][x] -= coeff
-                else:
-                    q[x][x] += coeff
+        # the X-free identity term carries coefficient zero
+        coeff = coeffs[(weight + 1) // 2 - 1] if weight else 0
         for x in range(dim):
-            if (zmask & x).bit_count() & 1:
-                q[x ^ full][x] -= scale
-            else:
-                q[x ^ full][x] += scale
+            sign = -1 if (zmask & x).bit_count() & 1 else 1
+            q[x][x] += sign * coeff
+            q[x ^ full][x] += sign * scale
     for p in (Fraction(0), Fraction(1)):
         entries, den = _scaled_entries(to_dense(noisy_ghz(n, p)))
         # zero entries of rho add nothing to tr(rho Q)

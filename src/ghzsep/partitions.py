@@ -10,17 +10,15 @@ partition generates.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import re
 
 from .record import Record, is_count, need_counts
 
 
-@functools.total_ordering
 class PartitionType(Record):
-    """A multiset of positive party sizes, stored non-increasing; ordered
-    by its parts."""
+    """A multiset of positive party sizes, stored non-increasing."""
 
     parts: tuple
 
@@ -47,9 +45,6 @@ class PartitionType(Record):
 
     def __str__(self) -> str:
         return format_partition(self)
-
-    def __lt__(self, other):
-        return self.parts < other.parts if type(other) is type(self) else NotImplemented
 
 
 def enumerate_partitions(n: int, k: int) -> list:
@@ -113,15 +108,14 @@ def profile(p: PartitionType) -> tuple:
     """Subset-sum counts (f(0), ..., f(n)): f(i) is the number of subsets of
     parties whose sizes sum to i.
 
-    Computed by dynamic programming over the parts; exact integers (counts
-    reach 2^k in total).
+    Computed by dynamic programming over the parts: adding a part of size
+    s turns f into f(i) + f(i - s).  Exact integers (counts reach 2^k in
+    total).
     """
-    counts = [0] * (p.n + 1)
-    counts[0] = 1
+    counts = (1,) + (0,) * p.n
     for part in p.parts:
-        for i in range(p.n, part - 1, -1):
-            counts[i] += counts[i - part]
-    return tuple(counts)
+        counts = counts[:part] + tuple(map(operator.add, counts[part:], counts))
+    return counts
 
 
 def appendix_recursion_check(p: PartitionType, l: int) -> bool:
@@ -129,23 +123,19 @@ def appendix_recursion_check(p: PartitionType, l: int) -> bool:
 
     Given a partition with a single-qubit party whose profile satisfies
     f(i)/C(n,i) <= f(1)/n on the interior, attaching one extra party of
-    size l >= 2 gives the extended profile f2(i) = f(i) + f(i-l); this
-    checks that f2 satisfies the analogous bound f2(i)/C(n+l,i) <=
-    f2(1)/(n+l) for i in [2, n+l-2].  Returns True when both the base
-    bound and the extended bound hold.
+    size l >= 2 gives the grown partition's profile f2(i) = f(i) + f(i-l),
+    which ``profile`` computes; this checks that f2 satisfies the
+    analogous bound f2(i)/C(n+l,i) <= f2(1)/(n+l) for i in [2, n+l-2].
+    Returns True when both the base bound and the extended bound hold.
     """
     need_counts(l=l)
     if 1 not in p.parts:
         raise ValueError("partition must contain a single-qubit party")
     if l < 2:
         raise ValueError(f"attached party must have size >= 2, got {l}")
-    n = p.n
+    n, m = p.n, p.n + l
     f1 = profile(p)
+    f2 = profile(PartitionType(tuple(sorted(p.parts + (l,), reverse=True))))
     base_ok = all(f1[i] * n <= f1[1] * math.comb(n, i) for i in range(1, n))
-    m = n + l
-    f2 = [
-        (f1[i] if i <= n else 0) + (f1[i - l] if 0 <= i - l <= n else 0)
-        for i in range(m + 1)
-    ]
     ext_ok = all(f2[i] * m <= f2[1] * math.comb(m, i) for i in range(2, m - 1))
     return base_ok and ext_ok

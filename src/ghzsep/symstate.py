@@ -152,11 +152,7 @@ def pad_to_isotropic(s: SymState) -> PadResult:
     # t is the interior's maximum, so only the two endpoints can stick out
     if max(s.d[0], s.d[s.n]) > s.alpha + t:
         raise ValueError("state is not dominated by its isotropic envelope")
-    total = 2 * (s.alpha + t) + t * (2**s.n - 2)
-    d = [t / total] * (s.n + 1)
-    d[0] = (s.alpha + t) / total
-    d[s.n] = (s.alpha + t) / total
-    return PadResult(SymState(s.alpha / total, tuple(d)))
+    return PadResult(noisy_ghz(s.n, s.alpha / (s.alpha + t * 2 ** (s.n - 1))))
 
 
 def to_dense(s: SymState):

@@ -68,8 +68,7 @@ def sep_max(n: int, L: int) -> Fraction:
 
 def necessary_threshold(n: int, L: int) -> Fraction:
     """Largest p compatible with separability for the 1^(n-L)|L partition."""
-    w = canonical_witness(n, L)
-    return sep_max(n, L) / (witness_sum(w) + 2 ** (n - 1))
+    return sep_max(n, L) / ghz_witness_value(canonical_witness(n, L), 1)
 
 
 class MMatrixParams(Record):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -357,6 +358,19 @@ def product_state_value(n, L):
 
 #: Every block case the dense witness allows: 2 <= L < n <= 8.
 DENSE_BLOCK_CASES = [(n, L) for n in range(3, 9) for L in range(2, n)]
+
+
+class TestDenseWitnessPinned:
+    #: sha256 over repr(dense_witness(n, L)) of every case in
+    #: DENSE_BLOCK_CASES, in order: every entry, sign and scale of the
+    #: witness, which the built-in two-trace validation cannot tell apart
+    DIGEST = "ad586777d12979f8287dea9eab926ca3e43c4afe241bc98f850cb29ff8c21843"
+
+    def test_every_entry_pinned(self):
+        digest = hashlib.sha256()
+        for n, L in DENSE_BLOCK_CASES:
+            digest.update(repr(dense_witness(n, L)).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestProductStateSearch:

@@ -104,10 +104,8 @@ class TestEnumerate:
             enumerate_partitions(n, k)
 
     def test_ordered_by_parts(self):
-        parts = enumerate_partitions(7, 3)
+        parts = [p.parts for p in enumerate_partitions(7, 3)]
         assert sorted(parts) == parts[::-1]
-        assert PartitionType((3, 2, 2)) < PartitionType((3, 3, 1)) <= PartitionType((3, 3, 1))
-        assert PartitionType((5, 1, 1)) > PartitionType((4, 2, 1))
 
 
 class TestGrammar:
