@@ -10,10 +10,12 @@ It runs on the standard library alone.  Each command declares its options
 once, with ``_command``: name, kind, default, whether required, help,
 choices and whether repeatable.  ``_read`` and ``_convert`` read argv from
 that table, ``_help`` prints the help text from it at a fixed width of 78
-columns, and ``main`` prints an error in click's layout: for a usage error
-the usage line, the help hint, a blank line and ``Error: ...``, exit 2.  A
-command's help text is its docstring.  Each command imports the modules it
-runs in its body, so numpy loads only for witness-max.  The library
+columns, laid out by ``textwrap``, which only help pages import, and
+``main`` prints an error in click's layout: for a usage error the usage
+line, the help hint, a blank line and ``Error: ...``, exit 2.  A command's
+help text is its docstring, one line and one sentence, which the commands
+table shortens to fit.  Each command imports the modules it runs in its
+body, so numpy loads only for witness-max.  The library
 returns exact values; this module alone turns them into text, and
 ``_exit_codes`` alone maps the library's errors and failed writes to exit
 codes.
@@ -233,59 +235,35 @@ def _convert(options, given):
     return kwargs
 
 
-def _wrap(text, width):
-    """The space-separated words of ``text`` in greedy lines of at most
-    ``width`` columns; the spaces inside a line are kept."""
-    lines = []
-    for word in text.split(" "):
-        if lines and len(lines[-1]) + 1 + len(word) <= width:
-            lines[-1] += " " + word
-        elif word:
-            lines.append(word)
-    return [line.rstrip() for line in lines]
-
-
 def _rows(pairs):
     """Two-column help rows: the first column at most 30 wide, then the
     text, wrapped; a longer first entry puts the text on the next line."""
+    import textwrap
+
     first = min(max(len(a) for a, _ in pairs), 30) + 2
     lines = []
     for a, b in pairs:
-        text = _wrap(b, max(_WIDTH - first - 2, 10)) or [""]
+        text = textwrap.wrap(b, _WIDTH - first - 2, break_long_words=False, break_on_hyphens=False)
         pad = "\n" + " " * (first + 2) if len(a) > first - 2 else " " * (first - len(a))
-        lines.append(f"  {a}{pad if b else ''}{text[0]}")
+        lines.append(f"  {a}{pad + text[0] if b else ''}")
         lines += [" " * (first + 2) + line for line in text[1:]]
     return lines
 
 
-def _short(text, width):
-    """The first sentence of ``text``, cut after a word and marked ``...``
-    when it is wider than ``width``."""
-    line = ""
-    for word in text.split():
-        line = f"{line} {word}".lstrip()
-        if len(line) > width:
-            break
-        if word.endswith("."):
-            return line
-    else:
-        return line
-    words = line.split()[:-1]
-    while words and len(" ".join(words)) + 3 > width:
-        words.pop()
-    return " ".join(words) + "..."
-
-
 def _help(usage, text, options, commands=None):
     """A help page: usage, the text, then the options and commands tables."""
-    lines = [f"Usage: {usage}", "", *("  " + line for line in _wrap(text, _WIDTH - 2)), "",
+    import textwrap
+
+    page = textwrap.wrap(text, _WIDTH - 2, break_long_words=False, break_on_hyphens=False)
+    lines = [f"Usage: {usage}", "", *("  " + line for line in page), "",
              "Options:", *_rows([(f"{opt.flag} {opt.metavar}".rstrip(),
                                   f"{opt.help}  [required]".lstrip() if opt.required else opt.help)
                                  for opt in options])]
     if commands:
         width = _WIDTH - 6 - max(map(len, commands))
-        lines += ["", "Commands:", *_rows([(name, _short(fn.__doc__, width))
-                                           for name, (fn, _) in sorted(commands.items())])]
+        rows = [(name, textwrap.shorten(fn.__doc__, width, placeholder="..."))
+                for name, (fn, _) in sorted(commands.items())]
+        lines += ["", "Commands:", *_rows(rows)]
     return "\n".join(lines)
 
 

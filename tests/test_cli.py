@@ -11,7 +11,7 @@ from types import ModuleType, SimpleNamespace
 import pytest
 
 from ghzsep import lpsolve, oracle, suites
-from ghzsep.cli import _CLOSED_FORM_MAX_N, SUITE_NAMES, main
+from ghzsep.cli import _CLOSED_FORM_MAX_N, _COMMANDS, SUITE_NAMES, main
 
 
 class _Tee(io.StringIO):
@@ -750,13 +750,14 @@ assert "numpy" not in sys.modules
 
 
 # Runs the CLI as ``python -m ghzsep`` would and, at exit, writes the loaded
-# ghzsep submodules, whether numpy was loaded and which of click, dataclasses
-# and inspect were loaded as the last stderr line.
+# ghzsep submodules, whether numpy was loaded, which of click, dataclasses
+# and inspect were loaded and whether textwrap was as the last stderr line.
 _REPORT_IMPORTS = """
 import atexit, json, runpy, sys
 atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(
     [sorted(m for m in sys.modules if m.startswith("ghzsep.")), "numpy" in sys.modules,
-     [m for m in ("click", "dataclasses", "inspect") if m in sys.modules]])))
+     [m for m in ("click", "dataclasses", "inspect") if m in sys.modules],
+     "textwrap" in sys.modules])))
 runpy.run_module("ghzsep", run_name="__main__")
 """
 
@@ -767,6 +768,7 @@ _ORACLE = ["cli", "exactmath", "oracle", "partitions", "record", "suites", "syms
 #: command line -> (the ghzsep submodules it loads, whether it loads numpy)
 IMPORT_SETS = {
     "--help": (["cli"], False),
+    "lp --help": (["cli"], False),
     "lp --n 6 --k 3": (_LP, False),
     "table1 --nmax 6": (_LP, False),
     "threshold --n 5 --k 4": (["cli", "record", "thresholds"], False),
@@ -784,7 +786,8 @@ IMPORT_SETS = {
 class TestCommandImports:
     """Each command loads only the modules it runs, and numpy only for the
     float witness probes.  No command loads click or dataclasses, and only
-    numpy loads inspect."""
+    numpy loads inspect.  Without numpy, only the help pages load
+    textwrap."""
 
     @pytest.mark.parametrize("command", list(IMPORT_SETS))
     def test_import_set(self, command):
@@ -797,10 +800,11 @@ class TestCommandImports:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, numpy_loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
+        loaded, numpy_loaded, heavy, textwrap = json.loads(proc.stderr.splitlines()[-1])
         assert loaded == sorted(f"ghzsep.{m}" for m in modules)
         assert numpy_loaded is numpy
         assert heavy == (["inspect"] if numpy else [])
+        assert numpy or textwrap is command.endswith("--help")
 
 
 # Runs the CLI as ``python -m ghzsep`` would, with numpy unimportable.
@@ -925,6 +929,13 @@ class TestHelpText:
         result = runner.invoke(main, [*command, "--help"], prog_name="ghzsep")
         assert result.exit_code == 0
         assert result.output == HELP_TEXT[command]
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_command_docstring_is_one_sentence(self, name):
+        # the commands table shortens the whole docstring, which shows its
+        # first sentence only while it is one line and one sentence
+        doc = _COMMANDS[name][0].__doc__
+        assert "\n" not in doc and doc.endswith(".") and ". " not in doc
 
     def test_help_after_double_dash(self, runner):
         # click read a "--help" after "--" as the group's option
