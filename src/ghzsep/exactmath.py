@@ -17,8 +17,6 @@ It is the bottom layer: of ghzsep it imports only ``record``, the record
 base and the count rule.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from fractions import Fraction

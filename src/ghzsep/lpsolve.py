@@ -27,8 +27,6 @@ the certified dual is its entanglement witness; the proof is in
 ``thresholds``.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator
@@ -81,8 +79,6 @@ class LpProblem(Record):
     partitions: tuple
 
     def _check(self):
-        if not isinstance(self.partitions, tuple):
-            raise ValueError(f"partitions must be a tuple, got {type(self.partitions).__name__}")
         if len({(p.n, p.k) for p in self.partitions}) != 1:
             raise ValueError("need one or more partitions, all of one n into one k parts")
 
@@ -204,9 +200,11 @@ def _bland_pivot_loop(cols, B, d, obj, basis, pivots):
     """
     while obj in basis:
         cost = B[basis.index(obj)]
-        basic = set(basis)
+        # j != obj skips every basic column: a basic column j has
+        # B cols[j] = d e_r, r its row, so it prices to d at obj's own row
+        # and to 0 at any other.  The artificial variable is not in cols.
         enter = next((j for j, a in enumerate(cols)
-                      if j not in basic and sum(map(operator.mul, cost, a)) > 0), -1)
+                      if j != obj and sum(map(operator.mul, cost, a)) > 0), -1)
         if enter < 0:
             break
         entering = [sum(map(operator.mul, row, cols[enter])) for row in B]
@@ -312,7 +310,9 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     n, m = prob.n, len(prob.partitions)
     if len(w) != m or any(v < 0 for v in w):
         return False
-    if sum(w) != 1:
+    # sum(w) = 1 over the weights' common denominator W, as in ``_peak``
+    big_w = math.lcm(*(v.denominator for v in w))
+    if sum(v.numerator * (big_w // v.denominator) for v in w) != big_w:
         return False
     if len(y) != n - 1 or any(v < 0 for v in y):
         return False

@@ -29,8 +29,6 @@ and the oracle's independent work is the placement walk and its symmetry
 check.  The 4^k-pair brute force of the tests confirms the support.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import Counter

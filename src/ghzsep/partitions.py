@@ -8,8 +8,6 @@ integer vector is the diagonal fingerprint of the separable state the
 partition generates.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re
@@ -23,8 +21,6 @@ class PartitionType(Record):
     parts: tuple
 
     def _check(self):
-        if not isinstance(self.parts, tuple):
-            raise ValueError(f"parts must be a tuple, got {type(self.parts).__name__}")
         if not self.parts:
             raise ValueError("a partition needs at least one part")
         if not is_count(*self.parts) or min(self.parts) < 1:

@@ -14,8 +14,6 @@ p_s are read from it.  A caller's p and mixture weights are read by
 number itself.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -32,8 +30,6 @@ class SymState(Record):
     d: tuple
 
     def _check(self):
-        if not isinstance(self.d, tuple):
-            raise ValueError(f"d must be a tuple, got {type(self.d).__name__}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
 

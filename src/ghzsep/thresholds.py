@@ -44,8 +44,6 @@ unchanged.  Steps 1 and 2 give tr(W rho) >= 0 on every k-separable rho,
 and tr(W rho_p) = (1 - p)/2^n - t p/2 < 0 exactly when p > p_s.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .record import need_counts

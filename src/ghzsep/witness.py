@@ -13,8 +13,6 @@ its sector diagonal and lemma 1's record for the free components; the
 corner bound is read from that record.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -31,7 +29,7 @@ class WitnessSpec(Record):
     m: tuple
 
     def _check(self):
-        if not isinstance(self.m, tuple) or len(self.m) != self.n // 2:
+        if len(self.m) != self.n // 2:
             raise ValueError(f"m must be a tuple of {self.n // 2} coefficients for n={self.n}, "
                              f"got {self.m!r}")
 

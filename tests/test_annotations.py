@@ -3,12 +3,21 @@ on each function, method and class that a ``ghzsep`` module defines, with
 only what that module imports itself.  So no annotation names numpy, which
 the float probes import inside their own bodies.
 
+No module defers its annotations with ``from __future__ import
+annotations``: a record checks each field's value with ``isinstance``
+against the field's class annotation, which a deferred annotation turns
+into a string.  The ``get_type_hints`` sweep stays all the same, because
+Python 3.14 defers annotations again by default: there an annotation is
+evaluated when first read, and a name it cannot resolve fails only then.
+
 Runs under pytest, and without it as ``python tests/test_annotations.py``
 (exit 1 and one line per failure), so an install without numpy can run it.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import typing
 
@@ -49,8 +58,24 @@ def unresolved() -> list:
     return failures
 
 
+def deferred() -> list:
+    """``module: defers its annotations`` for every module file of the
+    package, ``__main__`` included, that imports the annotations future."""
+    failures = []
+    for path in sorted(pathlib.Path(ghzsep.__file__).parent.glob("*.py")):
+        if any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+               and any(alias.name == "annotations" for alias in node.names)
+               for node in ast.walk(ast.parse(path.read_text()))):
+            failures.append(f"ghzsep.{path.stem}: defers its annotations")
+    return failures
+
+
 def test_every_annotation_resolves():
     assert unresolved() == []
+
+
+def test_no_module_defers_its_annotations():
+    assert deferred() == []
 
 
 def test_the_sweep_reaches_wrapped_functions_methods_and_commands():
@@ -67,6 +92,6 @@ def test_the_sweep_reaches_wrapped_functions_methods_and_commands():
 
 
 if __name__ == "__main__":
-    failures = unresolved()
-    print("\n".join(failures) or "every annotation resolves")
+    failures = unresolved() + deferred()
+    print("\n".join(failures) or "every annotation resolves, and none is deferred")
     raise SystemExit(1 if failures else 0)

@@ -1,7 +1,12 @@
+import importlib
+import inspect
+import pkgutil
+import typing
 from fractions import Fraction
 
 import pytest
 
+import ghzsep
 from ghzsep.exactmath import (CheckRecord, random_unit_rationals, verify_appendix_inequality,
                               verify_lemma1_inequality, verify_w_identities, w_coeff)
 from ghzsep.lpsolve import LpProblem, build_problem
@@ -64,6 +69,53 @@ class TestChecks:
         with pytest.raises(AttributeError, match="Pair is frozen"):
             del p.b
         assert (p.a, p.b) == (3, 1)
+
+
+def _records() -> list:
+    """Every Record subclass that a ``ghzsep`` module defines.  ``__main__``
+    is left out: importing it runs the CLI."""
+    found = []
+    for info in pkgutil.iter_modules(ghzsep.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ghzsep.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if inspect.isclass(obj) and issubclass(obj, Record) and obj is not Record
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+_RECORDS = _records()
+_FIELDS = [(record, name) for record in _RECORDS for name in record.fields]
+
+
+class TestTypeRule:
+    def test_the_walk_finds_every_record(self):
+        assert {record.__name__ for record in _RECORDS} == {
+            "CheckRecord", "SweepReport", "Lemma1Check", "LpProblem", "LpSolution",
+            "PartitionType", "SymState", "PadResult", "WitnessSpec", "MMatrixParams"}
+
+    @pytest.mark.parametrize("record, name", _FIELDS,
+                             ids=[f"{record.__name__}.{name}" for record, name in _FIELDS])
+    def test_a_wrong_type_is_one_value_error_naming_the_field(self, record, name):
+        # the fields before ``name`` hold bare instances of their classes
+        # and the rest None, so ``name`` is the first field of a wrong type
+        hints = typing.get_type_hints(record)
+        before = record.fields[:record.fields.index(name)]
+        values = [hints[field].__new__(hints[field]) for field in before]
+        values += [None] * (len(record.fields) - len(before))
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a {hints[name].__name__}, got NoneType$"):
+            record(*values)
+
+    def test_the_type_rule_runs_before_the_check(self):
+        # Pair's check would compare "1" with 2, a TypeError
+        with pytest.raises(ValueError, match="^a must be a int, got str$"):
+            Pair("1", 2)
+
+    def test_a_bool_field_takes_no_int(self):
+        with pytest.raises(ValueError, match="^passed must be a bool, got int$"):
+            CheckRecord("c", {}, 1, "")
 
 
 class TestValue:

@@ -150,9 +150,13 @@ class TestWitnessSpec:
         with pytest.raises(TypeError, match="WitnessSpec takes the fields n, m, got 3 values"):
             WitnessSpec(spec.n, spec.m, 3)
 
-    @pytest.mark.parametrize("m", [(1,), (1, 2, 3), [1, 2]], ids=["short", "long", "list"])
-    def test_one_coefficient_per_pair_count(self, m):
-        with pytest.raises(ValueError, match="m must be a tuple of 2 coefficients for n=5"):
+    @pytest.mark.parametrize("m, message", [
+        ((1,), "m must be a tuple of 2 coefficients for n=5"),
+        ((1, 2, 3), "m must be a tuple of 2 coefficients for n=5"),
+        ([1, 2], "m must be a tuple, got list"),  # the record type rule
+    ], ids=["short", "long", "list"])
+    def test_one_coefficient_per_pair_count(self, m, message):
+        with pytest.raises(ValueError, match=message):
             WitnessSpec(5, m)
 
 
